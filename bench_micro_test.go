@@ -208,28 +208,6 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecRoundTripAlloc is the allocating convenience path
-// (EncodeRequest + DecodeMessage); the delta against
-// BenchmarkCodecRoundTrip is what buffer reuse and interning save.
-func BenchmarkCodecRoundTripAlloc(b *testing.B) {
-	buf := make([]core.Descriptor[string], 31)
-	for i := range buf {
-		buf[i] = core.Descriptor[string]{Addr: fmt.Sprintf("10.0.%d.%d:7946", i, i), Hop: int32(i)}
-	}
-	req := transport.Request{From: "10.0.0.1:7946", WantReply: true, Buffer: buf}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := transport.EncodeRequest(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, _, err := transport.DecodeMessage(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchEchoHandler echoes pull requests, standing in for the passive
 // protocol thread in transport benchmarks.
 func benchEchoHandler(req transport.Request) (transport.Response, bool) {

@@ -11,7 +11,9 @@ import (
 // fabric: gossip's redundancy must still converge views, just more
 // slowly, and failed exchanges must be accounted rather than fatal.
 func TestClusterConvergesUnderMessageLoss(t *testing.T) {
-	f := transport.NewFabric(transport.WithLoss(0.3, 99))
+	loss := transport.NewFaultSet(99)
+	loss.SetRules([]transport.FaultRule{{From: "*", To: "*", Loss: 0.3}})
+	f := transport.NewFabric(transport.WithFaults(loss))
 	nodes := buildCluster(t, f, core.Newscast, 12, nil)
 	tickAll(nodes, 60)
 

@@ -26,6 +26,22 @@ func knowsAcross(groupA []*Node, groupB []*Node) int {
 	return count
 }
 
+// partition cuts every link between the two groups, both directions, as
+// fabric fault rules; healing is SetRules(nil).
+func partition(groupA, groupB []*Node) *transport.FaultSet {
+	var rules []transport.FaultRule
+	for _, a := range groupA {
+		for _, b := range groupB {
+			rules = append(rules,
+				transport.FaultRule{From: a.Addr(), To: b.Addr(), Cut: true},
+				transport.FaultRule{From: b.Addr(), To: a.Addr(), Cut: true})
+		}
+	}
+	fs := transport.NewFaultSet(1)
+	fs.SetRules(rules)
+	return fs
+}
+
 // TestPartitionForgettingHeadVsRand reproduces the paper's Section 8
 // caveat about quick self-healing: during a temporary network partition,
 // head view selection makes the two sides forget each other completely
@@ -43,12 +59,10 @@ func TestPartitionForgettingHeadVsRand(t *testing.T) {
 		crossBefore = knowsAcross(left, right)
 
 		// Partition the network and keep gossiping for a while.
-		for _, n := range left {
-			f.SetPartition(n.Addr(), 1)
-		}
+		f.SetFaults(partition(left, right))
 		tickAll(nodes, 25)
 		crossAfter = knowsAcross(left, right)
-		f.HealPartitions()
+		f.SetFaults(nil)
 		return crossBefore, crossAfter
 	}
 
@@ -95,8 +109,7 @@ func TestCombinedServiceSurvivesPartition(t *testing.T) {
 
 	// Partition the combined service away from everyone and let it keep
 	// gossiping into the void.
-	f.SetPartition(svc.Primary().Addr(), 1)
-	f.SetPartition(svc.Secondary().Addr(), 1)
+	f.SetFaults(partition([]*Node{svc.Primary(), svc.Secondary()}, others))
 	for c := 0; c < 25; c++ {
 		svc.Tick()
 		tickAll(others, 1)
@@ -106,7 +119,7 @@ func TestCombinedServiceSurvivesPartition(t *testing.T) {
 	// cannot rotate, but the slow random view must still name far-side
 	// peers, so the combined service still answers GetPeer with a real
 	// member after the partition heals.
-	f.HealPartitions()
+	f.SetFaults(nil)
 	foreign := map[string]bool{}
 	for _, n := range others {
 		foreign[n.Addr()] = true

@@ -3,9 +3,7 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"net"
 	"sync/atomic"
 )
 
@@ -179,85 +177,4 @@ func (b *appHandlerBox) load() AppHandler {
 		return *p
 	}
 	return nil
-}
-
-// appendAppFrame appends the length-prefixed encoding of msg to dst, the
-// app analogue of appendRequestFrame/appendResponseFrame.
-func appendAppFrame(dst []byte, msg AppMessage, reply bool) ([]byte, error) {
-	start := len(dst)
-	out, err := AppendAppMessage(append(dst, 0, 0, 0, 0), msg, reply)
-	return finishFrame(out, start, err)
-}
-
-// handleAppFrame is the shared passive side of an app frame on the TCP
-// transports: decode, run the app handler, and write the reply frame when
-// the message pulls one. The return contract matches handleFrame; an app
-// pull earns the connection's keep-alive budget exactly like a gossip
-// pull.
-func handleAppFrame(conn net.Conn, frame []byte, h AppHandler, stats *counters, cs *connScratch) (keep, pulled bool) {
-	msg, isReq, err := DecodeAppMessage(frame, &cs.dec.intern)
-	if err != nil || !isReq {
-		stats.dropped.Add(1)
-		return false, false // a corrupt stream cannot be resynchronised
-	}
-	if h == nil {
-		// No workload attached; the payload is dropped and a pull
-		// initiator times out — the same surface as a handler declining
-		// a gossip exchange.
-		stats.dropped.Add(1)
-		return true, msg.WantReply
-	}
-	reply, ok := h(msg)
-	// As with gossip responses, an unrequested reply frame would desync a
-	// persistent stream; only answer actual pulls.
-	if !ok || !msg.WantReply {
-		return true, msg.WantReply
-	}
-	out, err := appendAppFrame(cs.outBuf[:0], reply, true)
-	if err != nil {
-		return false, true
-	}
-	cs.outBuf = out
-	if _, err := conn.Write(out); err != nil {
-		return false, true
-	}
-	stats.noteWrite(len(out))
-	return true, true
-}
-
-// exchangeAppFrames is the shared active side of an app exchange on the
-// TCP transports: write the length-prefixed frame and, when wantReply is
-// set, read and decode the reply. The caller owns conn's lifecycle and
-// deadlines; the returned message owns its payload.
-func exchangeAppFrames(conn net.Conn, frame []byte, wantReply bool, addr string, stats *counters) (AppMessage, bool, error) {
-	if _, err := conn.Write(frame); err != nil {
-		return AppMessage{}, false, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
-	}
-	stats.noteWrite(len(frame))
-	if !wantReply {
-		return AppMessage{}, false, nil
-	}
-	bufp := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(bufp)
-	replyFrame, err := readFrameInto(conn, (*bufp)[:0])
-	if err != nil {
-		if errors.Is(err, errFrameTooLarge) {
-			stats.dropped.Add(1)
-		}
-		return AppMessage{}, false, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
-	}
-	*bufp = replyFrame[:0]
-	stats.noteRead(len(replyFrame) + frameHeaderSize)
-	msg, isReq, err := DecodeAppMessage(replyFrame, nil)
-	if err != nil {
-		stats.dropped.Add(1)
-		return AppMessage{}, false, err
-	}
-	if isReq {
-		stats.dropped.Add(1)
-		return AppMessage{}, false, fmt.Errorf("transport: peer answered with an app request frame")
-	}
-	// The payload aliases the pooled frame buffer; hand back an owned copy.
-	msg.Payload = append([]byte(nil), msg.Payload...)
-	return msg, true, nil
 }

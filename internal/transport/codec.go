@@ -36,18 +36,6 @@ const (
 	MaxFrameSize = 1 << 22
 )
 
-// EncodeRequest serialises a request into a fresh buffer. Hot paths that
-// own a reusable buffer should call AppendRequest instead.
-func EncodeRequest(req Request) ([]byte, error) {
-	return AppendRequest(nil, req)
-}
-
-// EncodeResponse serialises a response into a fresh buffer. Hot paths
-// that own a reusable buffer should call AppendResponse instead.
-func EncodeResponse(resp Response) ([]byte, error) {
-	return AppendResponse(nil, resp)
-}
-
 // AppendRequest appends the encoded request to dst and returns the
 // extended slice, allocating only when dst lacks capacity. dst may be nil.
 func AppendRequest(dst []byte, req Request) ([]byte, error) {
@@ -99,21 +87,14 @@ func appendString(out []byte, s string) []byte {
 	return append(out, s...)
 }
 
-// DecodeMessage parses a frame produced by EncodeRequest or
-// EncodeResponse. Exactly one of req/resp is meaningful, selected by
-// isRequest. Every address is freshly allocated; hot paths should use
-// DecodeMessageInto (usually via a Decoder) to reuse descriptor storage
-// and intern repeated addresses.
-func DecodeMessage(frame []byte) (req Request, resp Response, isRequest bool, err error) {
-	return DecodeMessageInto(frame, nil, nil)
-}
-
-// DecodeMessageInto is DecodeMessage decoding into caller-owned storage:
-// when scratch is non-nil the descriptor buffer is built inside *scratch
-// (truncated first, grown as needed, and written back), so the returned
-// message aliases it and is only valid until the caller reuses the
-// scratch. A non-nil interner deduplicates address strings across calls;
-// it must not be shared between goroutines without external locking.
+// DecodeMessageInto parses a frame produced by AppendRequest or
+// AppendResponse. Exactly one of req/resp is meaningful, selected by
+// isRequest. When scratch is non-nil the descriptor buffer is built
+// inside *scratch (truncated first, grown as needed, and written back),
+// so the returned message aliases it and is only valid until the caller
+// reuses the scratch. A non-nil interner deduplicates address strings
+// across calls; it must not be shared between goroutines without
+// external locking. Hot paths usually go through a Decoder.
 func DecodeMessageInto(frame []byte, scratch *[]Descriptor, intern *Interner) (req Request, resp Response, isRequest bool, err error) {
 	r := reader{buf: frame, intern: intern}
 	magic, err := r.byte()
@@ -227,7 +208,7 @@ type Decoder struct {
 	intern  Interner
 }
 
-// Decode parses a frame like DecodeMessage, reusing the decoder's
+// Decode parses a frame like DecodeMessageInto, reusing the decoder's
 // descriptor buffer and interned addresses.
 func (d *Decoder) Decode(frame []byte) (req Request, resp Response, isRequest bool, err error) {
 	return DecodeMessageInto(frame, &d.scratch, &d.intern)

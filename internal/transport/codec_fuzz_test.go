@@ -11,7 +11,7 @@ import (
 // oversized counts. The fuzzer mutates outward from these.
 func fuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
-	req, err := EncodeRequest(Request{
+	req, err := AppendRequest(nil, Request{
 		From:      "10.0.0.1:9000",
 		WantReply: true,
 		Buffer: []Descriptor{
@@ -22,7 +22,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := EncodeResponse(Response{
+	resp, err := AppendResponse(nil, Response{
 		From:   "peer-a",
 		Buffer: []Descriptor{{Addr: "peer-b", Hop: 2}},
 	})
@@ -55,35 +55,36 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // FuzzDecodeMessage throws arbitrary frames at the decoder. The decoder
 // must never panic; on accepted frames the message must re-encode into
 // exactly the input (the format is canonical: one valid encoding per
-// message), and the pooled decode path must agree with the allocating one.
+// message), and a decoder reused across frames (its scratch and interner
+// warm) must agree with a fresh one.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
 	var dec Decoder
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		req, resp, isReq, err := DecodeMessage(frame)
+		req, resp, isReq, err := new(Decoder).Decode(frame)
 		preq, presp, pisReq, perr := dec.Decode(frame)
 		if (err == nil) != (perr == nil) {
-			t.Fatalf("pooled decode disagrees on error: %v vs %v", err, perr)
+			t.Fatalf("reused decoder disagrees on error: %v vs %v", err, perr)
 		}
 		if err != nil {
 			return
 		}
 		if pisReq != isReq {
-			t.Fatal("pooled decode disagrees on message kind")
+			t.Fatal("reused decoder disagrees on message kind")
 		}
 		var reencoded []byte
 		if isReq {
 			if preq.From != req.From || preq.WantReply != req.WantReply || !equalDescs(preq.Buffer, req.Buffer) {
-				t.Fatalf("pooled request decode diverges: %+v vs %+v", preq, req)
+				t.Fatalf("reused decoder diverges on request: %+v vs %+v", preq, req)
 			}
-			reencoded, err = EncodeRequest(req)
+			reencoded, err = AppendRequest(nil, req)
 		} else {
 			if presp.From != resp.From || !equalDescs(presp.Buffer, resp.Buffer) {
-				t.Fatalf("pooled response decode diverges: %+v vs %+v", presp, resp)
+				t.Fatalf("reused decoder diverges on response: %+v vs %+v", presp, resp)
 			}
-			reencoded, err = EncodeResponse(resp)
+			reencoded, err = AppendResponse(nil, resp)
 		}
 		if err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", err)
@@ -114,7 +115,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 		req := Request{From: from, WantReply: wantReply, Buffer: buffer}
-		frame, err := EncodeRequest(req)
+		frame, err := AppendRequest(nil, req)
 		if err != nil {
 			// Only over-limit inputs may be rejected, and the limits are
 			// part of the contract — verify the rejection is justified.
@@ -128,7 +129,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		got, _, isReq, err := DecodeMessage(frame)
+		got, _, isReq, err := new(Decoder).Decode(frame)
 		if err != nil || !isReq {
 			t.Fatalf("round trip decode failed: isReq=%v err=%v", isReq, err)
 		}

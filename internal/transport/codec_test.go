@@ -17,11 +17,11 @@ func TestEncodeDecodeRequestRoundTrip(t *testing.T) {
 			{Addr: "10.0.0.3:9000", Hop: 7},
 		},
 	}
-	frame, err := EncodeRequest(req)
+	frame, err := AppendRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, isReq, err := DecodeMessage(frame)
+	got, _, isReq, err := new(Decoder).Decode(frame)
 	if err != nil || !isReq {
 		t.Fatalf("decode: %v (isReq=%v)", err, isReq)
 	}
@@ -37,11 +37,11 @@ func TestEncodeDecodeRequestRoundTrip(t *testing.T) {
 
 func TestEncodeDecodeResponseRoundTrip(t *testing.T) {
 	resp := Response{From: "a", Buffer: []Descriptor{{Addr: "b", Hop: 3}}}
-	frame, err := EncodeResponse(resp)
+	frame, err := AppendResponse(nil, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, isReq, err := DecodeMessage(frame)
+	_, got, isReq, err := new(Decoder).Decode(frame)
 	if err != nil || isReq {
 		t.Fatalf("decode: %v (isReq=%v)", err, isReq)
 	}
@@ -69,11 +69,11 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if len(req.Buffer) > MaxDescriptors {
 			req.Buffer = req.Buffer[:MaxDescriptors]
 		}
-		frame, err := EncodeRequest(req)
+		frame, err := AppendRequest(nil, req)
 		if err != nil {
 			return false
 		}
-		got, _, isReq, err := DecodeMessage(frame)
+		got, _, isReq, err := new(Decoder).Decode(frame)
 		if err != nil || !isReq {
 			return false
 		}
@@ -94,17 +94,17 @@ func TestCodecRoundTripProperty(t *testing.T) {
 
 func TestEncodeLimits(t *testing.T) {
 	long := strings.Repeat("x", MaxAddrLen+1)
-	if _, err := EncodeRequest(Request{From: long}); err == nil {
+	if _, err := AppendRequest(nil, Request{From: long}); err == nil {
 		t.Error("oversized From accepted")
 	}
-	if _, err := EncodeRequest(Request{From: "a", Buffer: []Descriptor{{Addr: long}}}); err == nil {
+	if _, err := AppendRequest(nil, Request{From: "a", Buffer: []Descriptor{{Addr: long}}}); err == nil {
 		t.Error("oversized descriptor address accepted")
 	}
 	big := make([]Descriptor, MaxDescriptors+1)
 	for i := range big {
 		big[i] = Descriptor{Addr: "a"}
 	}
-	if _, err := EncodeRequest(Request{From: "a", Buffer: big}); err == nil {
+	if _, err := AppendRequest(nil, Request{From: "a", Buffer: big}); err == nil {
 		t.Error("oversized buffer accepted")
 	}
 }
@@ -119,16 +119,16 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{codecMagic, kindRequest, 0, 0xFF, 0xFF}, // absurd from length
 	}
 	for i, frame := range cases {
-		if _, _, _, err := DecodeMessage(frame); err == nil {
+		if _, _, _, err := new(Decoder).Decode(frame); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
 	// Trailing bytes after a valid message are an error.
-	good, err := EncodeRequest(Request{From: "a"})
+	good, err := AppendRequest(nil, Request{From: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := DecodeMessage(append(good, 0x00)); err == nil {
+	if _, _, _, err := new(Decoder).Decode(append(good, 0x00)); err == nil {
 		t.Error("trailing byte accepted")
 	}
 }
@@ -139,12 +139,12 @@ func TestDecodeTruncatedAtEveryPoint(t *testing.T) {
 		WantReply: true,
 		Buffer:    []Descriptor{{Addr: "node-2", Hop: 1}, {Addr: "node-3", Hop: 2}},
 	}
-	frame, err := EncodeRequest(req)
+	frame, err := AppendRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(frame); cut++ {
-		if _, _, _, err := DecodeMessage(frame[:cut]); err == nil {
+		if _, _, _, err := new(Decoder).Decode(frame[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}

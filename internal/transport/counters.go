@@ -88,8 +88,8 @@ func (s *Stats) Add(o Stats) {
 	s.KeepAliveEvictions += o.KeepAliveEvictions
 }
 
-// counters is the atomic backing store shared by the TCP, pooled-TCP and
-// UDP transports. The zero value is ready to use.
+// counters is the atomic backing store shared by the TCP and UDP
+// transports. The zero value is ready to use.
 type counters struct {
 	dials         atomic.Uint64
 	reuses        atomic.Uint64

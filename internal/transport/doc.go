@@ -1,13 +1,22 @@
 // Package transport provides the message-passing substrate for the
-// asynchronous peer sampling runtime: an abstract Transport interface, an
-// in-memory fabric with configurable latency, loss and partitions (for
-// tests and single-process simulations), and three real-network backends
-// sharing one compact binary codec — dial-per-exchange TCP (the simple
-// baseline), connection-pooled TCP (persistent per-peer connections with
-// idle eviction; the production default), and UDP (one exchange per
-// datagram pair; cheapest, lossy by nature). Real backends are named in a
-// registry ("tcp", "tcp-pooled", "udp") so daemons can select one at the
+// asynchronous peer sampling runtime: an abstract Transport interface and
+// one request/reply engine behind every backend. An exchange sends one
+// frame and, for pull or push-pull, gets one back; gossip frames and
+// application payload frames (AppCarrier) are two families of one
+// compact binary envelope and share the same round trip and the same
+// passive dispatch. The engine runs over three connection strategies:
+// an in-memory fabric (tests and single-process simulations), a TCP
+// stream, and UDP datagrams. The registry names the real backends —
+// "tcp-pooled" (the stream with persistent per-peer connections and idle
+// eviction; the production default), "tcp" (the stream without an idle
+// pool, so every exchange dials) and "udp" (one exchange per datagram
+// pair; cheapest, lossy by nature) — so daemons can select one at the
 // command line, and they export wire-level counters via StatsReporter.
+//
+// Faults come from FaultRules only: cut links, loss and latency, matched
+// per directed link. The real backends read the process-global Faults
+// set; a Fabric reads its own (WithFaults, SetFaults), where a partition
+// is a Cut rule on each direction of every crossing link.
 //
 // # Hardening against hostile networks
 //

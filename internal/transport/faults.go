@@ -143,14 +143,21 @@ func checkLinkFault(ctx context.Context, from, to string) error {
 	if err != nil {
 		return err
 	}
-	if d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	return sleepCtx(ctx, d)
+}
+
+// sleepCtx waits out an injected latency d, returning early with ctx's
+// error if ctx ends first.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
 	}
-	return nil
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

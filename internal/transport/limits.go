@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,27 +191,4 @@ func (g *connGate) setMax(maxConns int) {
 	g.mu.Lock()
 	g.max = maxConns
 	g.mu.Unlock()
-}
-
-// acceptLoop is the shared hardened accept path of the TCP backends: it
-// admits connections through the gate and serves each admitted one on its
-// own goroutine, closing over-cap connections immediately. It returns
-// when the listener closes.
-func acceptLoop(l net.Listener, gate *connGate, wg *sync.WaitGroup, serveConn func(net.Conn)) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if !gate.tryAcquire() {
-			conn.Close()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer gate.release()
-			serveConn(conn)
-		}()
-	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -14,6 +15,18 @@ func echoLimits(req Request) (Response, bool) {
 		return Response{}, false
 	}
 	return Response{From: "server", Buffer: req.Buffer}, true
+}
+
+// streamFrame is req encoded as one length-prefixed stream frame, for
+// tests that speak the wire directly.
+func streamFrame(t *testing.T, req Request) []byte {
+	t.Helper()
+	frame, err := AppendRequest([]byte{0, 0, 0, 0}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeaderSize))
+	return frame
 }
 
 func TestLimitsFillDefaults(t *testing.T) {
@@ -190,25 +203,19 @@ func TestPushOnlyConnEvictedBeforePullConn(t *testing.T) {
 		}
 		return c
 	}
-	pushFrame, err := EncodeRequest(Request{From: "pusher", WantReply: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pullFrame, err := EncodeRequest(Request{From: "puller", WantReply: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pushFrame := streamFrame(t, Request{From: "pusher", WantReply: false})
+	pullFrame := streamFrame(t, Request{From: "puller", WantReply: true})
 
 	pusher, puller := dial(), dial()
 	defer pusher.Close()
 	defer puller.Close()
-	if err := writeFrame(pusher, pushFrame); err != nil {
+	if _, err := pusher.Write(pushFrame); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(puller, pullFrame); err != nil {
+	if _, err := puller.Write(pullFrame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(puller); err != nil { // consume the pull response
+	if _, err := readFrameInto(puller, nil); err != nil { // consume the pull response
 		t.Fatal(err)
 	}
 
@@ -220,10 +227,10 @@ func TestPushOnlyConnEvictedBeforePullConn(t *testing.T) {
 		t.Fatalf("push-only conn: want EOF from eviction, got %v", err)
 	}
 	// Prove the puller's stream still works after the pusher's eviction.
-	if err := writeFrame(puller, pullFrame); err != nil {
+	if _, err := puller.Write(pullFrame); err != nil {
 		t.Fatalf("pull conn was evicted early: %v", err)
 	}
-	if _, err := readFrame(puller); err != nil {
+	if _, err := readFrameInto(puller, nil); err != nil {
 		t.Fatalf("pull conn reply after pusher eviction: %v", err)
 	}
 	if st := server.TransportStats(); st.KeepAliveEvictions == 0 {

@@ -155,14 +155,11 @@ func TestSetLimitsShrinksKeepAliveOnLiveConn(t *testing.T) {
 	}
 	defer conn.Close()
 	// Earn the full keep-alive with one pull exchange on the raw conn.
-	frame, err := EncodeRequest(Request{From: "raw", WantReply: true})
-	if err != nil {
+	frame := streamFrame(t, Request{From: "raw", WantReply: true})
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, frame); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readFrame(conn); err != nil {
+	if _, err := readFrameInto(conn, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -171,16 +168,16 @@ func TestSetLimitsShrinksKeepAliveOnLiveConn(t *testing.T) {
 	if err := server.SetLimits(Limits{KeepAlive: 50 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, frame); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(conn); err != nil {
+	if _, err := readFrameInto(conn, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Now sit silent: under the old 30s budget this read would park for the
 	// whole test timeout; under the shrunken one the server evicts us.
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := readFrame(conn); err == nil {
+	if _, err := readFrameInto(conn, nil); err == nil {
 		t.Fatal("server kept the connection past the shrunken keep-alive")
 	}
 	if evictions := server.stats.snapshot().KeepAliveEvictions; evictions == 0 {
@@ -206,7 +203,7 @@ func TestUDPSetLimitsResizesHandlerCap(t *testing.T) {
 	if err := server.SetLimits(Limits{MaxConns: 1}); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := EncodeRequest(Request{From: "raw"})
+	frame, err := AppendRequest(nil, Request{From: "raw"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,61 +3,35 @@ package transport
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Fabric is an in-memory network connecting any number of endpoints in one
-// process. It supports deterministic message loss, artificial latency and
-// named partitions, which makes it the failure-injection substrate for
-// runtime tests and single-process demos.
+// process: the failure-injection substrate for runtime tests and
+// single-process demos. Its only fault model is a per-link FaultInjector
+// (WithFaults, SetFaults), the same FaultRule shape the real transports
+// read: Loss rules drop exchanges, Latency rules delay them, and Cut
+// rules on every crossing link make a partition.
 type Fabric struct {
 	mu        sync.RWMutex
 	endpoints map[string]*memEndpoint
-	latency   time.Duration
-	lossRate  float64
-	rng       *rand.Rand
-	// partition maps an address to its partition ID; endpoints in
-	// different partitions cannot exchange messages. The zero ID is the
-	// default shared partition.
-	partition map[string]int
-	// faults generalizes the global latency/loss/partition knobs above to
-	// directed per-link rules — the same FaultRule shape the real
-	// transports consult (see SetFaults).
-	faults FaultInjector
+	faults    FaultInjector
 }
 
 // FabricOption configures a Fabric.
 type FabricOption func(*Fabric)
 
-// WithLatency makes every exchange sleep for d before delivery.
-func WithLatency(d time.Duration) FabricOption {
-	return func(f *Fabric) { f.latency = d }
-}
-
-// WithLoss drops each exchange with probability p (deterministically from
-// the fabric's seed).
-func WithLoss(p float64, seed uint64) FabricOption {
-	return func(f *Fabric) {
-		f.lossRate = p
-		f.rng = rand.New(rand.NewPCG(seed, 0xFAB))
-	}
-}
-
 // WithFaults installs a per-link fault injector (usually a *FaultSet):
-// directed cut/loss/latency rules applied on top of the fabric's global
-// latency, loss and partition models.
+// directed cut/loss/latency rules applied to every exchange.
 func WithFaults(fi FaultInjector) FabricOption {
 	return func(f *Fabric) { f.faults = fi }
 }
 
 // NewFabric returns an empty in-memory network.
 func NewFabric(opts ...FabricOption) *Fabric {
-	f := &Fabric{
-		endpoints: make(map[string]*memEndpoint),
-		partition: make(map[string]int),
-	}
+	f := &Fabric{endpoints: make(map[string]*memEndpoint)}
 	for _, o := range opts {
 		o(f)
 	}
@@ -94,22 +68,6 @@ func (f *Fabric) Factory(prefix string) Factory {
 	}
 }
 
-// SetPartition assigns addr to a partition; endpoints in different
-// partitions are mutually unreachable until reassigned. Partition 0 is the
-// default shared network.
-func (f *Fabric) SetPartition(addr string, id int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.partition[addr] = id
-}
-
-// HealPartitions returns every endpoint to the shared partition.
-func (f *Fabric) HealPartitions() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	clear(f.partition)
-}
-
 // SetFaults installs (or, with nil, removes) a per-link fault injector
 // at runtime — the Fabric form of the chaos hook the real transports
 // read from the process-global Faults set.
@@ -127,31 +85,21 @@ func (f *Fabric) Remove(addr string) {
 	delete(f.endpoints, addr)
 }
 
-// lookup resolves a destination endpoint for a sender, applying the
-// partition, loss and per-link fault models. It returns the endpoint and
-// any injected extra latency, or a reason error when undeliverable.
+// lookup resolves a destination endpoint for a sender and applies the
+// per-link faults. It returns the endpoint and any injected latency, or
+// a reason error when undeliverable.
 func (f *Fabric) lookup(from, to string) (*memEndpoint, time.Duration, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.mu.RLock()
+	defer f.mu.RUnlock()
 	dst, ok := f.endpoints[to]
-	if !ok || dst.isClosed() {
+	if !ok || dst.closed.Load() {
 		return nil, 0, fmt.Errorf("%w: %s", ErrUnreachable, to)
 	}
-	if f.partition[from] != f.partition[to] {
-		return nil, 0, fmt.Errorf("%w: %s is partitioned away", ErrUnreachable, to)
+	if f.faults == nil {
+		return dst, 0, nil
 	}
-	if f.lossRate > 0 && f.rng.Float64() < f.lossRate {
-		return nil, 0, ErrDropped
-	}
-	var extra time.Duration
-	if f.faults != nil {
-		d, err := f.faults.Inject(from, to)
-		if err != nil {
-			return nil, 0, err
-		}
-		extra = d
-	}
-	return dst, extra, nil
+	d, err := f.faults.Inject(from, to)
+	return dst, d, err
 }
 
 // memEndpoint implements Transport over a Fabric.
@@ -160,9 +108,7 @@ type memEndpoint struct {
 	addr    string
 	handler Handler
 	apps    appHandlerBox
-
-	mu     sync.Mutex
-	closed bool
+	closed  atomic.Bool
 }
 
 var (
@@ -173,77 +119,61 @@ var (
 // Addr implements Transport.
 func (e *memEndpoint) Addr() string { return e.addr }
 
-func (e *memEndpoint) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
+// reach is the front half of every fabric exchange, gossip or app: the
+// closed check, the lookup with its faults, the injected latency and the
+// context check. It returns the endpoint to deliver to.
+func (e *memEndpoint) reach(ctx context.Context, addr string) (*memEndpoint, error) {
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
+	dst, latency, err := e.fabric.lookup(e.addr, addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := sleepCtx(ctx, latency); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // Exchange implements Transport.
 func (e *memEndpoint) Exchange(ctx context.Context, addr string, req Request) (Response, bool, error) {
-	if e.isClosed() {
-		return Response{}, false, ErrClosed
-	}
-	dst, extra, err := e.fabric.lookup(e.addr, addr)
+	dst, err := e.reach(ctx, addr)
 	if err != nil {
 		return Response{}, false, err
 	}
-	if d := e.fabric.latency + extra; d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return Response{}, false, ctx.Err()
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return Response{}, false, err
-	}
-	// Deliver a deep copy: in-process peers must not share buffer memory,
+	// Deliver deep copies: in-process peers must not share buffer memory,
 	// exactly as a real network would not.
-	resp, ok := dst.handler(cloneRequest(req))
-	if !ok {
+	req.Buffer = append([]Descriptor(nil), req.Buffer...)
+	resp, ok := dst.handler(req)
+	if !ok || !req.WantReply {
 		return Response{}, false, nil
 	}
-	return cloneResponse(resp), true, nil
+	resp.Buffer = append([]Descriptor(nil), resp.Buffer...)
+	return resp, true, nil
 }
 
 // SetAppHandler implements AppCarrier.
 func (e *memEndpoint) SetAppHandler(h AppHandler) { e.apps.store(h) }
 
-// ExchangeApp implements AppCarrier. It applies the same latency, loss
-// and partition models as Exchange; a destination with no app handler
+// ExchangeApp implements AppCarrier. A destination with no app handler
 // swallows the payload (a pull reports ok=false), matching the real
 // transports where such frames are dropped.
 func (e *memEndpoint) ExchangeApp(ctx context.Context, addr string, msg AppMessage) (AppMessage, bool, error) {
-	if e.isClosed() {
-		return AppMessage{}, false, ErrClosed
-	}
-	dst, extra, err := e.fabric.lookup(e.addr, addr)
+	dst, err := e.reach(ctx, addr)
 	if err != nil {
-		return AppMessage{}, false, err
-	}
-	if d := e.fabric.latency + extra; d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return AppMessage{}, false, ctx.Err()
-		}
-	}
-	if err := ctx.Err(); err != nil {
 		return AppMessage{}, false, err
 	}
 	h := dst.apps.load()
 	if h == nil {
 		return AppMessage{}, false, nil
 	}
-	// Deliver a deep copy of the payload, exactly as a real network would.
-	in := msg
-	in.Payload = append([]byte(nil), msg.Payload...)
-	reply, ok := h(in)
+	// Deliver deep copies of the payload, exactly as a real network would.
+	msg.Payload = append([]byte(nil), msg.Payload...)
+	reply, ok := h(msg)
 	if !ok || !msg.WantReply {
 		return AppMessage{}, false, nil
 	}
@@ -254,21 +184,7 @@ func (e *memEndpoint) ExchangeApp(ctx context.Context, addr string, msg AppMessa
 
 // Close implements Transport.
 func (e *memEndpoint) Close() error {
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
+	e.closed.Store(true)
 	e.fabric.Remove(e.addr)
 	return nil
-}
-
-func cloneRequest(req Request) Request {
-	out := req
-	out.Buffer = append([]Descriptor(nil), req.Buffer...)
-	return out
-}
-
-func cloneResponse(resp Response) Response {
-	out := resp
-	out.Buffer = append([]Descriptor(nil), resp.Buffer...)
-	return out
 }

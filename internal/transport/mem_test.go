@@ -91,8 +91,15 @@ func TestFabricClose(t *testing.T) {
 	}
 }
 
+// faultRules is a seeded fault set holding rules, for fabric fault tests.
+func faultRules(rules ...FaultRule) *FaultSet {
+	fs := NewFaultSet(7)
+	fs.SetRules(rules)
+	return fs
+}
+
 func TestFabricLoss(t *testing.T) {
-	f := NewFabric(WithLoss(1.0, 7))
+	f := NewFabric(WithFaults(faultRules(FaultRule{From: "*", To: "*", Loss: 1})))
 	a, _ := f.Endpoint("a", echoHandler("a"))
 	if _, err := f.Endpoint("b", echoHandler("b")); err != nil {
 		t.Fatal(err)
@@ -109,18 +116,19 @@ func TestFabricPartition(t *testing.T) {
 	if _, err := f.Endpoint("b", echoHandler("b")); err != nil {
 		t.Fatal(err)
 	}
-	f.SetPartition("b", 1)
+	// A partition is a Cut rule on each direction of every crossing link.
+	f.SetFaults(faultRules(FaultRule{From: "a", To: "b", Cut: true}, FaultRule{From: "b", To: "a", Cut: true}))
 	if _, _, err := a.Exchange(context.Background(), "b", Request{From: "a", WantReply: true}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("partitioned exchange: %v want ErrUnreachable", err)
 	}
-	f.HealPartitions()
+	f.SetFaults(nil)
 	if _, ok, err := a.Exchange(context.Background(), "b", Request{From: "a", WantReply: true}); err != nil || !ok {
 		t.Errorf("healed exchange: %v ok=%v", err, ok)
 	}
 }
 
 func TestFabricLatencyAndContext(t *testing.T) {
-	f := NewFabric(WithLatency(50 * time.Millisecond))
+	f := NewFabric(WithFaults(faultRules(FaultRule{From: "*", To: "*", Latency: 50 * time.Millisecond})))
 	a, _ := f.Endpoint("a", echoHandler("a"))
 	if _, err := f.Endpoint("b", echoHandler("b")); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 )
 
 // echoPooled starts a pooled server echoing pull requests.
-func echoPooled(t *testing.T, cfg PoolConfig) *PooledTCP {
+func echoPooled(t *testing.T, cfg PoolConfig) *TCP {
 	t.Helper()
 	server, err := ListenPooledTCP("127.0.0.1:0", func(req Request) (Response, bool) {
 		if !req.WantReply {
@@ -25,7 +25,7 @@ func echoPooled(t *testing.T, cfg PoolConfig) *PooledTCP {
 	return server
 }
 
-func newPooledClient(t *testing.T, cfg PoolConfig) *PooledTCP {
+func newPooledClient(t *testing.T, cfg PoolConfig) *TCP {
 	t.Helper()
 	client, err := ListenPooledTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, cfg)
 	if err != nil {

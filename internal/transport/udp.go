@@ -20,12 +20,13 @@ const MaxDatagramSize = 60 * 1024
 // a TCP backend.
 var ErrOversized = errors.New("transport: message exceeds datagram size")
 
-// UDP is a Transport carrying one gossip exchange per datagram pair: the
-// request in one datagram and, for pull-enabled exchanges, the response in
-// another. There is no connection state at all, which makes it the
-// cheapest backend per exchange — and, like the underlying network, it is
-// lossy: a dropped datagram surfaces as an ErrUnreachable timeout on the
-// active side, exactly the failure the protocol's self-healing tolerates.
+// UDP is the datagram transport: one exchange, gossip or app, per
+// datagram pair — the request in one datagram and, for pull-enabled
+// exchanges, the reply in another. There is no connection state at all,
+// which makes it the cheapest backend per exchange — and, like the
+// underlying network, it is lossy: a dropped datagram surfaces as an
+// ErrUnreachable timeout on the active side, exactly the failure the
+// protocol's self-healing tolerates.
 //
 // Incoming requests are handled on their own goroutines so one slow
 // handler cannot stall the socket, bounded by Limits.MaxConns; a datagram
@@ -34,7 +35,6 @@ var ErrOversized = errors.New("transport: message exceeds datagram size")
 type UDP struct {
 	conn     *net.UDPConn
 	handler  Handler
-	limits   limitsBox
 	apps     appHandlerBox
 	stats    counters
 	gate     *connGate
@@ -68,9 +68,9 @@ var datagramBufs = sync.Pool{
 var udpRequests = sync.Pool{New: func() any { return new(udpRequest) }}
 
 type udpRequest struct {
-	descs   []Descriptor
-	intern  Interner
-	outBuf  []byte // response encode buffer, reused with the entry
+	in      inbound
+	dec     Decoder
+	outBuf  []byte // reply encode buffer, reused with the entry
 	payload []byte // app payload copy: the receive buffer is reused before the handler runs
 }
 
@@ -105,7 +105,6 @@ func ListenUDPLimits(addr string, h Handler, lim Limits) (*UDP, error) {
 		return nil, fmt.Errorf("transport: listen udp %s: %w", addr, err)
 	}
 	t := &UDP{conn: conn, handler: h, done: make(chan struct{})}
-	t.limits.store(lim)
 	t.gate = newConnGate(lim.MaxConns, &t.stats.acceptRejects)
 	go t.serve()
 	return t, nil
@@ -118,7 +117,6 @@ func (t *UDP) SetLimits(lim Limits) error {
 	if err := lim.fill(); err != nil {
 		return err
 	}
-	t.limits.store(lim)
 	t.gate.setMax(lim.MaxConns)
 	return nil
 }
@@ -143,185 +141,53 @@ func (t *UDP) serve() {
 			continue
 		}
 		t.stats.noteRead(n)
-		if isAppFrame(buf[:n]) {
-			t.serveAppDatagram(buf[:n], src)
-			continue
-		}
 		// Decode synchronously into a pooled request state: buf is free
 		// for the next datagram, while the decoded request travels to its
-		// handler goroutine owning its (pooled) descriptor storage.
+		// handler goroutine owning its descriptors and app payload.
 		ur := udpRequests.Get().(*udpRequest)
-		req, _, isReq, err := DecodeMessageInto(buf[:n], &ur.descs, &ur.intern)
-		if err != nil || !isReq {
+		if err := ur.in.decode(buf[:n], &ur.dec); err != nil {
 			udpRequests.Put(ur)
 			t.stats.dropped.Add(1)
 			continue
+		}
+		if ur.in.app {
+			ur.payload = append(ur.payload[:0], ur.in.msg.Payload...)
+			ur.in.msg.Payload = ur.payload
 		}
 		if !t.gate.tryAcquire() {
 			udpRequests.Put(ur)
 			continue // handler slots exhausted; counted as an accept reject
 		}
 		t.wg.Add(1)
-		go func(req Request, src *net.UDPAddr, ur *udpRequest) {
+		go func() {
 			defer t.wg.Done()
 			defer t.gate.release()
 			defer udpRequests.Put(ur)
-			t.handleDatagram(req, src, ur)
-		}(req, src, ur)
+			t.handleDatagram(ur, src)
+		}()
 	}
-}
-
-// serveAppDatagram routes one app-kind datagram: decode into pooled
-// request state (copying the payload, since the receive buffer is reused
-// for the next datagram) and hand it to the app handler on its own
-// goroutine, under the same concurrency gate as gossip handlers.
-func (t *UDP) serveAppDatagram(frame []byte, src *net.UDPAddr) {
-	ur := udpRequests.Get().(*udpRequest)
-	msg, isReq, err := DecodeAppMessage(frame, &ur.intern)
-	if err != nil || !isReq {
-		udpRequests.Put(ur)
-		t.stats.dropped.Add(1)
-		return
-	}
-	ur.payload = append(ur.payload[:0], msg.Payload...)
-	msg.Payload = ur.payload
-	if !t.gate.tryAcquire() {
-		udpRequests.Put(ur)
-		return // handler slots exhausted; counted as an accept reject
-	}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		defer t.gate.release()
-		defer udpRequests.Put(ur)
-		t.handleAppDatagram(msg, src, ur)
-	}()
-}
-
-// handleAppDatagram runs the app handler for one decoded message and
-// writes the reply datagram when the message pulls one.
-func (t *UDP) handleAppDatagram(msg AppMessage, src *net.UDPAddr, ur *udpRequest) {
-	h := t.apps.load()
-	if h == nil {
-		t.stats.dropped.Add(1)
-		return
-	}
-	reply, ok := h(msg)
-	if !ok || !msg.WantReply {
-		return
-	}
-	out, err := appendAppDatagram(ur.outBuf[:0], reply)
-	if err == nil {
-		ur.outBuf = out
-	}
-	if err != nil || len(out) > MaxDatagramSize {
-		t.stats.dropped.Add(1)
-		return
-	}
-	if _, err := t.conn.WriteToUDP(out, src); err != nil {
-		t.stats.dropped.Add(1)
-		return
-	}
-	t.stats.noteWrite(len(out))
-}
-
-// appendAppDatagram encodes an app reply without the TCP length prefix.
-func appendAppDatagram(dst []byte, msg AppMessage) ([]byte, error) {
-	return AppendAppMessage(dst, msg, true)
-}
-
-// SetAppHandler implements AppCarrier.
-func (t *UDP) SetAppHandler(h AppHandler) { t.apps.store(h) }
-
-// ExchangeApp implements AppCarrier: one app exchange per datagram pair,
-// with the same connected-socket matching as Exchange.
-func (t *UDP) ExchangeApp(ctx context.Context, addr string, msg AppMessage) (AppMessage, bool, error) {
-	select {
-	case <-t.done:
-		return AppMessage{}, false, ErrClosed
-	default:
-	}
-	if err := checkLinkFault(ctx, t.Addr(), addr); err != nil {
-		return AppMessage{}, false, err
-	}
-	framep := frameBufs.Get().(*[]byte)
-	defer frameBufs.Put(framep)
-	frame, err := AppendAppMessage((*framep)[:0], msg, false)
-	if err != nil {
-		return AppMessage{}, false, err
-	}
-	*framep = frame[:0]
-	if len(frame) > MaxDatagramSize {
-		return AppMessage{}, false, fmt.Errorf("%w: %d bytes > %d", ErrOversized, len(frame), MaxDatagramSize)
-	}
-	deadline, hasDeadline := ctx.Deadline()
-	if !hasDeadline {
-		deadline = time.Now().Add(udpDefaultTimeout)
-	}
-	d := net.Dialer{Deadline: deadline}
-	conn, err := d.DialContext(ctx, "udp", addr)
-	if err != nil {
-		return AppMessage{}, false, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
-	}
-	t.stats.dials.Add(1)
-	defer conn.Close()
-	_ = conn.SetDeadline(deadline)
-	if _, err := conn.Write(frame); err != nil {
-		return AppMessage{}, false, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
-	}
-	t.stats.noteWrite(len(frame))
-	if !msg.WantReply {
-		return AppMessage{}, false, nil
-	}
-	buf := datagramBufs.Get().(*[]byte)
-	defer datagramBufs.Put(buf)
-	n, err := conn.Read(*buf)
-	if err != nil {
-		t.stats.dropped.Add(1)
-		return AppMessage{}, false, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
-	}
-	if n > MaxDatagramSize {
-		t.stats.dropped.Add(1)
-		return AppMessage{}, false, fmt.Errorf("%w: response %d bytes", ErrOversized, n)
-	}
-	t.stats.noteRead(n)
-	reply, isReq, err := DecodeAppMessage((*buf)[:n], nil)
-	if err != nil {
-		t.stats.dropped.Add(1)
-		return AppMessage{}, false, err
-	}
-	if isReq {
-		t.stats.dropped.Add(1)
-		return AppMessage{}, false, errors.New("transport: peer answered with an app request frame")
-	}
-	// The payload aliases the pooled datagram buffer; hand back an owned copy.
-	reply.Payload = append([]byte(nil), reply.Payload...)
-	return reply, true, nil
 }
 
 // handleDatagram runs the handler for one decoded request and writes the
-// response datagram when the request pulls one. ur owns the request's
-// descriptor storage and the response encode buffer.
-func (t *UDP) handleDatagram(req Request, src *net.UDPAddr, ur *udpRequest) {
-	resp, ok := t.handler(req)
-	if !ok || !req.WantReply {
-		return
-	}
-	out, err := AppendResponse(ur.outBuf[:0], resp)
-	if err == nil {
-		ur.outBuf = out
-	}
-	if err != nil || len(out) > MaxDatagramSize {
+// reply datagram when the request pulls one. ur owns the request's
+// storage and the reply encode buffer.
+func (t *UDP) handleDatagram(ur *udpRequest, src *net.UDPAddr) {
+	out, err := ur.in.answer(ur.outBuf[:0], t.handler, t.apps.load(), &t.stats)
+	switch {
+	case err != nil || len(out) > MaxDatagramSize:
 		// The wire has no error frames, so an unencodable or
-		// oversized response can only be dropped and counted. This
+		// oversized reply can only be dropped and counted. This
 		// node's view is the oversized one, and its own active
 		// exchanges fail with ErrOversized, so the misconfiguration
 		// is loud locally even though the puller just times out.
 		t.stats.dropped.Add(1)
 		return
+	case out == nil:
+		return
 	}
+	ur.outBuf = out
 	if _, err := t.conn.WriteToUDP(out, src); err != nil {
-		// The response is gone and the puller will time out; without a
+		// The reply is gone and the puller will time out; without a
 		// counter move this failure mode is invisible to the exporter.
 		t.stats.dropped.Add(1)
 		return
@@ -329,18 +195,11 @@ func (t *UDP) handleDatagram(req Request, src *net.UDPAddr, ur *udpRequest) {
 	t.stats.noteWrite(len(out))
 }
 
-// Exchange implements Transport. Each exchange uses a short-lived
-// connected socket so the response datagram (if any) is matched to this
-// exchange by the kernel, with no sequence numbers in the protocol.
+// SetAppHandler implements AppCarrier.
+func (t *UDP) SetAppHandler(h AppHandler) { t.apps.store(h) }
+
+// Exchange implements Transport.
 func (t *UDP) Exchange(ctx context.Context, addr string, req Request) (Response, bool, error) {
-	select {
-	case <-t.done:
-		return Response{}, false, ErrClosed
-	default:
-	}
-	if err := checkLinkFault(ctx, t.Addr(), addr); err != nil {
-		return Response{}, false, err
-	}
 	framep := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(framep)
 	frame, err := AppendRequest((*framep)[:0], req)
@@ -348,57 +207,69 @@ func (t *UDP) Exchange(ctx context.Context, addr string, req Request) (Response,
 		return Response{}, false, err
 	}
 	*framep = frame[:0]
-	if len(frame) > MaxDatagramSize {
-		return Response{}, false, fmt.Errorf("%w: %d bytes > %d", ErrOversized, len(frame), MaxDatagramSize)
-	}
-	deadline, hasDeadline := ctx.Deadline()
-	if !hasDeadline {
-		deadline = time.Now().Add(udpDefaultTimeout)
-	}
-	d := net.Dialer{Deadline: deadline}
-	conn, err := d.DialContext(ctx, "udp", addr)
+	return datagramRoundTrip[Response](t, ctx, addr, frame, req.WantReply)
+}
+
+// ExchangeApp implements AppCarrier: an app message takes the same
+// datagram round trip as a gossip request.
+func (t *UDP) ExchangeApp(ctx context.Context, addr string, msg AppMessage) (AppMessage, bool, error) {
+	framep := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(framep)
+	frame, err := AppendAppMessage((*framep)[:0], msg, false)
 	if err != nil {
-		return Response{}, false, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
+		return AppMessage{}, false, err
 	}
-	t.stats.dials.Add(1)
+	*framep = frame[:0]
+	return datagramRoundTrip[AppMessage](t, ctx, addr, frame, msg.WantReply)
+}
+
+// datagramRoundTrip is the active side of every UDP exchange. Each uses a
+// short-lived connected socket so the reply datagram (if any) is matched
+// to this exchange by the kernel, with no sequence numbers in the
+// protocol.
+func datagramRoundTrip[R replyMsg](t *UDP, ctx context.Context, addr string, frame []byte, wantReply bool) (R, bool, error) {
+	var none R
+	select {
+	case <-t.done:
+		return none, false, ErrClosed
+	default:
+	}
+	deadline, err := linkDeadline(ctx, t.Addr(), addr, udpDefaultTimeout)
+	if err != nil {
+		return none, false, err
+	}
+	if len(frame) > MaxDatagramSize {
+		return none, false, fmt.Errorf("%w: %d bytes > %d", ErrOversized, len(frame), MaxDatagramSize)
+	}
+	conn, err := dialPeer(ctx, "udp", addr, deadline, &t.stats)
+	if err != nil {
+		return none, false, err
+	}
 	defer conn.Close()
 	_ = conn.SetDeadline(deadline)
 	if _, err := conn.Write(frame); err != nil {
-		return Response{}, false, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
+		return none, false, unreachable(addr, err)
 	}
 	t.stats.noteWrite(len(frame))
-	if !req.WantReply {
-		return Response{}, false, nil
+	if !wantReply {
+		return none, false, nil
 	}
 	buf := datagramBufs.Get().(*[]byte)
 	defer datagramBufs.Put(buf)
 	n, err := conn.Read(*buf)
 	if err != nil {
-		// Timeout: the request or response datagram was lost, or the peer
+		// Timeout: the request or reply datagram was lost, or the peer
 		// is gone. Indistinguishable by design.
 		t.stats.dropped.Add(1)
-		return Response{}, false, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
+		return none, false, unreachable(addr, err)
 	}
 	if n > MaxDatagramSize {
 		t.stats.dropped.Add(1)
-		return Response{}, false, fmt.Errorf("%w: response %d bytes", ErrOversized, n)
+		return none, false, fmt.Errorf("%w: response %d bytes", ErrOversized, n)
 	}
 	t.stats.noteRead(n)
-	dec := respDecoders.Get().(*Decoder)
-	defer respDecoders.Put(dec)
-	_, resp, isReq, err := dec.Decode((*buf)[:n])
-	if err != nil {
-		t.stats.dropped.Add(1)
-		return Response{}, false, err
-	}
-	if isReq {
-		t.stats.dropped.Add(1)
-		return Response{}, false, errors.New("transport: peer answered with a request frame")
-	}
-	// The decoded buffer aliases the pooled decoder; hand the caller an
-	// owned copy (the addresses are interned and cost nothing to share).
-	resp.Buffer = append([]Descriptor(nil), resp.Buffer...)
-	return resp, true, nil
+	out, err := decodeReply[R]((*buf)[:n], &t.stats)
+	return out, err == nil, err
 }
 
 // Close implements Transport: it closes the socket and waits for the

@@ -129,8 +129,8 @@ func TestUDPServerDropsGarbageAndOversized(t *testing.T) {
 // TestUDPLossSurfacesAsUnreachable exercises the Fabric-style loss path:
 // a datagram that never gets answered (here: sent into a swallowing
 // socket) must surface as a timeout wrapped in ErrUnreachable and count
-// as a dropped datagram, exactly like WithLoss on the in-memory fabric
-// surfaces ErrDropped.
+// as a dropped datagram, exactly like a Loss fault rule on the in-memory
+// fabric surfaces ErrDropped.
 func TestUDPLossSurfacesAsUnreachable(t *testing.T) {
 	// A raw UDP socket that reads nothing: every request datagram is lost.
 	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -178,11 +178,14 @@ func TestUDPClose(t *testing.T) {
 func TestUDPFailedResponseWriteCounted(t *testing.T) {
 	server := echoUDP(t)
 	before := server.TransportStats()
+	pull := func() *udpRequest {
+		return &udpRequest{in: inbound{req: Request{From: "client", WantReply: true}}}
+	}
 
 	// The server socket is bound to IPv4 loopback; a non-mappable IPv6
 	// destination makes WriteToUDP fail deterministically.
 	badSrc := &net.UDPAddr{IP: net.ParseIP("fd00::1"), Port: 9}
-	server.handleDatagram(Request{From: "client", WantReply: true}, badSrc, new(udpRequest))
+	server.handleDatagram(pull(), badSrc)
 
 	after := server.TransportStats()
 	if got := after.DatagramsDropped - before.DatagramsDropped; got != 1 {
@@ -198,7 +201,7 @@ func TestUDPFailedResponseWriteCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	server.handleDatagram(Request{From: "client", WantReply: true}, sink.LocalAddr().(*net.UDPAddr), new(udpRequest))
+	server.handleDatagram(pull(), sink.LocalAddr().(*net.UDPAddr))
 	final := server.TransportStats()
 	if final.DatagramsDropped != after.DatagramsDropped {
 		t.Errorf("successful write counted as dropped")

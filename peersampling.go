@@ -57,7 +57,6 @@ package peersampling
 import (
 	"flag"
 	"io"
-	"time"
 
 	"peersampling/internal/app"
 	"peersampling/internal/config"
@@ -163,19 +162,12 @@ type (
 	PoolConfig = transport.PoolConfig
 	// Fabric is the in-memory test network.
 	Fabric = transport.Fabric
-	// FabricOption configures a Fabric (latency, loss).
+	// FabricOption configures a Fabric.
 	FabricOption = transport.FabricOption
 )
 
 // NewFabric returns an in-memory network for single-process clusters.
 func NewFabric(opts ...FabricOption) *Fabric { return transport.NewFabric(opts...) }
-
-// FabricLatency makes every fabric exchange take d.
-func FabricLatency(d time.Duration) FabricOption { return transport.WithLatency(d) }
-
-// FabricLoss makes the fabric drop each exchange with probability p,
-// deterministically from seed.
-func FabricLoss(p float64, seed uint64) FabricOption { return transport.WithLoss(p, seed) }
 
 // TCPFactory returns a TransportFactory serving real TCP on the given
 // listen address (use "host:0" for an ephemeral port; Node.Addr reports

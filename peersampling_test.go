@@ -81,12 +81,10 @@ func TestFacadeNodeLifecycle(t *testing.T) {
 }
 
 func TestFacadeFabricOptions(t *testing.T) {
-	fabric := peersampling.NewFabric(
-		peersampling.FabricLatency(time.Millisecond),
-		peersampling.FabricLoss(0, 1),
-	)
-	if fabric == nil {
-		t.Fatal("nil fabric")
+	var applied *peersampling.Fabric
+	fabric := peersampling.NewFabric(func(f *peersampling.Fabric) { applied = f })
+	if fabric == nil || applied != fabric {
+		t.Fatalf("fabric option not applied to the new fabric: %p vs %p", applied, fabric)
 	}
 }
 
