@@ -1,15 +1,15 @@
 // Command psnode runs a real peer sampling node: the deployable daemon
-// form of the service. The daemon is configured from a YAML or JSON
-// file (-config), from flags, or from both — flags the user actually
+// form of the service. The daemon is configured from a JSON file
+// (-config), from flags, or from both — flags the user actually
 // types override the file, untouched flags keep the file's values.
 // Peers find each other through the configured bootstrap contacts and
 // keep gossiping membership from then on.
 //
 // Usage:
 //
-//	psnode -config psnode.yaml
+//	psnode -config psnode.json
 //	psnode -listen 127.0.0.1:7946 -metrics-addr 127.0.0.1:9090
-//	psnode -config psnode.yaml -c 50 -transport udp
+//	psnode -config psnode.json -c 50 -transport udp
 //
 // Everything around the node — the Prometheus metrics server, the
 // periodic CSV/JSONL dumper, the report logger, the fleet control agent
@@ -46,7 +46,7 @@ func main() {
 // it to a daemon manager, and let Run own signals and reload.
 func run() error {
 	fs := flag.CommandLine
-	cfgPath := fs.String("config", "", "load configuration from this YAML or JSON file; flags you set override it")
+	cfgPath := fs.String("config", "", "load configuration from this JSON file; flags you set override it")
 	flags := peersampling.ConfigFromFlags(fs)
 	flag.Parse()
 	if args := fs.Args(); len(args) > 0 {

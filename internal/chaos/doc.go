@@ -6,9 +6,10 @@
 // loss, churn, self-healing) thereby run from declarative artifacts that
 // ship in-repo instead of ad-hoc kill code scattered through scenarios.
 //
-// Plans load through internal/config's strict YAML-subset/JSON machinery:
-// unknown keys, malformed values and contradictory events are rejected
-// with dotted field paths before anything touches the fleet. Rule events
+// Plans are JSON documents read through internal/config's strict
+// document reader: duplicate or unknown keys, malformed values and
+// contradictory events are rejected with dotted field paths before
+// anything touches the fleet. Rule events
 // compile to transport.FaultRule tables pushed through Cluster.SetFaultRules,
 // so the same plan disturbs in-process goroutine members and forked psnode
 // processes identically. The Executor can be stepped (scenario-paced, each

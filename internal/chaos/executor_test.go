@@ -45,7 +45,7 @@ func newTestCluster(t *testing.T, n int) (fleet.Cluster, []fleet.Member) {
 
 func mustParse(t *testing.T, raw string) *Plan {
 	t.Helper()
-	p, err := Parse([]byte(raw), false)
+	p, err := Parse([]byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +55,8 @@ func mustParse(t *testing.T, raw string) *Plan {
 func TestExecutorKillAndRespawn(t *testing.T) {
 	c, members := newTestCluster(t, 4)
 	plan := mustParse(t, `
-version: 1
-name: wave
-description: one kill wave with respawn
-events:
-  - action: kill
-    fraction: 0.5
-    respawn_after: 1ms
+{"version": 1, "name": "wave", "description": "one kill wave with respawn",
+ "events": [{"action": "kill", "fraction": 0.5, "respawn_after": "1ms"}]}
 `)
 	ex := New(plan, c, members, Options{Seed: 11})
 	if ex.Steps() != 2 || ex.Remaining() != 2 {
@@ -144,13 +139,8 @@ func TestExecutorKillByName(t *testing.T) {
 func TestExecutorPartitionExpireAndClose(t *testing.T) {
 	c, members := newTestCluster(t, 4)
 	plan := mustParse(t, `
-version: 1
-name: split
-description: random island cut off, expiring
-events:
-  - action: partition
-    fraction: 0.5
-    for: 100ms
+{"version": 1, "name": "split", "description": "random island cut off, expiring",
+ "events": [{"action": "partition", "fraction": 0.5, "for": "100ms"}]}
 `)
 	ex := New(plan, c, members, Options{Seed: 3})
 	if ex.Steps() != 2 {
@@ -186,13 +176,8 @@ events:
 func TestExecutorCloseHealsMidPlan(t *testing.T) {
 	c, members := newTestCluster(t, 2)
 	plan := mustParse(t, `
-version: 1
-name: cutcut
-description: directed cut that never expires on its own
-events:
-  - action: partition
-    from: [node00]
-    to: [node01]
+{"version": 1, "name": "cutcut", "description": "directed cut that never expires on its own",
+ "events": [{"action": "partition", "from": ["node00"], "to": ["node01"]}]}
 `)
 	ex := New(plan, c, members, Options{Seed: 3})
 	ap, err := ex.Step()
@@ -221,18 +206,12 @@ events:
 func TestExecutorLatencyAndLossRules(t *testing.T) {
 	c, members := newTestCluster(t, 2)
 	plan := mustParse(t, `
-version: 1
-name: degrade
-description: global latency plus directed loss
-events:
-  - action: latency
-    latency: 3ms
-  - action: loss
-    loss: 0.25
-    from: [node01]
-    to: [node00]
-  - at: 1ms
-    action: heal
+{"version": 1, "name": "degrade", "description": "global latency plus directed loss",
+ "events": [
+  {"action": "latency", "latency": "3ms"},
+  {"action": "loss", "loss": 0.25, "from": ["node01"], "to": ["node00"]},
+  {"at": "1ms", "action": "heal"}
+ ]}
 `)
 	ex := New(plan, c, members, Options{Seed: 3})
 	defer ex.Close()
@@ -266,15 +245,11 @@ events:
 func TestExecutorRunHonorsClockAndContext(t *testing.T) {
 	c, members := newTestCluster(t, 2)
 	plan := mustParse(t, `
-version: 1
-name: timed
-description: latency pulse then a far-future event
-events:
-  - action: latency
-    latency: 1ms
-    for: 20ms
-  - at: 10s
-    action: heal
+{"version": 1, "name": "timed", "description": "latency pulse then a far-future event",
+ "events": [
+  {"action": "latency", "latency": "1ms", "for": "20ms"},
+  {"at": "10s", "action": "heal"}
+ ]}
 `)
 	ex := New(plan, c, members, Options{Seed: 3})
 	defer ex.Close()
@@ -296,13 +271,8 @@ events:
 func TestExecutorFloodCountsDials(t *testing.T) {
 	c, members := newTestCluster(t, 2)
 	plan := mustParse(t, `
-version: 1
-name: spray
-description: short flood against the first member
-events:
-  - action: flood
-    flooders: 1
-    for: 100ms
+{"version": 1, "name": "spray", "description": "short flood against the first member",
+ "events": [{"action": "flood", "flooders": 1, "for": "100ms"}]}
 `)
 	ex := New(plan, c, members, Options{Seed: 3})
 	ap, err := ex.Step()
@@ -318,12 +288,8 @@ func TestExecutorExportsSnapshots(t *testing.T) {
 	c, members := newTestCluster(t, 4)
 	coll := metrics.New()
 	plan := mustParse(t, `
-version: 1
-name: observed
-description: kill wave under a collector
-events:
-  - action: kill
-    fraction: 0.25
+{"version": 1, "name": "observed", "description": "kill wave under a collector",
+ "events": [{"action": "kill", "fraction": 0.25}]}
 `)
 	ex := New(plan, c, members, Options{Seed: 5, Collector: coll, Source: "chaos"})
 	if _, err := ex.Step(); err != nil {

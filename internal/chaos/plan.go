@@ -3,7 +3,6 @@ package chaos
 import (
 	"embed"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -26,7 +25,7 @@ const (
 )
 
 // Plan is one named fault plan: a versioned document listing timeline
-// events. Construct by Parse/Load/LoadFile — a hand-built Plan should be
+// events. Construct by Parse or Load — a hand-built Plan should be
 // passed through Validate before use.
 type Plan struct {
 	// Version is the document schema version; 1 is the only one.
@@ -77,15 +76,13 @@ type Event struct {
 	Flooders int
 }
 
-// Parse decodes and validates one plan document: the config package's
-// YAML subset, or JSON when asJSON is set. Unknown keys anywhere in the
-// document are errors.
-func Parse(raw []byte, asJSON bool) (*Plan, error) {
-	m, err := config.ParseDocument(raw, asJSON)
+// Parse decodes and validates one JSON plan document. Unknown keys
+// anywhere in the document are errors.
+func Parse(raw []byte) (*Plan, error) {
+	doc, err := config.ParseDocument(raw)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	doc := config.NewDocument("", m)
 	p := &Plan{}
 	if err := readPlan(doc, p); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
@@ -347,7 +344,7 @@ func (p *Plan) FirstFlood() (Event, bool) {
 
 // plansFS embeds the named plans shipped in-repo; Load serves them.
 //
-//go:embed plans/*.yaml
+//go:embed plans/*.json
 var plansFS embed.FS
 
 // Names lists the embedded plan names, sorted.
@@ -358,38 +355,27 @@ func Names() []string {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		names = append(names, strings.TrimSuffix(e.Name(), ".yaml"))
+		names = append(names, strings.TrimSuffix(e.Name(), ".json"))
 	}
 	sort.Strings(names)
 	return names
 }
 
 // Load parses the embedded plan with the given name (with or without the
-// .yaml suffix). The document's name field must match the file name — a
+// .json suffix). The document's name field must match the file name — a
 // plan is addressed by one name everywhere.
 func Load(name string) (*Plan, error) {
-	base := strings.TrimSuffix(name, ".yaml")
-	raw, err := plansFS.ReadFile("plans/" + base + ".yaml")
+	base := strings.TrimSuffix(name, ".json")
+	raw, err := plansFS.ReadFile("plans/" + base + ".json")
 	if err != nil {
 		return nil, fmt.Errorf("chaos: no embedded plan %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-	p, err := Parse(raw, false)
+	p, err := Parse(raw)
 	if err != nil {
 		return nil, err
 	}
 	if p.Name != base {
-		return nil, fmt.Errorf("chaos: embedded plan file %s.yaml names itself %q", base, p.Name)
+		return nil, fmt.Errorf("chaos: embedded plan file %s.json names itself %q", base, p.Name)
 	}
 	return p, nil
-}
-
-// LoadFile parses a plan from disk; a .json extension selects the JSON
-// front end, everything else the YAML subset (the same rule as config
-// files).
-func LoadFile(path string) (*Plan, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	return Parse(raw, config.DocIsJSON(path))
 }

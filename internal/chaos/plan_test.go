@@ -1,50 +1,29 @@
 package chaos
 
 import (
-	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestParseValidPlan(t *testing.T) {
-	raw := `
-version: 1
-name: full-timeline
-description: one of everything
-events:
-  - at: 0s
-    action: kill
-    fraction: 0.25
-    respawn_after: 50ms
-  - at: 100ms
-    action: kill
-    members: [victim, node03]
-  - at: 200ms
-    action: partition
-    fraction: 0.5
-    for: 300ms
-  - at: 250ms
-    action: partition
-    from: [node00]
-    to: [node01, node02]
-  - at: 300ms
-    action: latency
-    latency: 2ms
-    for: 1s
-  - at: 400ms
-    action: loss
-    loss: 0.5
-    from: [node00]
-  - at: 500ms
-    action: heal
-  - at: 600ms
-    action: flood
-    members: [victim]
-    for: 1s
-`
-	p, err := Parse([]byte(raw), false)
+	raw := `{
+  "version": 1,
+  "name": "full-timeline",
+  "description": "one of everything",
+  "events": [
+    {"at": "0s", "action": "kill", "fraction": 0.25, "respawn_after": "50ms"},
+    {"at": "100ms", "action": "kill", "members": ["victim", "node03"]},
+    {"at": "200ms", "action": "partition", "fraction": 0.5, "for": "300ms"},
+    {"at": "250ms", "action": "partition", "from": ["node00"], "to": ["node01", "node02"]},
+    {"at": "300ms", "action": "latency", "latency": "2ms", "for": "1s"},
+    {"at": "400ms", "action": "loss", "loss": 0.5, "from": ["node00"]},
+    {"at": "500ms", "action": "heal"},
+    {"at": "600ms", "action": "flood", "members": ["victim"], "for": "1s"}
+  ]
+}`
+	p, err := Parse([]byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,35 +56,47 @@ events:
 	}
 }
 
+// planRejections is every rejected plan document with the error
+// substring it must carry; FuzzParsePlan seeds from it too. Most cases
+// are one-event plans built by event, so only the event under test is
+// spelled out.
+var planRejections = []struct {
+	name string
+	raw  string
+	want string // error substring
+}{
+	{"bad version", `{"version": 2, "name": "x1", "events": [{"action": "heal"}]}`, "version"},
+	{"bad name", `{"version": 1, "name": "Bad_Name", "events": [{"action": "heal"}]}`, "plan name"},
+	{"no events", `{"version": 1, "name": "x1"}`, "no events"},
+	{"trailing data", `{"version": 1, "name": "x1", "events": [{"action": "heal"}]} {}`, "data after the document"},
+	{"duplicate key", `{"version": 1, "name": "x1", "events": [{"action": "heal", "action": "kill"}]}`, "events[0].action: duplicate key"},
+	{"unknown key", event(`"action": "heal", "bogus": 1`), "bogus"},
+	{"unknown action", event(`"action": "explode"`), "unknown"},
+	{"derived action", event(`"action": "respawn"`), "derived"},
+	{"negative at", event(`"at": "-1s", "action": "heal"`), "negative"},
+	{"kill both selectors", event(`"action": "kill", "fraction": 0.5, "members": ["a"]`), "exactly one"},
+	{"kill neither selector", event(`"action": "kill"`), "exactly one"},
+	{"kill fraction range", event(`"action": "kill", "fraction": 1.5`), "fraction"},
+	{"kill with loss", event(`"action": "kill", "fraction": 0.5, "loss": 0.1`), "not meaningful"},
+	{"partition both selectors", event(`"action": "partition", "fraction": 0.5, "from": ["a"], "to": ["b"]`), "either fraction"},
+	{"partition whole fleet", event(`"action": "partition", "fraction": 1.0`), "fraction"},
+	{"partition one side", event(`"action": "partition", "from": ["a"]`), "either fraction"},
+	{"latency zero", event(`"action": "latency", "latency": "0s"`), "latency"},
+	{"loss range", event(`"action": "loss", "loss": 1.5`), "loss"},
+	{"heal with extras", event(`"action": "heal", "fraction": 0.5`), "not meaningful"},
+	{"flood without for", event(`"action": "flood"`), "positive for"},
+	{"flood with latency", event(`"action": "flood", "for": "1s", "latency": "1ms"`), "not meaningful"},
+}
+
+// event wraps one event's fields into a plan document named x1.
+func event(fields string) string {
+	return `{"version": 1, "name": "x1", "events": [{` + fields + `}]}`
+}
+
 func TestParseRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		raw  string
-		want string // error substring
-	}{
-		{"bad version", "version: 2\nname: x1\nevents:\n  - action: heal\n", "version"},
-		{"bad name", "version: 1\nname: Bad_Name\nevents:\n  - action: heal\n", "plan name"},
-		{"no events", "version: 1\nname: x1\n", "no events"},
-		{"unknown key", "version: 1\nname: x1\nevents:\n  - action: heal\n    bogus: 1\n", "bogus"},
-		{"unknown action", "version: 1\nname: x1\nevents:\n  - action: explode\n", "unknown"},
-		{"derived action", "version: 1\nname: x1\nevents:\n  - action: respawn\n", "derived"},
-		{"negative at", "version: 1\nname: x1\nevents:\n  - at: -1s\n    action: heal\n", "negative"},
-		{"kill both selectors", "version: 1\nname: x1\nevents:\n  - action: kill\n    fraction: 0.5\n    members: [a]\n", "exactly one"},
-		{"kill neither selector", "version: 1\nname: x1\nevents:\n  - action: kill\n", "exactly one"},
-		{"kill fraction range", "version: 1\nname: x1\nevents:\n  - action: kill\n    fraction: 1.5\n", "fraction"},
-		{"kill with loss", "version: 1\nname: x1\nevents:\n  - action: kill\n    fraction: 0.5\n    loss: 0.1\n", "not meaningful"},
-		{"partition both selectors", "version: 1\nname: x1\nevents:\n  - action: partition\n    fraction: 0.5\n    from: [a]\n    to: [b]\n", "either fraction"},
-		{"partition whole fleet", "version: 1\nname: x1\nevents:\n  - action: partition\n    fraction: 1.0\n", "fraction"},
-		{"partition one side", "version: 1\nname: x1\nevents:\n  - action: partition\n    from: [a]\n", "either fraction"},
-		{"latency zero", "version: 1\nname: x1\nevents:\n  - action: latency\n    latency: 0s\n", "latency"},
-		{"loss range", "version: 1\nname: x1\nevents:\n  - action: loss\n    loss: 1.5\n", "loss"},
-		{"heal with extras", "version: 1\nname: x1\nevents:\n  - action: heal\n    fraction: 0.5\n", "not meaningful"},
-		{"flood without for", "version: 1\nname: x1\nevents:\n  - action: flood\n", "positive for"},
-		{"flood with latency", "version: 1\nname: x1\nevents:\n  - action: flood\n    for: 1s\n    latency: 1ms\n", "not meaningful"},
-	}
-	for _, tc := range cases {
+	for _, tc := range planRejections {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.raw), false)
+			_, err := Parse([]byte(tc.raw))
 			if err == nil {
 				t.Fatalf("parsed successfully:\n%s", tc.raw)
 			}
@@ -119,8 +110,8 @@ func TestParseRejects(t *testing.T) {
 // Event validation errors carry the events[i] path so a multi-event plan
 // pinpoints the bad entry.
 func TestValidateReportsEventPath(t *testing.T) {
-	raw := "version: 1\nname: x1\nevents:\n  - action: heal\n  - action: kill\n"
-	_, err := Parse([]byte(raw), false)
+	raw := `{"version": 1, "name": "x1", "events": [{"action": "heal"}, {"action": "kill"}]}`
+	_, err := Parse([]byte(raw))
 	if err == nil || !strings.Contains(err.Error(), "events[1]") {
 		t.Errorf("error %v does not carry the event path", err)
 	}
@@ -154,8 +145,8 @@ func TestEmbeddedPlansLoad(t *testing.T) {
 			t.Errorf("plan file %s names itself %s", n, p.Name)
 		}
 	}
-	// The .yaml suffix is accepted; unknown names name the alternatives.
-	if _, err := Load("churn-waves.yaml"); err != nil {
+	// The .json suffix is accepted; unknown names name the alternatives.
+	if _, err := Load("churn-waves.json"); err != nil {
 		t.Errorf("Load with suffix: %v", err)
 	}
 	if _, err := Load("no-such-plan"); err == nil || !strings.Contains(err.Error(), "churn-waves") {
@@ -163,21 +154,31 @@ func TestEmbeddedPlansLoad(t *testing.T) {
 	}
 }
 
-func TestLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "plan.json")
-	doc := `{"version": 1, "name": "from-json", "events": [{"action": "heal"}]}`
-	if err := os.WriteFile(jsonPath, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
+// FuzzParsePlan: Parse never panics on arbitrary bytes, and a plan it
+// accepts is already normalized — validating it again changes nothing.
+func FuzzParsePlan(f *testing.F) {
+	for _, n := range Names() {
+		raw, err := plansFS.ReadFile("plans/" + n + ".json")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
 	}
-	p, err := LoadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range planRejections {
+		f.Add([]byte(tc.raw))
 	}
-	if p.Name != "from-json" {
-		t.Errorf("plan = %+v", p)
-	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.yaml")); err == nil {
-		t.Error("missing file loaded")
-	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		p, err := Parse(raw)
+		if err != nil {
+			return
+		}
+		again := *p
+		again.Events = append([]Event(nil), p.Events...)
+		if err := again.Validate(); err != nil {
+			t.Fatalf("accepted plan fails re-validation: %v\n%s", err, raw)
+		}
+		if !reflect.DeepEqual(&again, p) {
+			t.Fatalf("re-validation changed the plan:\n got %+v\nwant %+v", again, *p)
+		}
+	})
 }

@@ -10,39 +10,10 @@ import (
 	"time"
 )
 
-// TestLoadFileYAML loads a full YAML document and checks every section
+// TestLoadFileJSON loads a full document and checks every section
 // lands, including values that differ from the defaults.
-func TestLoadFileYAML(t *testing.T) {
-	doc := `
-# psnode example configuration
-version: 1
-node:
-  listen: 127.0.0.1:7946
-  contacts: [127.0.0.1:7947, 127.0.0.1:7948]
-  protocol: (rand,rand,push)
-  view_size: 20
-  period: 250ms
-  diverse: true
-transport:
-  backend: udp
-  max_conns: 256
-  keepalive: 90s
-metrics:
-  addr: 127.0.0.1:9090
-  dump: /tmp/psnode.jsonl
-  report_interval: 2s
-control:
-  addr: 127.0.0.1:7070
-  ready_file: /tmp/ready.json
-gateway:
-  addr: 127.0.0.1:8080
-  batch_size: 128
-  refresh: 500ms
-  rate_rps: 2.5
-  burst: 4
-  trust_proxy_header: true
-`
-	cfg := loadDoc(t, "psnode.yaml", doc)
+func TestLoadFileJSON(t *testing.T) {
+	cfg := loadDoc(t, "psnode.json", fullDoc)
 	if cfg.Node.Listen != "127.0.0.1:7946" {
 		t.Errorf("listen = %q", cfg.Node.Listen)
 	}
@@ -69,12 +40,40 @@ gateway:
 		cfg.Gateway.Burst != 4 || !cfg.Gateway.TrustProxyHeader {
 		t.Errorf("gateway = %+v", cfg.Gateway)
 	}
+	if cfg.Workload.Kind != WorkloadBroadcast || cfg.Workload.Period != 500*time.Millisecond || cfg.Workload.Fanout != 3 {
+		t.Errorf("workload = %+v", cfg.Workload)
+	}
 }
+
+// fullDoc sets a non-default value in every section.
+const fullDoc = `{
+  "version": 1,
+  "node": {
+    "listen": "127.0.0.1:7946",
+    "contacts": ["127.0.0.1:7947", "127.0.0.1:7948"],
+    "protocol": "(rand,rand,push)",
+    "view_size": 20,
+    "period": "250ms",
+    "diverse": true
+  },
+  "transport": {"backend": "udp", "max_conns": 256, "keepalive": "90s"},
+  "metrics": {"addr": "127.0.0.1:9090", "dump": "/tmp/psnode.jsonl", "report_interval": "2s"},
+  "control": {"addr": "127.0.0.1:7070", "ready_file": "/tmp/ready.json"},
+  "gateway": {
+    "addr": "127.0.0.1:8080",
+    "batch_size": 128,
+    "refresh": "500ms",
+    "rate_rps": 2.5,
+    "burst": 4,
+    "trust_proxy_header": true
+  },
+  "workload": {"kind": "broadcast", "period": "500ms", "fanout": 3}
+}`
 
 // TestLoadFileDefaulting checks that a minimal file keeps every default
 // for the sections it does not mention.
 func TestLoadFileDefaulting(t *testing.T) {
-	cfg := loadDoc(t, "min.yaml", "node:\n  listen: 127.0.0.1:7946\n")
+	cfg := loadDoc(t, "min.json", `{"node": {"listen": "127.0.0.1:7946"}}`)
 	def := Default()
 	if cfg.Node.Protocol != def.Node.Protocol || cfg.Node.ViewSize != def.Node.ViewSize || cfg.Node.Period != def.Node.Period {
 		t.Errorf("node defaults lost: %+v", cfg.Node)
@@ -93,52 +92,58 @@ func TestLoadFileDefaulting(t *testing.T) {
 	}
 }
 
-// TestLoadRejections is the table of every rejected document: bad
-// syntax, bad types, unknown fields, and each validation rule, with the
-// field path the error must carry.
+// loadRejections is the table of every rejected document: bad syntax,
+// bad types, unknown fields, and each validation rule, with the field
+// path the error must carry. FuzzParseConfig seeds from it too.
+var loadRejections = []struct {
+	name string
+	doc  string
+	want string // substring of the error
+}{
+	{"bad version", `{"version": 2}`, "version: config schema version 2"},
+	{"version not a number", `{"version": "next"}`, "version: want an integer"},
+	{"unknown top-level field", `{"nodes": {"listen": "127.0.0.1:1"}}`, "nodes: unknown field"},
+	{"unknown nested field", `{"node": {"listn": "127.0.0.1:1"}}`, "node.listn: unknown field"},
+	{"empty listen", `{"node": {"listen": ""}}`, "node.listen: must not be empty"},
+	{"malformed listen", `{"node": {"listen": "127.0.0.1"}}`, "node.listen: malformed address"},
+	{"bad protocol", `{"node": {"protocol": "(rand,head)"}}`, "node.protocol:"},
+	{"zero view size", `{"node": {"view_size": 0}}`, "node.view_size: must be positive"},
+	{"negative view size", `{"node": {"view_size": -3}}`, "node.view_size: must be positive"},
+	{"view size not integer", `{"node": {"view_size": "many"}}`, "node.view_size: want an integer"},
+	{"fractional view size", `{"node": {"view_size": 2.5}}`, "node.view_size: want an integer"},
+	{"zero period", `{"node": {"period": "0s"}}`, "node.period: must be positive"},
+	{"negative period", `{"node": {"period": "-1s"}}`, "node.period: must be positive"},
+	{"bare number period", `{"node": {"period": 5}}`, "node.period: want a duration string"},
+	{"malformed period", `{"node": {"period": "soon"}}`, "node.period: malformed duration"},
+	{"empty contact", `{"node": {"contacts": [" "]}}`, "node.contacts[0]: empty contact"},
+	{"contact not string", `{"node": {"contacts": [42]}}`, "node.contacts[0]: want a string"},
+	{"bad backend", `{"transport": {"backend": "carrier-pigeon"}}`, `transport.backend: unknown backend "carrier-pigeon"`},
+	{"negative keepalive", `{"transport": {"keepalive": "-1s"}}`, "transport.keepalive: must not be negative"},
+	{"sub-ms keepalive", `{"transport": {"keepalive": "10us"}}`, "transport.keepalive: 10µs is below the 1ms minimum"},
+	{"push-only above keepalive", `{"transport": {"keepalive": "10s", "push_only_keepalive": "20s"}}`,
+		"transport.push_only_keepalive: 20s exceeds"},
+	{"malformed metrics addr", `{"metrics": {"addr": "localhost"}}`, "metrics.addr: malformed address"},
+	{"zero report interval", `{"metrics": {"report_interval": "0s"}}`, "metrics.report_interval: must be positive"},
+	{"malformed control addr", `{"control": {"addr": "::1:x:"}}`, "control.addr: malformed address"},
+	{"malformed gateway addr", `{"gateway": {"addr": "not-an-addr"}}`, "gateway.addr: malformed address"},
+	{"zero gateway batch", `{"gateway": {"addr": "127.0.0.1:8080", "batch_size": 0}}`, "gateway.batch_size: must be positive"},
+	{"zero gateway refresh", `{"gateway": {"addr": "127.0.0.1:8080", "refresh": "0s"}}`, "gateway.refresh: must be positive"},
+	{"zero gateway rate", `{"gateway": {"addr": "127.0.0.1:8080", "rate_rps": 0}}`, "gateway.rate_rps: must be positive"},
+	{"negative gateway burst", `{"gateway": {"addr": "127.0.0.1:8080", "burst": -1}}`, "gateway.burst: must be positive"},
+	{"section not a mapping", `{"node": 42}`, "node: want a mapping"},
+	{"duplicate key", `{"node": {"listen": "127.0.0.1:1", "listen": "127.0.0.1:2"}}`, "node.listen: duplicate key"},
+	{"duplicate section", `{"node": {"listen": "127.0.0.1:1"}, "node": {"view_size": 5}}`, "node: duplicate key"},
+	{"trailing data", `{"node": {"view_size": 20}} trailing junk`, "data after the document"},
+	{"truncated document", `{"node": {"view_size": 20}`, "malformed JSON"},
+	{"top level not an object", `[{"version": 1}]`, "want an object at the top level"},
+	{"deep nesting", `{"node": ` + strings.Repeat("[", 64), "nesting deeper than"},
+	{"string where bool", `{"node": {"diverse": "yes-please"}}`, "node.diverse: want true or false"},
+}
+
 func TestLoadRejections(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-		want string // substring of the error
-	}{
-		{"bad version", "version: 2\n", "version: config schema version 2"},
-		{"version not a number", "version: next\n", "version: want an integer"},
-		{"unknown top-level field", "nodes:\n  listen: 127.0.0.1:1\n", "nodes: unknown field"},
-		{"unknown nested field", "node:\n  listn: 127.0.0.1:1\n", "node.listn: unknown field"},
-		{"empty listen", "node:\n  listen: \"\"\n", "node.listen: must not be empty"},
-		{"malformed listen", "node:\n  listen: 127.0.0.1\n", "node.listen: malformed address"},
-		{"bad protocol", "node:\n  protocol: (rand,head)\n", "node.protocol:"},
-		{"zero view size", "node:\n  view_size: 0\n", "node.view_size: must be positive"},
-		{"negative view size", "node:\n  view_size: -3\n", "node.view_size: must be positive"},
-		{"view size not integer", "node:\n  view_size: many\n", "node.view_size: want an integer"},
-		{"zero period", "node:\n  period: 0s\n", "node.period: must be positive"},
-		{"negative period", "node:\n  period: -1s\n", "node.period: must be positive"},
-		{"bare number period", "node:\n  period: 5\n", "node.period: want a duration string"},
-		{"malformed period", "node:\n  period: soon\n", "node.period: malformed duration"},
-		{"empty contact", "node:\n  contacts: [\" \"]\n", "node.contacts[0]: empty contact"},
-		{"contact not string", "node:\n  contacts: [42]\n", "node.contacts[0]: want a string"},
-		{"bad backend", "transport:\n  backend: carrier-pigeon\n", `transport.backend: unknown backend "carrier-pigeon"`},
-		{"negative keepalive", "transport:\n  keepalive: -1s\n", "transport.keepalive: must not be negative"},
-		{"sub-ms keepalive", "transport:\n  keepalive: 10us\n", "transport.keepalive: 10µs is below the 1ms minimum"},
-		{"push-only above keepalive", "transport:\n  keepalive: 10s\n  push_only_keepalive: 20s\n",
-			"transport.push_only_keepalive: 20s exceeds"},
-		{"malformed metrics addr", "metrics:\n  addr: localhost\n", "metrics.addr: malformed address"},
-		{"zero report interval", "metrics:\n  report_interval: 0s\n", "metrics.report_interval: must be positive"},
-		{"malformed control addr", "control:\n  addr: \"::1:x:\"\n", "control.addr: malformed address"},
-		{"malformed gateway addr", "gateway:\n  addr: not-an-addr\n", "gateway.addr: malformed address"},
-		{"zero gateway batch", "gateway:\n  addr: 127.0.0.1:8080\n  batch_size: 0\n", "gateway.batch_size: must be positive"},
-		{"zero gateway refresh", "gateway:\n  addr: 127.0.0.1:8080\n  refresh: 0s\n", "gateway.refresh: must be positive"},
-		{"zero gateway rate", "gateway:\n  addr: 127.0.0.1:8080\n  rate_rps: 0\n", "gateway.rate_rps: must be positive"},
-		{"negative gateway burst", "gateway:\n  addr: 127.0.0.1:8080\n  burst: -1\n", "gateway.burst: must be positive"},
-		{"section not a mapping", "node: 42\n", "node: want a mapping"},
-		{"tab indentation", "node:\n\tlisten: 127.0.0.1:1\n", "tab in indentation"},
-		{"duplicate key", "node:\n  listen: 127.0.0.1:1\n  listen: 127.0.0.1:2\n", "duplicate key"},
-		{"string where bool", "node:\n  diverse: yes-please\n", "node.diverse: want true or false"},
-	}
-	for _, tc := range cases {
+	for _, tc := range loadRejections {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.doc), false)
+			_, err := Parse([]byte(tc.doc))
 			if err == nil {
 				t.Fatalf("document accepted:\n%s", tc.doc)
 			}
@@ -149,22 +154,37 @@ func TestLoadRejections(t *testing.T) {
 	}
 }
 
-// TestLoadFileJSON checks the JSON path shares the decoder: same
-// strictness, same field paths.
-func TestLoadFileJSON(t *testing.T) {
-	cfg := loadDoc(t, "psnode.json",
-		`{"node": {"listen": "127.0.0.1:7946", "period": "100ms"}, "gateway": {"addr": "127.0.0.1:8080"}}`)
-	if cfg.Node.Period != 100*time.Millisecond || cfg.Gateway.Addr != "127.0.0.1:8080" {
-		t.Errorf("json config = %+v", cfg)
+// FuzzParseConfig: Parse never panics on arbitrary bytes, and a document
+// it accepts is valid and survives WriteFile → LoadFile unchanged.
+func FuzzParseConfig(f *testing.F) {
+	f.Add([]byte(fullDoc))
+	for _, tc := range loadRejections {
+		f.Add([]byte(tc.doc))
 	}
-	if _, err := Parse([]byte(`{"node": {"view_size": 0}}`), true); err == nil ||
-		!strings.Contains(err.Error(), "node.view_size: must be positive") {
-		t.Errorf("json validation error = %v", err)
-	}
-	if _, err := Parse([]byte(`{"node": {"listn": "x"}}`), true); err == nil ||
-		!strings.Contains(err.Error(), "node.listn: unknown field") {
-		t.Errorf("json unknown-field error = %v", err)
-	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		cfg, err := Parse(raw)
+		if err != nil {
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted config fails Validate: %v\n%s", err, raw)
+		}
+		path := filepath.Join(t.TempDir(), "gen.json")
+		if err := WriteFile(path, cfg); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("written config does not load: %v\n%s", err, raw)
+		}
+		// WriteFile spells no contacts as [], which loads back non-nil.
+		if len(cfg.Node.Contacts) == 0 {
+			cfg.Node.Contacts, back.Node.Contacts = nil, nil
+		}
+		if !reflect.DeepEqual(back, cfg) {
+			t.Fatalf("round trip drifted:\n got %+v\nwant %+v", back, cfg)
+		}
+	})
 }
 
 // TestWriteFileRoundTrip checks the generated-file path the subprocess

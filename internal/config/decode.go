@@ -1,43 +1,30 @@
 package config
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"time"
 )
 
-// LoadFile loads, defaults and validates a config file. The format
-// follows the extension: ".json" parses as JSON, anything else as the
-// package's YAML subset. Fields absent from the file keep their
-// Default() values; unknown fields and type mismatches are errors with
-// the file name and field path attached.
+// LoadFile loads, defaults and validates a JSON config file. Fields
+// absent from the file keep their Default() values; unknown fields and
+// type mismatches are errors with the file name and field path attached.
 func LoadFile(path string) (Config, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, fmt.Errorf("config: %w", err)
 	}
-	cfg, err := Parse(raw, strings.EqualFold(filepath.Ext(path), ".json"))
+	cfg, err := Parse(raw)
 	if err != nil {
 		return Config{}, fmt.Errorf("config: %s: %w", path, err)
 	}
 	return cfg, nil
 }
 
-// Parse decodes one config document (YAML subset, or JSON when asJSON
-// is set) over the defaults and validates the result.
-func Parse(raw []byte, asJSON bool) (Config, error) {
-	var doc map[string]any
-	var err error
-	if asJSON {
-		doc, err = parseJSON(raw)
-	} else {
-		doc, err = parseYAML(raw)
-	}
+// Parse decodes one JSON config document over the defaults and
+// validates the result.
+func Parse(raw []byte) (Config, error) {
+	doc, err := ParseDocument(raw)
 	if err != nil {
 		return Config{}, err
 	}
@@ -51,114 +38,101 @@ func Parse(raw []byte, asJSON bool) (Config, error) {
 	return cfg, nil
 }
 
-// parseJSON parses a JSON document into the same map shape parseYAML
-// produces, keeping integers exact via json.Number.
-func parseJSON(raw []byte) (map[string]any, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var doc map[string]any
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("malformed JSON: %w", err)
-	}
-	return doc, nil
-}
-
 // decodeDocument maps the parsed document onto cfg, strictly: a key the
 // schema does not define is an error naming its path, so a typo never
 // silently configures nothing.
-func decodeDocument(doc map[string]any, cfg *Config) error {
-	root := newSection("", doc)
-	if err := root.integer("version", &cfg.Version); err != nil {
+func decodeDocument(root *Document, cfg *Config) error {
+	if err := root.Int("version", &cfg.Version); err != nil {
 		return err
 	}
-	if node := root.sub("node"); node != nil {
+	if node := root.Sub("node"); node != nil {
 		if err := decodeNode(node, &cfg.Node); err != nil {
 			return err
 		}
 	}
-	if tr := root.sub("transport"); tr != nil {
+	if tr := root.Sub("transport"); tr != nil {
 		if err := decodeTransport(tr, &cfg.Transport); err != nil {
 			return err
 		}
 	}
-	if m := root.sub("metrics"); m != nil {
+	if m := root.Sub("metrics"); m != nil {
 		if err := decodeMetrics(m, &cfg.Metrics); err != nil {
 			return err
 		}
 	}
-	if ctl := root.sub("control"); ctl != nil {
+	if ctl := root.Sub("control"); ctl != nil {
 		if err := decodeControl(ctl, &cfg.Control); err != nil {
 			return err
 		}
 	}
-	if gw := root.sub("gateway"); gw != nil {
+	if gw := root.Sub("gateway"); gw != nil {
 		if err := decodeGateway(gw, &cfg.Gateway); err != nil {
 			return err
 		}
 	}
-	if wl := root.sub("workload"); wl != nil {
+	if wl := root.Sub("workload"); wl != nil {
 		if err := decodeWorkload(wl, &cfg.Workload); err != nil {
 			return err
 		}
 	}
-	return root.finishAll()
+	return root.Finish()
 }
 
-func decodeNode(s *section, n *NodeSection) error {
+func decodeNode(d *Document, n *NodeSection) error {
 	return firstErr(
-		s.str("listen", &n.Listen),
-		s.strList("contacts", &n.Contacts),
-		s.str("protocol", &n.Protocol),
-		s.integer("view_size", &n.ViewSize),
-		s.duration("period", &n.Period),
-		s.boolean("diverse", &n.Diverse),
+		d.Str("listen", &n.Listen),
+		d.StrList("contacts", &n.Contacts),
+		d.Str("protocol", &n.Protocol),
+		d.Int("view_size", &n.ViewSize),
+		d.Duration("period", &n.Period),
+		d.Bool("diverse", &n.Diverse),
 	)
 }
 
-func decodeTransport(s *section, t *TransportSection) error {
+func decodeTransport(d *Document, t *TransportSection) error {
 	return firstErr(
-		s.str("backend", &t.Backend),
-		s.integer("max_conns", &t.MaxConns),
-		s.duration("keepalive", &t.KeepAlive),
-		s.duration("push_only_keepalive", &t.PushOnlyKeepAlive),
-		s.duration("first_frame_timeout", &t.FirstFrameTimeout),
+		d.Str("backend", &t.Backend),
+		d.Int("max_conns", &t.MaxConns),
+		d.Duration("keepalive", &t.KeepAlive),
+		d.Duration("push_only_keepalive", &t.PushOnlyKeepAlive),
+		d.Duration("first_frame_timeout", &t.FirstFrameTimeout),
 	)
 }
 
-func decodeMetrics(s *section, m *MetricsSection) error {
+func decodeMetrics(d *Document, m *MetricsSection) error {
 	return firstErr(
-		s.str("addr", &m.Addr),
-		s.str("dump", &m.Dump),
-		s.duration("report_interval", &m.ReportInterval),
+		d.Str("addr", &m.Addr),
+		d.Str("dump", &m.Dump),
+		d.Duration("report_interval", &m.ReportInterval),
 	)
 }
 
-func decodeControl(s *section, c *ControlSection) error {
+func decodeControl(d *Document, c *ControlSection) error {
 	return firstErr(
-		s.str("addr", &c.Addr),
-		s.str("ready_file", &c.ReadyFile),
+		d.Str("addr", &c.Addr),
+		d.Str("ready_file", &c.ReadyFile),
 	)
 }
 
-func decodeGateway(s *section, g *GatewaySection) error {
+func decodeGateway(d *Document, g *GatewaySection) error {
 	return firstErr(
-		s.str("addr", &g.Addr),
-		s.integer("batch_size", &g.BatchSize),
-		s.duration("refresh", &g.Refresh),
-		s.float("rate_rps", &g.RateRPS),
-		s.integer("burst", &g.Burst),
-		s.boolean("trust_proxy_header", &g.TrustProxyHeader),
+		d.Str("addr", &g.Addr),
+		d.Int("batch_size", &g.BatchSize),
+		d.Duration("refresh", &g.Refresh),
+		d.Float("rate_rps", &g.RateRPS),
+		d.Int("burst", &g.Burst),
+		d.Bool("trust_proxy_header", &g.TrustProxyHeader),
 	)
 }
 
-func decodeWorkload(s *section, w *WorkloadSection) error {
+func decodeWorkload(d *Document, w *WorkloadSection) error {
 	return firstErr(
-		s.str("kind", &w.Kind),
-		s.duration("period", &w.Period),
-		s.integer("fanout", &w.Fanout),
-		s.str("mode", &w.Mode),
-		s.integer("ttl", &w.TTL),
-		s.float("initial", &w.Initial),
+		d.Str("kind", &w.Kind),
+		d.Duration("period", &w.Period),
+		d.Int("fanout", &w.Fanout),
+		d.Str("mode", &w.Mode),
+		d.Int("ttl", &w.TTL),
+		d.Float("initial", &w.Initial),
 	)
 }
 
@@ -169,256 +143,6 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-// section reads typed values out of one mapping of the parsed document,
-// tracking which keys were consumed so leftovers can be rejected. Every
-// error carries the dotted field path.
-type section struct {
-	path     string
-	m        map[string]any
-	used     map[string]bool
-	children []*section
-	// typeErr poisons a section whose document value was not a mapping;
-	// every read reports it instead of inventing field-level errors.
-	typeErr error
-}
-
-func newSection(path string, m map[string]any) *section {
-	return &section{path: path, m: m, used: map[string]bool{}}
-}
-
-// key joins the section path and a field name into the error path.
-func (s *section) key(name string) string {
-	if s.path == "" {
-		return name
-	}
-	return s.path + "." + name
-}
-
-// take consumes a key, returning (nil, false) when absent or null so
-// the default survives.
-func (s *section) take(name string) (any, bool) {
-	v, ok := s.m[name]
-	if !ok {
-		return nil, false
-	}
-	s.used[name] = true
-	if v == nil {
-		return nil, false
-	}
-	return v, true
-}
-
-// sub returns the nested mapping under name, or nil when absent. The
-// child is remembered so finishAll sweeps it for unknown keys too.
-func (s *section) sub(name string) *section {
-	v, ok := s.take(name)
-	if !ok {
-		return nil
-	}
-	m, isMap := v.(map[string]any)
-	if !isMap {
-		// Returning a poisoned child keeps call sites uniform; the type
-		// error surfaces from the first field read.
-		m = map[string]any{}
-	}
-	child := newSection(s.key(name), m)
-	if !isMap {
-		child.typeErr = fmt.Errorf("%s: want a mapping, got %s", s.key(name), typeName(v))
-	}
-	s.children = append(s.children, child)
-	return child
-}
-
-func (s *section) str(name string, dst *string) error {
-	if s.typeErr != nil {
-		return s.typeErr
-	}
-	v, ok := s.take(name)
-	if !ok {
-		return nil
-	}
-	str, isStr := v.(string)
-	if !isStr {
-		return fmt.Errorf("%s: want a string, got %s", s.key(name), typeName(v))
-	}
-	*dst = str
-	return nil
-}
-
-func (s *section) strList(name string, dst *[]string) error {
-	if s.typeErr != nil {
-		return s.typeErr
-	}
-	v, ok := s.take(name)
-	if !ok {
-		return nil
-	}
-	seq, isSeq := v.([]any)
-	if !isSeq {
-		// A single bare string is accepted as a one-element list: the
-		// common "contacts: host:port" case should not need brackets.
-		if str, isStr := v.(string); isStr {
-			*dst = []string{str}
-			return nil
-		}
-		return fmt.Errorf("%s: want a list of strings, got %s", s.key(name), typeName(v))
-	}
-	out := make([]string, len(seq))
-	for i, item := range seq {
-		str, isStr := item.(string)
-		if !isStr {
-			return fmt.Errorf("%s[%d]: want a string, got %s", s.key(name), i, typeName(item))
-		}
-		out[i] = str
-	}
-	*dst = out
-	return nil
-}
-
-func (s *section) integer(name string, dst *int) error {
-	if s.typeErr != nil {
-		return s.typeErr
-	}
-	v, ok := s.take(name)
-	if !ok {
-		return nil
-	}
-	n, err := asInt64(v)
-	if err != nil {
-		return fmt.Errorf("%s: %w", s.key(name), err)
-	}
-	*dst = int(n)
-	return nil
-}
-
-func (s *section) float(name string, dst *float64) error {
-	if s.typeErr != nil {
-		return s.typeErr
-	}
-	v, ok := s.take(name)
-	if !ok {
-		return nil
-	}
-	switch n := v.(type) {
-	case int64:
-		*dst = float64(n)
-	case float64:
-		*dst = n
-	case json.Number:
-		f, err := n.Float64()
-		if err != nil {
-			return fmt.Errorf("%s: want a number, got %q", s.key(name), n.String())
-		}
-		*dst = f
-	default:
-		return fmt.Errorf("%s: want a number, got %s", s.key(name), typeName(v))
-	}
-	return nil
-}
-
-func (s *section) boolean(name string, dst *bool) error {
-	if s.typeErr != nil {
-		return s.typeErr
-	}
-	v, ok := s.take(name)
-	if !ok {
-		return nil
-	}
-	b, isBool := v.(bool)
-	if !isBool {
-		return fmt.Errorf("%s: want true or false, got %s", s.key(name), typeName(v))
-	}
-	*dst = b
-	return nil
-}
-
-// duration reads a Go duration string ("90s", "1m30s"). Bare numbers
-// are rejected: "period: 5" is ambiguous between seconds and
-// nanoseconds, and guessing either would misconfigure someone.
-func (s *section) duration(name string, dst *time.Duration) error {
-	if s.typeErr != nil {
-		return s.typeErr
-	}
-	v, ok := s.take(name)
-	if !ok {
-		return nil
-	}
-	str, isStr := v.(string)
-	if !isStr {
-		return fmt.Errorf("%s: want a duration string like \"250ms\" or \"1m\", got %s", s.key(name), typeName(v))
-	}
-	d, err := time.ParseDuration(str)
-	if err != nil {
-		return fmt.Errorf("%s: malformed duration %q", s.key(name), str)
-	}
-	*dst = d
-	return nil
-}
-
-// finishAll errors on any key in this section or its children that no
-// field consumed.
-func (s *section) finishAll() error {
-	if s.typeErr != nil {
-		return s.typeErr
-	}
-	var unknown []string
-	for k := range s.m {
-		if !s.used[k] {
-			unknown = append(unknown, s.key(k))
-		}
-	}
-	for _, child := range s.children {
-		if err := child.finishAll(); err != nil {
-			return err
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return fmt.Errorf("%s: unknown field", unknown[0])
-	}
-	return nil
-}
-
-// asInt64 accepts the integer shapes the two parsers produce.
-func asInt64(v any) (int64, error) {
-	switch n := v.(type) {
-	case int64:
-		return n, nil
-	case float64:
-		if n == float64(int64(n)) {
-			return int64(n), nil
-		}
-		return 0, fmt.Errorf("want an integer, got %v", n)
-	case json.Number:
-		i, err := n.Int64()
-		if err != nil {
-			return 0, fmt.Errorf("want an integer, got %q", n.String())
-		}
-		return i, nil
-	default:
-		return 0, fmt.Errorf("want an integer, got %s", typeName(v))
-	}
-}
-
-func typeName(v any) string {
-	switch v.(type) {
-	case string:
-		return "a string"
-	case bool:
-		return "a boolean"
-	case int64, float64, json.Number:
-		return "a number"
-	case []any:
-		return "a list"
-	case map[string]any:
-		return "a mapping"
-	case nil:
-		return "null"
-	default:
-		return fmt.Sprintf("%T", v)
-	}
 }
 
 // WriteFile writes cfg as a JSON config document at path — the exact

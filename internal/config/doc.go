@@ -1,21 +1,18 @@
 // Package config is the deployable daemon's configuration surface: a
-// versioned document (YAML or JSON) covering the node, transport,
-// metrics, control and gateway subsystems, with strict validation,
-// defaulting, flag overlays and a reload diff.
+// versioned JSON document covering the node, transport, metrics,
+// control and gateway subsystems, with strict validation, defaulting,
+// flag overlays and a reload diff.
 //
 // The package exists so that psnode can be booted from one file —
-// `psnode -config psnode.yaml` — instead of an ever-growing flag list,
+// `psnode -config psnode.json` — instead of an ever-growing flag list,
 // and so that a running daemon can classify a changed file into fields
 // it may apply live (transport limits, report interval, gateway tuning)
 // versus fields that need a restart (listen address, protocol tuple,
 // view size). See Diff for the classification and internal/daemon for
 // the runtime that applies it.
 //
-// The YAML loader speaks a deliberate subset of YAML — mappings nested
-// by indentation, scalar sequences ("- item" or [a, b]), quoted and
-// bare scalars, comments — which covers every document this package
-// defines while keeping the repository dependency-free. JSON files
-// (.json) load through encoding/json into the same strict decoder, so
-// both formats share one validation story and one set of field-path
-// errors.
+// Documents parse through encoding/json's token stream into a strict
+// reader (Document) that internal/chaos shares for its plan files: a
+// duplicate key, trailing data, an unknown key or a mistyped value fails
+// with its dotted field path instead of being silently dropped.
 package config

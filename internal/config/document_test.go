@@ -7,28 +7,25 @@ import (
 )
 
 // TestDocumentReadsTypedFields drives the exported strict reader over a
-// YAML document mixing scalars, a sub-mapping and a sequence of
-// mappings — the shape chaos plans use.
+// document mixing scalars, a sub-mapping and a sequence of mappings —
+// the shape chaos plans use.
 func TestDocumentReadsTypedFields(t *testing.T) {
-	raw := []byte(`
-version: 1
-name: demo
-ratio: 0.25
-strict: true
-period: 250ms
-meta:
-  owner: ops
-events:
-  - at: 0s
-    action: kill
-  - at: 2s
-    action: heal
-`)
-	m, err := ParseDocument(raw, false)
+	raw := []byte(`{
+  "version": 1,
+  "name": "demo",
+  "ratio": 0.25,
+  "strict": true,
+  "period": "250ms",
+  "meta": {"owner": "ops"},
+  "events": [
+    {"at": "0s", "action": "kill"},
+    {"at": "2s", "action": "heal"}
+  ]
+}`)
+	doc, err := ParseDocument(raw)
 	if err != nil {
 		t.Fatalf("ParseDocument: %v", err)
 	}
-	doc := NewDocument("", m)
 
 	var version int
 	var name string
@@ -98,11 +95,10 @@ events:
 // sequence element is rejected with its "name[i]" path, exactly like an
 // unknown key in a named sub-section.
 func TestDocumentFinishSweepsSequenceElements(t *testing.T) {
-	m, err := ParseDocument([]byte("events:\n  - action: kill\n    bogus: 1\n"), false)
+	doc, err := ParseDocument([]byte(`{"events": [{"action": "kill", "bogus": 1}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := NewDocument("", m)
 	events, err := doc.Seq("events")
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +119,10 @@ func TestDocumentFinishSweepsSequenceElements(t *testing.T) {
 // TestDocumentSeqTypeErrors: present-but-wrong-shape values surface as
 // typed path errors, not panics.
 func TestDocumentSeqTypeErrors(t *testing.T) {
-	m, err := ParseDocument([]byte("events: 3\nlist:\n  - plain\n"), false)
+	doc, err := ParseDocument([]byte(`{"events": 3, "list": ["plain"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := NewDocument("", m)
 	if _, err := doc.Seq("events"); err == nil || !strings.Contains(err.Error(), "events") {
 		t.Fatalf("Seq on scalar: %v", err)
 	}
@@ -142,17 +137,20 @@ func TestDocumentSeqTypeErrors(t *testing.T) {
 	}
 }
 
-// TestDocumentParsesJSON: the same reader works over the JSON front end
-// selected by DocIsJSON.
+// TestDocumentParsesJSON: nulls keep the default, a bare string reads as
+// a one-element list, and whitespace-only differences do not matter.
 func TestDocumentParsesJSON(t *testing.T) {
-	if !DocIsJSON("plan.JSON") || DocIsJSON("plan.yaml") {
-		t.Fatal("DocIsJSON extension rule broken")
-	}
-	m, err := ParseDocument([]byte(`{"name": "j", "events": [{"at": "1s"}]}`), true)
+	doc, err := ParseDocument([]byte("\n\t{\"name\": \"j\", \"skip\": null, \"to\": \"*\",\n\t \"events\": [{\"at\": \"1s\"}]}\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := NewDocument("", m)
+	skip, to := "default", []string(nil)
+	if err := doc.Str("skip", &skip); err != nil || skip != "default" {
+		t.Fatalf("skip = %q, %v", skip, err)
+	}
+	if err := doc.StrList("to", &to); err != nil || len(to) != 1 || to[0] != "*" {
+		t.Fatalf("to = %v, %v", to, err)
+	}
 	var name string
 	if err := doc.Str("name", &name); err != nil || name != "j" {
 		t.Fatalf("name = %q, %v", name, err)

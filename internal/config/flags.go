@@ -11,7 +11,7 @@ import (
 
 // Flags is the command-line override surface of the daemon: every flag
 // mirrors one config field, and Apply overlays exactly the flags the
-// user set onto a Config — so `psnode -config psnode.yaml -c 50` runs
+// user set onto a Config — so `psnode -config psnode.json -c 50` runs
 // the file's configuration with only the view size overridden, and
 // `psnode -listen :7946` with no file overrides the defaults.
 type Flags struct {

@@ -1,12 +1,8 @@
 package gateway
 
 import (
-	"encoding/json"
-	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 )
@@ -57,85 +53,6 @@ func BenchmarkGatewayServe(b *testing.B) {
 func BenchmarkGatewayServeAssembled(b *testing.B) {
 	g := benchGateway(b)
 	r := httptest.NewRequest(http.MethodGet, "/v1/sample?n=32", nil)
-	r.RemoteAddr = "10.1.2.3:44321"
-	w := &discardRW{h: http.Header{"Content-Type": nil}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.handleSample(w, r)
-	}
-}
-
-// baselineGateway freezes the pre-rewrite serve path — mutex-guarded
-// cache, url.Values query parsing, per-request copy + shuffle, JSON
-// encode while writing — over the same data and limiter, so the
-// committed benchmark JSON records the rewrite's improvement factor
-// against a reproducible reference rather than a number from a deleted
-// revision.
-type baselineGateway struct {
-	mu          sync.Mutex
-	batch       []string
-	refreshedAt time.Time
-	target      int
-
-	limiter *rateLimiter
-	now     func() time.Time
-}
-
-func (g *baselineGateway) handleSample(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	g.mu.Lock()
-	batch, refreshedAt, target := g.batch, g.refreshedAt, g.target
-	g.mu.Unlock()
-
-	n := 1
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 1 || v > target {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	if ok, _ := g.limiter.allow("10.1.2.3"); !ok {
-		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-		return
-	}
-	if len(batch) == 0 {
-		http.Error(w, "no peers available", http.StatusServiceUnavailable)
-		return
-	}
-	if n > len(batch) {
-		n = len(batch)
-	}
-	peers := make([]string, len(batch))
-	copy(peers, batch)
-	for i := 0; i < n; i++ {
-		j := i + rand.IntN(len(peers)-i)
-		peers[i], peers[j] = peers[j], peers[i]
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Peers      []string `json:"peers"`
-		Count      int      `json:"count"`
-		CacheAgeMS int64    `json:"cache_age_ms"`
-	}{peers[:n], n, g.now().Sub(refreshedAt).Milliseconds()})
-}
-
-// BenchmarkGatewayServeBaseline is the pre-rewrite reference for
-// BenchmarkGatewayServe: same peers, same request, same limiter.
-func BenchmarkGatewayServeBaseline(b *testing.B) {
-	g := &baselineGateway{
-		batch:       somePeers(64),
-		refreshedAt: time.Now(),
-		target:      64,
-		limiter:     newRateLimiter(1e9, 1<<30, time.Now),
-		now:         time.Now,
-	}
-	r := httptest.NewRequest(http.MethodGet, "/v1/sample?n=4", nil)
 	r.RemoteAddr = "10.1.2.3:44321"
 	w := &discardRW{h: http.Header{"Content-Type": nil}}
 	b.ReportAllocs()

@@ -29,8 +29,12 @@ import (
 // are real-network nondeterministic; the invariants reported — rejects
 // observed, evictions reclaiming slots, views still complete — are not.
 
-// hostilePlan names the fault plan the experiment replays: a connection
-// flood against the member named "victim" (see internal/chaos/plans).
+// hostilePlan names the fault plan the experiment replays: a
+// connection-flood + slowloris attack in which three attacker
+// goroutines hold sockets open against the member named "victim"
+// without ever sending a frame, for 1.5 seconds (see
+// internal/chaos/plans). The experiment names its target member
+// "victim" so the plan can address it.
 const hostilePlan = "hostile-flood"
 
 // hostileParams derives live-cluster parameters from a simulation Scale

@@ -21,8 +21,12 @@ import (
 // absorb the replacements to full membership, with failed exchanges
 // against dead peers staying routine noise.
 
-// liveChurnPlan names the fault plan the experiment replays: two kill
-// waves with respawns (see internal/chaos/plans).
+// liveChurnPlan names the fault plan the experiment replays: two
+// catastrophic 25% kill waves with quick respawns, the paper's
+// self-healing experiment as a declarative timeline (see
+// internal/chaos/plans). The experiment steps this plan one wave per
+// round rather than running it on the wall clock, so the offsets only
+// order the events.
 const liveChurnPlan = "churn-waves"
 
 // liveChurnParams derives the fleet's shape from a simulation Scale and

@@ -25,8 +25,11 @@ import (
 // rate limit (driven through spoofed X-Forwarded-For identities against
 // trust_proxy_header) never collapses distinct clients into one bucket.
 
-// liveGatewayPlan names the fault plan the experiment replays: one kill
-// wave 500ms into the marked load stage (see internal/chaos/plans).
+// liveGatewayPlan names the fault plan the experiment replays: one 25%
+// kill wave, no respawn (see internal/chaos/plans). The experiment
+// starts the plan at the beginning of its marked load stage, so the
+// wave lands 500ms into the stage while clients keep sampling through
+// surviving gateways.
 const liveGatewayPlan = "gateway-kill"
 
 // liveGatewayParams derives the fleet's shape from a simulation Scale

@@ -29,8 +29,13 @@ import (
 // the cut holds and recovers after the heal, which is the re-convergence
 // signal Converged asserts.
 
-// livePartitionPlan names the fault plan the experiment replays (see
-// internal/chaos/plans).
+// livePartitionPlan names the fault plan the experiment replays:
+// partition-then-heal under injected latency (see internal/chaos/plans).
+// Every link gets 2ms of extra one-way delay for the whole window, and
+// 200ms in a random half of the fleet is cut off (both directions) for
+// 1.3 seconds. Both rules expire on their own — the plan ends with the
+// network whole again, so the experiment can assert re-convergence
+// after the heal.
 const livePartitionPlan = "partition-heal"
 
 // livePartitionParams derives the fleet's shape from a simulation Scale;

@@ -375,9 +375,8 @@ type (
 func DefaultConfig() Config { return config.Default() }
 
 // LoadConfig loads, defaults and validates a daemon configuration from a
-// YAML or JSON file (the format follows the extension, with a content
-// sniff fallback). Unknown fields and invalid values are errors naming
-// the offending field path.
+// JSON file. Duplicate or unknown fields and invalid values are errors
+// naming the offending field path.
 func LoadConfig(path string) (Config, error) { return config.LoadFile(path) }
 
 // WriteConfig writes cfg to path as JSON (a valid LoadConfig input —
