@@ -1,7 +1,8 @@
-// Micro-benchmarks for the building blocks: view algebra, protocol
-// exchanges, simulation cycles, graph metrics, removal sweeps and the
-// wire codec. These quantify the cost model behind the experiment
-// harness (e.g. one cycle at paper scale, one BFS, one snapshot).
+// Micro-benchmarks that no psbench probe covers: simulation cycles at
+// 10^6 nodes, graph metrics, removal sweeps and the hardened accept path.
+// View merges, exchanges, cycles at 10^4–10^5 nodes, snapshots, the codec
+// and per-backend exchanges are measured by psbench's per-layer metrics
+// (benchmark/README.md).
 package peersampling_test
 
 import (
@@ -16,86 +17,6 @@ import (
 	"peersampling/internal/sim"
 	"peersampling/internal/transport"
 )
-
-func benchView(c int, rng *rand.Rand) []core.Descriptor[int32] {
-	out := make([]core.Descriptor[int32], c)
-	for i := range out {
-		out[i] = core.Descriptor[int32]{Addr: int32(rng.IntN(1 << 20)), Hop: int32(i)}
-	}
-	return out
-}
-
-func BenchmarkViewMerge(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	x := benchView(31, rng)
-	y := benchView(31, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.Merge(x, y)
-	}
-}
-
-func BenchmarkExchangePushPull(b *testing.B) {
-	mk := func(id int32) *core.Node[int32] {
-		n, err := core.NewNode(id, core.Newscast, 30, rand.New(rand.NewPCG(uint64(id), 1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewPCG(9, 9))
-		n.Bootstrap(benchView(30, rng))
-		return n
-	}
-	x, y := mk(1<<21), mk(1<<21+1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.AgeView()
-		_, req, err := x.InitiateExchange()
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp, ok := y.HandleRequest(req)
-		if ok {
-			x.HandleResponse(resp)
-		}
-	}
-}
-
-func benchNetwork(b *testing.B, n int) *sim.Network {
-	b.Helper()
-	w := scenario.BuildRandom(sim.Config{Protocol: core.Newscast, ViewSize: 30, Seed: 2}, n)
-	w.Run(10) // leave the artificial bootstrap state
-	return w
-}
-
-func BenchmarkSimCycle(b *testing.B) {
-	for _, n := range []int{1000, 10_000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			w := benchNetwork(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.RunCycle()
-			}
-		})
-	}
-}
-
-// BenchmarkShardedCycle measures the staged parallel cycle driver at a
-// size where per-cycle overheads have vanished; the worker subbenches
-// expose its scaling (bounded by the machine — the results are honest
-// numbers for the hardware they ran on, not an architecture claim).
-func BenchmarkShardedCycle(b *testing.B) {
-	w := benchNetwork(b, 100_000)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.RunCycleSharded(workers)
-			}
-		})
-	}
-}
 
 // millionNetwork builds the 10^6-node population once per process and
 // shares it across the million-scale benchmarks; rebuilding it per
@@ -134,24 +55,6 @@ func BenchmarkMillionCycleSharded(b *testing.B) {
 	}
 }
 
-func BenchmarkSnapshot(b *testing.B) {
-	w := benchNetwork(b, 10_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = w.TakeSnapshot()
-	}
-}
-
-func BenchmarkObserveSampled(b *testing.B) {
-	w := benchNetwork(b, 10_000)
-	mc := sim.MetricsConfig{PathSources: 24, ClusteringSample: 600, Seed: 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = w.Observe(mc)
-	}
-}
-
 func BenchmarkGraphBFS(b *testing.B) {
 	g := graph.RandomViewGraph(10_000, 30, rand.New(rand.NewPCG(4, 4)))
 	b.ResetTimer()
@@ -182,32 +85,6 @@ func BenchmarkRemovalSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecRoundTrip measures the pooled codec path every transport
-// hot loop uses: encode into a reused buffer, decode through a Decoder
-// that reuses descriptor scratch and interns addresses. At steady state
-// the round trip is allocation-free.
-func BenchmarkCodecRoundTrip(b *testing.B) {
-	buf := make([]core.Descriptor[string], 31)
-	for i := range buf {
-		buf[i] = core.Descriptor[string]{Addr: fmt.Sprintf("10.0.%d.%d:7946", i, i), Hop: int32(i)}
-	}
-	req := transport.Request{From: "10.0.0.1:7946", WantReply: true, Buffer: buf}
-	var dec transport.Decoder
-	var encBuf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := transport.AppendRequest(encBuf[:0], req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		encBuf = frame
-		if _, _, _, err := dec.Decode(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchEchoHandler echoes pull requests, standing in for the passive
 // protocol thread in transport benchmarks.
 func benchEchoHandler(req transport.Request) (transport.Response, bool) {
@@ -224,34 +101,9 @@ func benchWireRequest(from string) transport.Request {
 	return transport.Request{From: from, WantReply: true, Buffer: buf}
 }
 
-// BenchmarkTCPExchangeDial measures a full pushpull exchange over the
-// dial-per-exchange TCP baseline on loopback.
-func BenchmarkTCPExchangeDial(b *testing.B) {
-	server, err := transport.ListenTCP("127.0.0.1:0", benchEchoHandler)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Close()
-	client, err := transport.ListenTCP("127.0.0.1:0", benchEchoHandler)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	req := benchWireRequest(client.Addr())
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := client.Exchange(ctx, server.Addr(), req); err != nil || !ok {
-			b.Fatalf("exchange: %v ok=%v", err, ok)
-		}
-	}
-}
-
-// BenchmarkTCPExchangeDialHardened is BenchmarkTCPExchangeDial with an
-// explicit (tight) connection cap on the server, so every accept passes
-// through the hardening gate; the delta against the unhardened dial
-// benchmark is the accept-path overhead of the Limits layer.
+// BenchmarkTCPExchangeDialHardened measures a dial-per-exchange pushpull
+// with an explicit (tight) connection cap on the server, so every accept
+// passes through the hardening gate of the Limits layer.
 func BenchmarkTCPExchangeDialHardened(b *testing.B) {
 	server, err := transport.ListenTCPLimits("127.0.0.1:0", benchEchoHandler,
 		transport.Limits{MaxConns: 64})
@@ -276,79 +128,4 @@ func BenchmarkTCPExchangeDialHardened(b *testing.B) {
 	b.StopTimer()
 	stats := server.TransportStats()
 	b.ReportMetric(float64(stats.AcceptRejects), "rejects")
-}
-
-// BenchmarkTCPExchangePooled measures the same exchange over pooled
-// persistent connections; the delta against BenchmarkTCPExchangeDial is
-// the per-exchange dial cost the pool amortises away.
-func BenchmarkTCPExchangePooled(b *testing.B) {
-	server, err := transport.ListenPooledTCP("127.0.0.1:0", benchEchoHandler, transport.PoolConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Close()
-	client, err := transport.ListenPooledTCP("127.0.0.1:0", benchEchoHandler, transport.PoolConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	req := benchWireRequest(client.Addr())
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := client.Exchange(ctx, server.Addr(), req); err != nil || !ok {
-			b.Fatalf("exchange: %v ok=%v", err, ok)
-		}
-	}
-	b.StopTimer()
-	stats := client.TransportStats()
-	b.ReportMetric(float64(stats.Dials), "dials")
-}
-
-// BenchmarkUDPExchange measures the same exchange as one datagram pair.
-func BenchmarkUDPExchange(b *testing.B) {
-	server, err := transport.ListenUDP("127.0.0.1:0", benchEchoHandler)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer server.Close()
-	client, err := transport.ListenUDP("127.0.0.1:0", benchEchoHandler)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	req := benchWireRequest(client.Addr())
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := client.Exchange(ctx, server.Addr(), req); err != nil || !ok {
-			b.Fatalf("exchange: %v ok=%v", err, ok)
-		}
-	}
-}
-
-func BenchmarkFabricExchange(b *testing.B) {
-	f := transport.NewFabric()
-	handler := func(req transport.Request) (transport.Response, bool) {
-		return transport.Response{From: "b", Buffer: req.Buffer}, req.WantReply
-	}
-	a, err := f.Endpoint("a", handler)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := f.Endpoint("b", handler); err != nil {
-		b.Fatal(err)
-	}
-	req := transport.Request{From: "a", WantReply: true,
-		Buffer: []transport.Descriptor{{Addr: "x", Hop: 1}}}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := a.Exchange(ctx, "b", req); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 )
@@ -41,11 +42,16 @@ func SortByHop[A comparable](buf []Descriptor[A]) {
 // again by increasing hop count. When both lists contain a descriptor for
 // the same address only the one with the lowest hop count survives; on a
 // tie the descriptor from the first list wins (the merge is stable). The
-// inputs must each be sorted by hop count and free of duplicate addresses;
-// the result is a freshly allocated slice.
+// inputs must each be sorted by hop count. A duplicate address within one
+// input is tolerated: its first, lowest-hop occurrence wins, so merging a
+// sorted list with nil deduplicates it. The result is a freshly allocated
+// slice.
 func Merge[A comparable](first, second []Descriptor[A]) []Descriptor[A] {
 	return MergeInto(make([]Descriptor[A], 0, len(first)+len(second)), first, second)
 }
+
+// mergeSeed keys the address hash of MergeInto's dedup table.
+var mergeSeed = maphash.MakeSeed()
 
 // MergeInto is Merge writing its result into dst (which is truncated
 // first and must not alias either input). It returns the possibly grown
@@ -55,7 +61,24 @@ func MergeInto[A comparable](dst, first, second []Descriptor[A]) []Descriptor[A]
 	// Grow dst to the worst case up front: reusable scratches then reach
 	// their steady-state capacity on the first merge instead of creeping
 	// towards it over many cycles, each growth step paying an allocation.
-	out := slices.Grow(dst[:0], len(first)+len(second))
+	n := len(first) + len(second)
+	out := slices.Grow(dst[:0], n)
+	// seen is an open-addressing set over out: a slot holds index+1 of the
+	// output entry whose address hashed there, 0 when empty. Sized to a
+	// power of two of at least 2n it stays at most half full, and up to
+	// c = 63 it fits the stack array, so merging is linear and
+	// allocation-free. The hash only answers "already kept?"; output
+	// order is the hop order alone.
+	var stack [256]int32
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	seen := stack[:]
+	if size > len(stack) {
+		seen = make([]int32, size)
+	}
+	mask := uint64(size - 1)
 	i, j := 0, 0
 	for i < len(first) || j < len(second) {
 		var d Descriptor[A]
@@ -73,19 +96,24 @@ func MergeInto[A comparable](dst, first, second []Descriptor[A]) []Descriptor[A]
 			d = first[i]
 			i++
 		}
-		if containsAddr(out, d.Addr) {
-			// The earlier occurrence necessarily has a lower or equal hop
-			// count because the output is produced in hop order.
-			continue
+		// An earlier occurrence necessarily has a lower or equal hop count
+		// because the output is produced in hop order, so it wins.
+		for h := maphash.Comparable(mergeSeed, d.Addr) & mask; ; h = (h + 1) & mask {
+			k := seen[h]
+			if k == 0 {
+				seen[h] = int32(len(out) + 1)
+				out = append(out, d)
+				break
+			}
+			if out[k-1].Addr == d.Addr {
+				break
+			}
 		}
-		out = append(out, d)
 	}
 	return out
 }
 
 // containsAddr reports whether buf already holds a descriptor for addr.
-// Views are tiny (tens of entries) so a linear scan beats a map both in
-// allocations and in wall-clock time.
 func containsAddr[A comparable](buf []Descriptor[A], addr A) bool {
 	for i := range buf {
 		if buf[i].Addr == addr {

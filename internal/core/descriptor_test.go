@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -130,48 +132,129 @@ func randomSortedView(addrs []uint16, hops []uint8) []Descriptor[int32] {
 	return out
 }
 
+// stringAddrs maps int32 addresses to distinct "host:port" strings that
+// share a long prefix, as live addresses do.
+func stringAddrs(buf []Descriptor[int32]) []Descriptor[string] {
+	out := make([]Descriptor[string], len(buf))
+	for i, d := range buf {
+		out[i] = Descriptor[string]{Addr: fmt.Sprintf("127.0.0.1:4%04d", d.Addr), Hop: d.Hop}
+	}
+	return out
+}
+
+// mergeReference is the linear-scan merge MergeInto's hashed dedup
+// replaced, kept as the oracle it must match entry for entry.
+func mergeReference[A comparable](first, second []Descriptor[A]) []Descriptor[A] {
+	var out []Descriptor[A]
+	i, j := 0, 0
+	for i < len(first) || j < len(second) {
+		var d Descriptor[A]
+		if j >= len(second) || (i < len(first) && first[i].Hop <= second[j].Hop) {
+			d = first[i]
+			i++
+		} else {
+			d = second[j]
+			j++
+		}
+		if !containsAddr(out, d.Addr) {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// mergeIsUnion reports whether m = Merge(a, b) is hop-sorted, holds every
+// source address exactly once, and each with its minimum source hop.
+func mergeIsUnion[A comparable](a, b, m []Descriptor[A]) bool {
+	for i := 1; i < len(m); i++ {
+		if m[i].Hop < m[i-1].Hop {
+			return false
+		}
+	}
+	minHop := map[A]int32{}
+	for _, src := range [][]Descriptor[A]{a, b} {
+		for _, s := range src {
+			if h, ok := minHop[s.Addr]; !ok || s.Hop < h {
+				minHop[s.Addr] = s.Hop
+			}
+		}
+	}
+	if len(m) != len(minHop) {
+		return false
+	}
+	for _, d := range m {
+		if h, ok := minHop[d.Addr]; !ok || d.Hop != h {
+			return false
+		}
+		delete(minHop, d.Addr) // a second occurrence fails the lookup
+	}
+	return true
+}
+
 func TestMergePropertyUnion(t *testing.T) {
 	f := func(addrsA, addrsB []uint16, hopsA, hopsB []uint8) bool {
 		a := randomSortedView(addrsA, hopsA)
 		b := randomSortedView(addrsB, hopsB)
-		m := Merge(a, b)
-		// Sorted by hop.
-		for i := 1; i < len(m); i++ {
-			if m[i].Hop < m[i-1].Hop {
-				return false
-			}
-		}
-		// Unique addresses, and each has the minimum hop of its sources.
-		seen := map[int32]bool{}
-		for _, d := range m {
-			if seen[d.Addr] {
-				return false
-			}
-			seen[d.Addr] = true
-			want := int32(1 << 30)
-			for _, src := range [][]Descriptor[int32]{a, b} {
-				for _, s := range src {
-					if s.Addr == d.Addr && s.Hop < want {
-						want = s.Hop
-					}
-				}
-			}
-			if d.Hop != want {
-				return false
-			}
-		}
-		// Every source address appears.
-		for _, src := range [][]Descriptor[int32]{a, b} {
-			for _, s := range src {
-				if !seen[s.Addr] {
-					return false
-				}
-			}
-		}
-		return true
+		sa, sb := stringAddrs(a), stringAddrs(b)
+		return mergeIsUnion(a, b, Merge(a, b)) && mergeIsUnion(sa, sb, Merge(sa, sb))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fuzzView decodes (address, hop) byte pairs into a hop-sorted list of at
+// most 300 entries over 48 addresses, so duplicates, also within one
+// list, are common and long inputs take MergeInto's heap table.
+func fuzzView(data []byte) []Descriptor[int32] {
+	out := make([]Descriptor[int32], 0, len(data)/2)
+	for i := 0; i+1 < len(data) && len(out) < 300; i += 2 {
+		out = append(out, Descriptor[int32]{Addr: int32(data[i] % 48), Hop: int32(data[i+1] % 8)})
+	}
+	SortByHop(out)
+	return out
+}
+
+func FuzzMergeInto(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{1, 0, 2, 1, 1, 3}, []byte{2, 0, 3, 3})
+	for _, n := range []int{64, 65, 300} { // 2(64+64) fills the stack table exactly
+		a, b := make([]byte, 2*n), make([]byte, 2*n)
+		for i := range a {
+			a[i], b[i] = byte(i*7), byte(i*13)
+		}
+		f.Add(a, b)
+	}
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
+		a, b := fuzzView(rawA), fuzzView(rawB)
+		sa, sb := stringAddrs(a), stringAddrs(b)
+		// A dirty dst must be truncated, not appended to.
+		got := MergeInto(slices.Clone(sb), sa, sb)
+		if want := mergeReference(sa, sb); !slices.Equal(got, want) {
+			t.Fatalf("MergeInto(%v, %v)\n got %v\nwant %v", sa, sb, got, want)
+		}
+		if got, want := Merge(a, b), mergeReference(a, b); !slices.Equal(got, want) {
+			t.Fatalf("Merge(%v, %v)\n got %v\nwant %v", a, b, got, want)
+		}
+	})
+}
+
+func TestMergeIntoAllocs(t *testing.T) {
+	for _, c := range []int{30, 60} {
+		// Two views sharing half their addresses, as after a few cycles.
+		var a, b []Descriptor[int32]
+		for i := 0; i <= c; i++ {
+			a = append(a, Descriptor[int32]{Addr: int32(i), Hop: int32(i)})
+		}
+		for i := 0; i < c; i++ {
+			b = append(b, Descriptor[int32]{Addr: int32(c/2 + i), Hop: int32(i)})
+		}
+		first, second := stringAddrs(a), stringAddrs(b)
+		dst := MergeInto(nil, first, second) // warm: grow dst once
+		if got := testing.AllocsPerRun(100, func() { dst = MergeInto(dst, first, second) }); got != 0 {
+			t.Errorf("c=%d: MergeInto of %d+%d string descriptors allocates %v times, want 0",
+				c, len(first), len(second), got)
+		}
 	}
 }
 

@@ -98,17 +98,12 @@ func (v *View[A]) SetAll(descriptors []Descriptor[A]) {
 	buf := make([]Descriptor[A], len(descriptors))
 	copy(buf, descriptors)
 	SortByHop(buf)
-	// Deduplicate after sorting: the first occurrence has the lowest hop.
-	out := buf[:0]
-	for _, d := range buf {
-		if !containsAddr(out, d.Addr) {
-			out = append(out, d)
-		}
+	// Merging with nothing deduplicates: the first occurrence has the
+	// lowest hop.
+	v.items = MergeInto(v.items, buf, nil)
+	if len(v.items) > v.capacity {
+		v.items = v.items[:v.capacity]
 	}
-	if len(out) > v.capacity {
-		out = out[:v.capacity]
-	}
-	v.items = append(v.items[:0], out...)
 }
 
 // Age increments the hop count of every descriptor in the view by one.

@@ -147,7 +147,8 @@ func (n *Node) Protocol() core.Protocol { return n.cfg.Protocol }
 // adds the contacts, which matches the paper's "initializes the service
 // ... if this has not been done before". Contact addresses are trimmed of
 // surrounding whitespace; the node's own address is dropped (a view must
-// never contain its owner) and duplicate contacts collapse to one entry.
+// never contain its owner) and duplicate contacts collapse to one entry
+// (Bootstrap and Merge deduplicate).
 func (n *Node) Init(contacts []string) error {
 	self := n.transport.Addr()
 	descs := make([]core.Descriptor[string], 0, len(contacts))
@@ -156,7 +157,7 @@ func (n *Node) Init(contacts []string) error {
 		if c == "" {
 			return errors.New("runtime: empty contact address")
 		}
-		if c == self || containsContact(descs, c) {
+		if c == self {
 			continue
 		}
 		descs = append(descs, core.Descriptor[string]{Addr: c, Hop: 0})
@@ -373,17 +374,6 @@ func (n *Node) handleRequest(req transport.Request) (transport.Response, bool) {
 	defer n.mu.Unlock()
 	n.handled++
 	return n.state.HandleRequest(req)
-}
-
-// containsContact reports whether descs already holds addr. Contact lists
-// are tiny, so a linear scan is the right tool.
-func containsContact(descs []core.Descriptor[string], addr string) bool {
-	for _, d := range descs {
-		if d.Addr == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // hashString derives a stable 64-bit seed from an address (FNV-1a).
