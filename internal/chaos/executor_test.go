@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,16 +14,38 @@ import (
 	"peersampling/internal/transport"
 )
 
+// recorder is a fleet.Cluster that remembers the fault rules last set
+// through it, so tests observe exactly what an executor installed on
+// this cluster and nothing any other test did.
+type recorder struct {
+	fleet.Cluster
+	mu    sync.Mutex
+	rules []transport.FaultRule
+}
+
+func (r *recorder) SetFaultRules(rules []transport.FaultRule) error {
+	r.mu.Lock()
+	r.rules = append([]transport.FaultRule(nil), rules...)
+	r.mu.Unlock()
+	return r.Cluster.SetFaultRules(rules)
+}
+
+func (r *recorder) Rules() []transport.FaultRule {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]transport.FaultRule(nil), r.rules...)
+}
+
 // newTestCluster boots a small inproc cluster over real loopback TCP.
-// Fault-injecting tests share the process-global fault set, so none of
-// these tests run in parallel; cluster Close heals the set.
-func newTestCluster(t *testing.T, n int) (fleet.Cluster, []fleet.Member) {
+// Every cluster's members own their fault rules, so these tests run in
+// parallel.
+func newTestCluster(t *testing.T, n int) (*recorder, []fleet.Member) {
 	t.Helper()
+	t.Parallel()
 	c, err := fleet.New(fleet.DriverInproc, fleet.Config{
 		Protocol: core.Newscast,
 		ViewSize: 5,
 		Period:   15 * time.Millisecond,
-		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +63,7 @@ func newTestCluster(t *testing.T, n int) (fleet.Cluster, []fleet.Member) {
 		}
 		members = append(members, m)
 	}
-	return c, members
+	return &recorder{Cluster: c}, members
 }
 
 func mustParse(t *testing.T, raw string) *Plan {
@@ -154,8 +177,8 @@ func TestExecutorPartitionExpireAndClose(t *testing.T) {
 	if ap.RulesTouched != 8 || ap.ActiveRules != 8 {
 		t.Fatalf("partition step = %+v", ap)
 	}
-	if got := transport.Faults().ActiveRules(); got != 8 {
-		t.Fatalf("global fault set has %d rules", got)
+	if got := len(c.Rules()); got != 8 {
+		t.Fatalf("cluster has %d rules", got)
 	}
 
 	ap, err = ex.Step()
@@ -165,8 +188,8 @@ func TestExecutorPartitionExpireAndClose(t *testing.T) {
 	if ap.Action != ActionExpire || ap.ActiveRules != 0 {
 		t.Fatalf("expire step = %+v", ap)
 	}
-	if got := transport.Faults().ActiveRules(); got != 0 {
-		t.Errorf("global fault set kept %d rules after expiry", got)
+	if got := len(c.Rules()); got != 0 {
+		t.Errorf("cluster kept %d rules after expiry", got)
 	}
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
@@ -187,7 +210,7 @@ func TestExecutorCloseHealsMidPlan(t *testing.T) {
 	if ap.RulesTouched != 1 {
 		t.Fatalf("directed cut = %+v", ap)
 	}
-	rules := transport.Faults().Rules()
+	rules := c.Rules()
 	if len(rules) != 1 || !rules[0].Cut ||
 		rules[0].From != members[0].Addr() || rules[0].To != members[1].Addr() {
 		t.Fatalf("installed rules = %+v", rules)
@@ -195,7 +218,7 @@ func TestExecutorCloseHealsMidPlan(t *testing.T) {
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := transport.Faults().ActiveRules(); got != 0 {
+	if got := len(c.Rules()); got != 0 {
 		t.Errorf("Close left %d rules", got)
 	}
 	if ex.ActiveRules() != 0 {
@@ -222,7 +245,7 @@ func TestExecutorLatencyAndLossRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawLatency, sawLoss bool
-	for _, r := range transport.Faults().Rules() {
+	for _, r := range c.Rules() {
 		if r.From == "*" && r.To == "*" && r.Latency == 3*time.Millisecond {
 			sawLatency = true
 		}
@@ -231,7 +254,7 @@ func TestExecutorLatencyAndLossRules(t *testing.T) {
 		}
 	}
 	if !sawLatency || !sawLoss {
-		t.Fatalf("rules = %+v", transport.Faults().Rules())
+		t.Fatalf("rules = %+v", c.Rules())
 	}
 	ap, err := ex.Step()
 	if err != nil {
@@ -263,7 +286,7 @@ func TestExecutorRunHonorsClockAndContext(t *testing.T) {
 	if got := ex.Remaining(); got != 1 {
 		t.Errorf("remaining = %d", got)
 	}
-	if got := transport.Faults().ActiveRules(); got != 0 {
+	if got := len(c.Rules()); got != 0 {
 		t.Errorf("pulse did not expire: %d rules", got)
 	}
 }

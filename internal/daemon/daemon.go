@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"os/signal"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"peersampling/internal/config"
-	"peersampling/internal/fleet"
 	"peersampling/internal/gateway"
 	"peersampling/internal/metrics"
 	"peersampling/internal/runtime"
@@ -39,6 +39,9 @@ type Manager struct {
 	src metrics.Source
 	// wl is the attached workload engine's lifecycle; nil without one.
 	wl *workload.Attachment
+	// faults shapes every exchange the node initiates; SetFaultRules
+	// replaces its rules.
+	faults *transport.FaultSet
 
 	mu      sync.Mutex
 	cfg     config.Config
@@ -76,6 +79,7 @@ func New(cfg config.Config, opts Options) (*Manager, error) {
 		coll:         metrics.New(),
 		logf:         logf,
 		cfg:          cfg,
+		faults:       transport.NewFaultSet(rand.Uint64()),
 		stopRequests: make(chan struct{}),
 	}
 	node, err := runtime.New(runtime.Config{
@@ -84,6 +88,7 @@ func New(cfg config.Config, opts Options) (*Manager, error) {
 		Period:   cfg.Node.Period,
 		Diverse:  cfg.Node.Diverse,
 		OnError:  func(err error) { logf("exchange failed: %v", err) },
+		Faults:   m.faults,
 	}, factory)
 	if err != nil {
 		return nil, err
@@ -140,6 +145,18 @@ func (m *Manager) Addr() string { return m.node.Addr() }
 // daemon in a larger observability setup.
 func (m *Manager) Collector() *metrics.Collector { return m.coll }
 
+// Source is what the manager's collector and control agent observe: the
+// node, paired with its workload engine's counters when one runs.
+func (m *Manager) Source() metrics.Source { return m.src }
+
+// SetFaultRules replaces the per-link fault rules every exchange the
+// node initiates consults (see transport.FaultRule); nil heals every
+// fault. The control agent's POST /faults lands here.
+func (m *Manager) SetFaultRules(rules []transport.FaultRule) {
+	m.faults.SetRules(rules)
+	m.logf("faults: %d rules installed", len(rules))
+}
+
 // Start bootstraps the node from the configured contacts, starts
 // gossiping, brings every plugin up in order, and finally writes the
 // ready file (when configured) — its existence promises every listener
@@ -177,19 +194,19 @@ func (m *Manager) Start() error {
 	}
 
 	if cfg.Control.ReadyFile != "" {
-		if err := fleet.WriteReady(cfg.Control.ReadyFile, m.readyInfo()); err != nil {
+		if err := WriteReady(cfg.Control.ReadyFile, m.Info()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readyInfo assembles the ready-file payload: the agent's identity when
-// the control plugin runs, a bare one otherwise, plus the gateway's
-// bound address so a parent (or load harness) can find the sampling API
-// without parsing logs.
-func (m *Manager) readyInfo() fleet.AgentInfo {
-	info := fleet.AgentInfo{
+// Info is the ready-file payload: the agent's identity when the control
+// plugin runs, a bare one otherwise, plus the gateway's bound address so
+// a parent (or load harness) can find the sampling API without parsing
+// logs.
+func (m *Manager) Info() AgentInfo {
+	info := AgentInfo{
 		PID:             os.Getpid(),
 		Addr:            m.node.Addr(),
 		StartUnixMillis: time.Now().UnixMilli(),
@@ -339,8 +356,8 @@ type Report struct {
 	// Cycles is the node's active cycle count — a cheap liveness signal.
 	Cycles uint64 `json:"cycles"`
 	// FaultRules counts the fault-injection rules currently installed on
-	// this process's transport (see transport.Faults): non-zero means a
-	// chaos plan is shaping this node's links right now.
+	// this daemon (see SetFaultRules): non-zero means a chaos plan is
+	// shaping this node's links right now.
 	FaultRules int `json:"fault_rules"`
 	// Plugins maps plugin name to its lifecycle status.
 	Plugins map[string]Status `json:"plugins"`
@@ -361,7 +378,7 @@ func (m *Manager) StatusReport() Report {
 		State:      state,
 		Addr:       m.node.Addr(),
 		Cycles:     cycles,
-		FaultRules: transport.Faults().ActiveRules(),
+		FaultRules: m.faults.ActiveRules(),
 		Plugins:    make(map[string]Status, len(plugins)),
 	}
 	for _, p := range plugins {

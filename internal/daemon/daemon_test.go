@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"peersampling/internal/config"
-	"peersampling/internal/fleet"
 	"peersampling/internal/transport"
 )
 
@@ -70,7 +69,7 @@ func TestDaemonBootsEverything(t *testing.T) {
 	second := startManager(t, cfg2)
 
 	// Ready file carries the agent identity.
-	info, err := fleet.ReadReady(second.Config().Control.ReadyFile)
+	info, err := ReadReady(second.Config().Control.ReadyFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestDaemonBootsEverything(t *testing.T) {
 
 	// The control agent's /healthz embeds the aggregated plugin report.
 	var health struct {
-		fleet.AgentInfo
+		AgentInfo
 		Daemon Report `json:"daemon"`
 	}
 	resp, err := http.Get("http://" + info.ControlAddr + "/healthz")
@@ -297,21 +296,46 @@ func TestStopRequestEndsRun(t *testing.T) {
 	}
 }
 
-// StatusReport surfaces the process-global fault-rule count, so the
+// StatusReport surfaces the daemon's own fault-rule count, so the
 // /healthz payload tells an operator when a chaos plan is shaping this
-// node's links.
+// node's links. Rules arrive by direct call or through the control
+// agent's POST /faults, and never leak into another daemon in the same
+// process.
 func TestStatusReportCountsFaultRules(t *testing.T) {
 	m := startManager(t, testConfig(t))
+	other := startManager(t, testConfig(t))
 	if got := m.StatusReport().FaultRules; got != 0 {
 		t.Fatalf("fault_rules = %d before any injection", got)
 	}
-	transport.Faults().SetRules([]transport.FaultRule{{From: "*", To: "*", Loss: 0.5}})
-	defer transport.Faults().SetRules(nil)
+	m.SetFaultRules([]transport.FaultRule{{From: "*", To: "*", Loss: 0.5}})
 	if got := m.StatusReport().FaultRules; got != 1 {
 		t.Fatalf("fault_rules = %d with one rule installed", got)
 	}
-	transport.Faults().SetRules(nil)
+	if got := other.StatusReport().FaultRules; got != 0 {
+		t.Fatalf("another daemon sees %d fault rules", got)
+	}
+	m.SetFaultRules(nil)
 	if got := m.StatusReport().FaultRules; got != 0 {
 		t.Fatalf("fault_rules = %d after heal", got)
+	}
+
+	post := func(body string) {
+		t.Helper()
+		resp, err := http.Post("http://"+pluginAddr(t, m, "control-agent")+"/faults", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /faults %s: status %d", body, resp.StatusCode)
+		}
+	}
+	post(`[{"from": "*", "to": "*", "cut": true}, {"from": "a", "to": "b", "loss": 0.1}]`)
+	if got := m.StatusReport().FaultRules; got != 2 {
+		t.Fatalf("fault_rules = %d after POST /faults", got)
+	}
+	post(`[]`)
+	if got := m.StatusReport().FaultRules; got != 0 {
+		t.Fatalf("fault_rules = %d after healing POST", got)
 	}
 }

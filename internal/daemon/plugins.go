@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"peersampling/internal/fleet"
 	"peersampling/internal/gateway"
 	"peersampling/internal/metrics"
 )
@@ -247,26 +246,26 @@ func (p *reporterPlugin) report() {
 }
 
 // agentPlugin serves the fleet control surface (GET /healthz, /snapshot,
-// /view; POST /stop) with the manager's aggregated status on /healthz.
+// /view; POST /stop, /faults) with the manager's aggregated status on
+// /healthz.
 type agentPlugin struct {
 	statusHolder
 	m     *Manager
 	addr  string
-	agent *fleet.Agent
+	agent *Agent
 }
 
 func (p *agentPlugin) Name() string { return "control-agent" }
 
 func (p *agentPlugin) Start() error {
-	a, err := fleet.NewAgent(p.addr, p.m.src, p.m.RequestStop)
+	a, err := NewAgent(p.addr, p.m)
 	if err != nil {
 		p.set("failed", err.Error())
 		return err
 	}
-	a.SetStatus(func() any { return p.m.StatusReport() })
 	p.agent = a
 	p.set("running", a.Addr())
-	p.m.logf("control agent on http://%s (healthz, snapshot, view, stop)", a.Addr())
+	p.m.logf("control agent on http://%s (healthz, snapshot, view, stop, faults)", a.Addr())
 	return nil
 }
 

@@ -1,36 +1,25 @@
 // Package fleet is the multi-process experiment harness: it boots, kills
 // and observes clusters of peer sampling nodes behind one Cluster
 // interface, so a live scenario written once runs unchanged against
-// goroutines in this process or against real psnode processes.
+// daemons in this process or against real psnode processes.
 //
 // # Driver matrix
 //
 //	driver       member is            Kill means             observed via
-//	inproc       *runtime.Node        Node.Close             direct method calls
+//	inproc       a daemon.Manager     Manager.Close          direct method calls
 //	subprocess   a psnode process     SIGKILL                control-agent HTTP scrapes
 //
-// The inproc driver is today's single-process harness extracted from the
-// live scenarios: cheap, deterministic-seeded, no real process boundary.
-// The subprocess driver forks the psnode binary per member; churn then
-// kills real listeners with real kernel state, which is the fidelity the
-// paper's experimental method asks of a deployment-facing harness.
+// Both drivers boot every member from the same generated daemon config,
+// so a member is the same daemon either way. The inproc driver runs it in
+// this process: cheap, no real process boundary, and a dead member's
+// final state stays readable. The subprocess driver writes the config to
+// disk and forks the psnode binary per member; churn then kills real
+// listeners with real kernel state, which is the fidelity the paper's
+// experimental method asks of a deployment-facing harness. Subprocess
+// members are driven through the daemon's control agent (the contract
+// is in internal/daemon's package doc).
 //
-// # Agent endpoint contract
-//
-// A psnode started with -control-addr serves a tiny HTTP/JSON control
-// surface (the "agent") that the subprocess driver — and anything else,
-// e.g. a future container orchestrator — drives:
-//
-//	GET  /healthz   -> AgentInfo: pid, gossip address, control address
-//	GET  /snapshot  -> metrics.NodeSnapshot: protocol counters, wire
-//	                   counters, exchange-latency histogram, view gauges
-//	GET  /view      -> [{"addr": "...", "hop": n}, ...] — the full view
-//	POST /stop      -> begins a graceful shutdown, returns immediately
-//
-// The /snapshot body is exactly what metrics.Remote scrapes, which is how
-// a fleet lands in the same Prometheus exposition and long-form CSV
-// schema as in-process nodes. Address discovery uses a ready file
-// (psnode -ready-file): the daemon atomically writes AgentInfo as JSON
-// once its listeners are bound, and the parent polls for the file —
-// no stdout parsing, no port races.
+// Fault rules are per member: Cluster.SetFaultRules hands them to every
+// member's daemon and remembers them for later spawns, so two clusters
+// in one process never share a fault.
 package fleet

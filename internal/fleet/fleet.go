@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -25,29 +26,24 @@ func Drivers() []string { return []string{DriverInproc, DriverSubprocess} }
 // fields selects defaults.
 type Config struct {
 	// Protocol, ViewSize and Period parameterise every member like
-	// runtime.Config does a single node.
+	// runtime.Config does a single node. Members seed their protocol
+	// randomness from their own addresses, as any psnode does.
 	Protocol core.Protocol
 	ViewSize int
 	Period   time.Duration
-	// Seed derives per-member protocol seeds (member i gets mix(Seed,i)).
-	// Zero lets each member derive its seed from its address. Subprocess
-	// members always self-derive — a forked psnode seeds itself.
-	Seed uint64
 	// Backend names the transport ("tcp", "tcp-pooled", "udp");
 	// empty selects "tcp".
 	Backend string
 	// Limits hardens every member's listener (see transport.Limits).
 	Limits transport.Limits
 	// Workload, when its Kind is set, runs a gossip application engine
-	// on every member (see internal/workload): attached in-process for
-	// the inproc driver, written into the forked daemon's config for the
-	// subprocess one. Zero knobs keep the daemon defaults.
+	// on every member (see internal/workload). Zero knobs keep the
+	// daemon defaults.
 	Workload config.WorkloadSection
 	// Gateway, when its Addr is set (usually "127.0.0.1:0"), serves the
-	// light-client sampling API on every member: an in-process
-	// gateway.Gateway for the inproc driver, the daemon's gateway plugin
-	// for the subprocess one. Zero knobs keep the daemon defaults; the
-	// bound address is reported by Member.GatewayAddr.
+	// light-client sampling API on every member through the daemon's
+	// gateway plugin. Zero knobs keep the daemon defaults; the bound
+	// address is reported by Member.GatewayAddr.
 	Gateway config.GatewaySection
 	// Name labels member i for metrics registration and logs; nil
 	// selects "node00", "node01", ...
@@ -84,49 +80,63 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// workloadSection merges the template's workload knobs over the daemon
-// defaults, so both drivers run identical engine parameters: what the
-// inproc driver attaches directly is exactly what a forked psnode reads
-// back from its generated config file.
-func (cfg Config) workloadSection() config.WorkloadSection {
-	ws := config.Default().Workload
-	ws.Kind = cfg.Workload.Kind
-	if cfg.Workload.Period > 0 {
-		ws.Period = cfg.Workload.Period
+// memberConfig maps the node template onto the full daemon config every
+// member boots from, whichever driver runs it: a loopback ephemeral
+// listener plus the template's protocol, transport, workload and
+// gateway. Zero template fields keep the daemon defaults; invalid ones
+// (a negative view size) are kept too, so the daemon's own validation
+// rejects them exactly like a hand-edited file.
+func (cfg Config) memberConfig(contacts []string) config.Config {
+	nc := config.Default()
+	nc.Node.Listen = "127.0.0.1:0"
+	nc.Node.Protocol = cfg.Protocol.String()
+	nc.Node.Contacts = contacts
+	if cfg.ViewSize != 0 {
+		nc.Node.ViewSize = cfg.ViewSize
 	}
-	if cfg.Workload.Fanout > 0 {
-		ws.Fanout = cfg.Workload.Fanout
+	if cfg.Period > 0 {
+		nc.Node.Period = cfg.Period
 	}
-	if cfg.Workload.Mode != "" {
-		ws.Mode = cfg.Workload.Mode
+	nc.Transport.Backend = cfg.Backend
+	nc.Transport.MaxConns = cfg.Limits.MaxConns
+	nc.Transport.KeepAlive = cfg.Limits.KeepAlive
+	nc.Transport.PushOnlyKeepAlive = cfg.Limits.PushOnlyKeepAlive
+	nc.Transport.FirstFrameTimeout = cfg.Limits.FirstFrameTimeout
+	if w := cfg.Workload; w.Kind != "" {
+		ws := &nc.Workload
+		ws.Kind = w.Kind
+		if w.Period > 0 {
+			ws.Period = w.Period
+		}
+		if w.Fanout > 0 {
+			ws.Fanout = w.Fanout
+		}
+		if w.Mode != "" {
+			ws.Mode = w.Mode
+		}
+		if w.TTL > 0 {
+			ws.TTL = w.TTL
+		}
+		ws.Initial = w.Initial
 	}
-	if cfg.Workload.TTL > 0 {
-		ws.TTL = cfg.Workload.TTL
+	if g := cfg.Gateway; g.Addr != "" {
+		gs := &nc.Gateway
+		gs.Addr = g.Addr
+		if g.BatchSize > 0 {
+			gs.BatchSize = g.BatchSize
+		}
+		if g.Refresh > 0 {
+			gs.Refresh = g.Refresh
+		}
+		if g.RateRPS > 0 {
+			gs.RateRPS = g.RateRPS
+		}
+		if g.Burst > 0 {
+			gs.Burst = g.Burst
+		}
+		gs.TrustProxyHeader = g.TrustProxyHeader
 	}
-	ws.Initial = cfg.Workload.Initial
-	return ws
-}
-
-// gatewaySection merges the template's gateway knobs over the daemon
-// defaults, mirroring workloadSection: both drivers serve identical
-// gateway parameters.
-func (cfg Config) gatewaySection() config.GatewaySection {
-	gs := config.Default().Gateway
-	gs.Addr = cfg.Gateway.Addr
-	if cfg.Gateway.BatchSize > 0 {
-		gs.BatchSize = cfg.Gateway.BatchSize
-	}
-	if cfg.Gateway.Refresh > 0 {
-		gs.Refresh = cfg.Gateway.Refresh
-	}
-	if cfg.Gateway.RateRPS > 0 {
-		gs.RateRPS = cfg.Gateway.RateRPS
-	}
-	if cfg.Gateway.Burst > 0 {
-		gs.Burst = cfg.Gateway.Burst
-	}
-	gs.TrustProxyHeader = cfg.Gateway.TrustProxyHeader
-	return gs
+	return nc
 }
 
 // Member is one node of a cluster. Observation methods keep working on a
@@ -158,9 +168,9 @@ type Cluster interface {
 	// Spawn starts one member, bootstrapped from the given contact
 	// addresses (none for the first member).
 	Spawn(contacts []string) (Member, error)
-	// Kill forcibly removes a member: Close for an inproc node, SIGKILL
-	// for a subprocess — no graceful handshake, which is the point when
-	// simulating churn.
+	// Kill forcibly removes a member: Manager.Close for an inproc
+	// daemon, SIGKILL for a subprocess — no graceful handshake, which is
+	// the point when simulating churn.
 	Kill(m Member) error
 	// Addrs returns the gossip addresses of the live members.
 	Addrs() []string
@@ -168,11 +178,12 @@ type Cluster interface {
 	// (dying mid-poll) are skipped.
 	Snapshot() []metrics.NodeSnapshot
 	// SetFaultRules replaces the per-link fault rules (cuts, loss,
-	// latency — see transport.FaultRule) every member's transport consults
-	// on its exchange path; nil heals everything. The inproc driver sets
-	// the process-global fault set, the subprocess driver pushes the rules
-	// to every live member's control agent; members spawned later inherit
-	// the current rules. internal/chaos drives this from named plans.
+	// latency — see transport.FaultRule) every member applies to the
+	// exchanges it initiates; nil heals everything. Each member's daemon
+	// owns its rules, so clusters never share faults: the inproc driver
+	// hands them to the member's Manager, the subprocess driver POSTs
+	// them to its control agent, and members spawned later inherit the
+	// current rules. internal/chaos drives this from named plans.
 	SetFaultRules(rules []transport.FaultRule) error
 	// Close tears the whole cluster down (gracefully where possible,
 	// forcibly otherwise) and releases scratch state. It is idempotent.
@@ -183,12 +194,204 @@ type Cluster interface {
 func New(driver string, cfg Config) (Cluster, error) {
 	switch driver {
 	case "", DriverInproc:
-		return newInproc(cfg), nil
+		return &cluster{cfg: cfg.withDefaults(), drv: inproc{}}, nil
 	case DriverSubprocess:
 		return newSubprocess(cfg)
 	default:
 		return nil, fmt.Errorf("fleet: unknown driver %q (available: %v)", driver, Drivers())
 	}
+}
+
+// member is a Member as the shared cluster drives it; each driver
+// supplies one kind.
+type member interface {
+	Member
+	// setFaultRules installs the cluster's fault rules on the member.
+	setFaultRules(rules []transport.FaultRule) error
+	// register lands the member on the cluster's collector.
+	register(coll *metrics.Collector)
+	// kill removes the member forcibly and stop gracefully where the
+	// driver can; both are idempotent.
+	kill() error
+	stop() error
+}
+
+// launcher is a driver: it starts one member from the daemon config
+// memberConfig generated, and releases driver state once every member
+// has stopped.
+type launcher interface {
+	launch(name string, nc config.Config) (member, error)
+	close() error
+}
+
+// cluster implements Cluster for every driver: member bookkeeping, fault
+// rules and teardown are shared, and the launcher decides what a member
+// is.
+type cluster struct {
+	cfg Config
+	drv launcher
+
+	mu      sync.Mutex
+	members []member
+	next    int // monotonic member index; respawns get fresh names
+	closed  bool
+	// rules is the rule table last set through SetFaultRules; Spawn hands
+	// it to fresh members so respawns under an active chaos plan observe
+	// the same network the survivors do.
+	rules []transport.FaultRule
+}
+
+var errClosed = errors.New("fleet: cluster closed")
+
+func (c *cluster) Spawn(contacts []string) (Member, error) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, errClosed
+	}
+	idx := c.next
+	c.next++
+	c.mu.Unlock()
+
+	m, err := c.drv.launch(c.cfg.Name(idx), c.cfg.memberConfig(contacts))
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if c.closed {
+		// Close raced the spawn: do not leak the member.
+		c.mu.Unlock()
+		_ = m.kill()
+		return nil, errClosed
+	}
+	c.members = append(c.members, m)
+	rules := c.rules
+	c.mu.Unlock()
+
+	if len(rules) > 0 {
+		// A member joining mid-plan must see the active faults; failing
+		// that is a spawn failure, not a silent hole in the partition.
+		if err := m.setFaultRules(rules); err != nil {
+			_ = m.kill()
+			return nil, fmt.Errorf("fleet: member %s fault rules: %w", m.Name(), err)
+		}
+	}
+	if c.cfg.Collector != nil {
+		m.register(c.cfg.Collector)
+	}
+	return m, nil
+}
+
+func (c *cluster) Kill(m Member) error {
+	cm, ok := m.(member)
+	if !ok {
+		return fmt.Errorf("fleet: member %s is not from this cluster", m.Name())
+	}
+	return cm.kill()
+}
+
+// snapshotMembers copies the member list under the lock.
+func (c *cluster) snapshotMembers() []member {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]member(nil), c.members...)
+}
+
+func (c *cluster) Addrs() []string {
+	var addrs []string
+	for _, m := range c.snapshotMembers() {
+		if m.Alive() {
+			addrs = append(addrs, m.Addr())
+		}
+	}
+	return addrs
+}
+
+func (c *cluster) Snapshot() []metrics.NodeSnapshot {
+	var snaps []metrics.NodeSnapshot
+	for _, m := range c.snapshotMembers() {
+		if !m.Alive() {
+			continue
+		}
+		if s, err := m.Snapshot(); err == nil {
+			snaps = append(snaps, s)
+		}
+	}
+	return snaps
+}
+
+// SetFaultRules implements Cluster: the rule table is remembered for
+// members spawned later and pushed to every live member. A member that
+// cannot be reached is skipped when it is already dead — its network
+// stack died with it — but a live member refusing the push is an error.
+func (c *cluster) SetFaultRules(rules []transport.FaultRule) error {
+	c.mu.Lock()
+	c.rules = append([]transport.FaultRule(nil), rules...)
+	c.mu.Unlock()
+
+	var errs []error
+	for _, m := range c.snapshotMembers() {
+		if !m.Alive() {
+			continue
+		}
+		if err := m.setFaultRules(rules); err != nil && m.Alive() {
+			errs = append(errs, fmt.Errorf("fleet: member %s: %w", m.Name(), err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+func (c *cluster) Close() error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil
+	}
+	c.closed = true
+	members := append([]member(nil), c.members...)
+	c.mu.Unlock()
+
+	// One last poll round before the members go away warms the
+	// collector's staleness cache, so a final dump or scrape after Close
+	// replays the fleet's true end state (marked stale) instead of zeros.
+	if c.cfg.Collector != nil {
+		c.cfg.Collector.Snapshot()
+	}
+	// Stop members in parallel: a fleet of dozens must not take dozens
+	// of graceful windows to fold.
+	errs := make([]error, len(members)+1)
+	var wg sync.WaitGroup
+	for i, m := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = m.stop()
+		}()
+	}
+	wg.Wait()
+	errs[len(members)] = c.drv.close()
+	return errors.Join(errs...)
+}
+
+// liveness is a member's Alive flag; the zero value is alive.
+type liveness struct {
+	mu   sync.Mutex
+	dead bool
+}
+
+func (l *liveness) Alive() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return !l.dead
+}
+
+// markDead flips Alive off and reports whether this call did the flip.
+func (l *liveness) markDead() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	was := !l.dead
+	l.dead = true
+	return was
 }
 
 // spawnConcurrency bounds how many SpawnN members come up in flight at
@@ -238,16 +441,4 @@ func SpawnN(c Cluster, n int, contacts []string) ([]Member, error) {
 	}
 	wg.Wait()
 	return members, firstErr
-}
-
-// mix folds a member index into the cluster seed, giving unrelated
-// deterministic RNG streams per member (same mixer as internal/scenario).
-func mix(seed uint64, k int) uint64 {
-	x := seed + 0x9E3779B97F4A7C15*uint64(k+1)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }

@@ -11,6 +11,7 @@ import (
 
 	"peersampling/internal/config"
 	"peersampling/internal/core"
+	"peersampling/internal/daemon"
 	"peersampling/internal/metrics"
 )
 
@@ -44,7 +45,6 @@ func testConfig() Config {
 		Protocol: core.Newscast,
 		ViewSize: 5,
 		Period:   15 * time.Millisecond,
-		Seed:     7,
 	}
 }
 
@@ -199,8 +199,8 @@ func TestAgentServesNodeAndStops(t *testing.T) {
 	members := spawnN(t, c, 2)
 	waitComplete(t, members, 10*time.Second)
 
-	stopped := make(chan struct{})
-	node := members[0].(*inprocMember).node
+	mgr := members[0].(*inprocMember).mgr
+	node := mgr.Node()
 	// The latency histogram only fills on completed ACTIVE exchanges;
 	// wait until the contact node has initiated at least one.
 	for deadline := time.Now().Add(10 * time.Second); ; {
@@ -212,7 +212,7 @@ func TestAgentServesNodeAndStops(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	agent, err := NewAgent("127.0.0.1:0", node, func() { close(stopped) })
+	agent, err := daemon.NewAgent("127.0.0.1:0", mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,8 @@ func TestAgentServesNodeAndStops(t *testing.T) {
 		t.Errorf("view dump wrong: %+v", view)
 	}
 
-	// /stop is POST-only and fires the callback exactly once.
+	// /stop is POST-only, idempotent, and lands on the manager's stop
+	// requests.
 	resp, err := client.hc.Get(client.base + "/stop")
 	if err != nil {
 		t.Fatal(err)
@@ -260,22 +261,22 @@ func TestAgentServesNodeAndStops(t *testing.T) {
 		t.Fatalf("second stop: %v", err)
 	}
 	select {
-	case <-stopped:
+	case <-mgr.StopRequests():
 	case <-time.After(5 * time.Second):
-		t.Fatal("stop callback never fired")
+		t.Fatal("stop request never reached the manager")
 	}
 }
 
 func TestReadyFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ready.json")
-	if _, err := ReadReady(path); err == nil {
+	if _, err := daemon.ReadReady(path); err == nil {
 		t.Error("missing ready file read successfully")
 	}
-	want := AgentInfo{PID: 42, Addr: "127.0.0.1:1", ControlAddr: "127.0.0.1:2", StartUnixMillis: 3}
-	if err := WriteReady(path, want); err != nil {
+	want := daemon.AgentInfo{PID: 42, Addr: "127.0.0.1:1", ControlAddr: "127.0.0.1:2", StartUnixMillis: 3}
+	if err := daemon.WriteReady(path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadReady(path)
+	got, err := daemon.ReadReady(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,261 +1,67 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
-	"peersampling/internal/gateway"
+	"peersampling/internal/config"
+	"peersampling/internal/daemon"
 	"peersampling/internal/metrics"
-	"peersampling/internal/runtime"
 	"peersampling/internal/transport"
-	"peersampling/internal/workload"
 )
 
-// inprocCluster runs every member as a goroutine-driven runtime.Node in
-// this process — the harness the live scenarios used to build by hand.
-type inprocCluster struct {
-	cfg Config
+// inproc runs every member as a daemon.Manager in this process: the same
+// daemon a forked psnode runs, built from the same config, minus the
+// process boundary.
+type inproc struct{}
 
-	mu      sync.Mutex
-	members []*inprocMember
-	next    int // monotonic member index; respawns get fresh names
-	closed  bool
-	// faulted remembers that SetFaultRules was used, so Close can heal
-	// the process-global fault set instead of leaking rules into whatever
-	// runs in this process next.
-	faulted bool
+func (inproc) launch(name string, nc config.Config) (member, error) {
+	mgr, err := daemon.New(nc, daemon.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: member %s: %w", name, err)
+	}
+	if err := mgr.Start(); err != nil {
+		_ = mgr.Close()
+		return nil, fmt.Errorf("fleet: member %s start: %w", name, err)
+	}
+	return &inprocMember{name: name, mgr: mgr, gateway: mgr.Info().GatewayAddr}, nil
 }
 
-func newInproc(cfg Config) *inprocCluster {
-	return &inprocCluster{cfg: cfg.withDefaults()}
-}
+func (inproc) close() error { return nil }
 
 type inprocMember struct {
-	name string
-	node *runtime.Node
-	// src is what observers see: the node, or a workload.NodeSource
-	// pairing it with its engine when the template runs one.
-	src metrics.Source
-	// att is the member's workload attachment; nil without one.
-	att *workload.Attachment
-	// gw is the member's sampling gateway; nil without one.
-	gw *gateway.Gateway
-
-	mu    sync.Mutex
-	alive bool
+	liveness
+	name    string
+	gateway string // the gateway's bound address; empty without one
+	mgr     *daemon.Manager
 }
 
-func (m *inprocMember) Name() string { return m.name }
-func (m *inprocMember) Addr() string { return m.node.Addr() }
+func (m *inprocMember) Name() string        { return m.name }
+func (m *inprocMember) Addr() string        { return m.mgr.Addr() }
+func (m *inprocMember) GatewayAddr() string { return m.gateway }
 
-func (m *inprocMember) GatewayAddr() string {
-	if m.gw == nil {
-		return ""
-	}
-	return m.gw.Addr()
-}
-
-func (m *inprocMember) Alive() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.alive
-}
-
+// Snapshot and View call the manager directly. A closed daemon's node
+// stays readable, so they work on dead members too — the inproc
+// driver's one fidelity advantage.
 func (m *inprocMember) Snapshot() (metrics.NodeSnapshot, error) {
-	// A closed runtime node stays readable, so this works on dead
-	// members too — the inproc driver's one fidelity advantage.
-	return metrics.SnapshotSource(m.name, m.src), nil
+	return metrics.SnapshotSource(m.name, m.mgr.Source()), nil
 }
 
 func (m *inprocMember) View() ([]transport.Descriptor, error) {
-	return m.node.View(), nil
+	return m.mgr.Node().View(), nil
 }
 
-func (m *inprocMember) kill() error {
-	m.mu.Lock()
-	if !m.alive {
-		m.mu.Unlock()
-		return nil
-	}
-	m.alive = false
-	m.mu.Unlock()
-	if m.att != nil {
-		m.att.Close() // stop initiating app rounds before the transport goes
-	}
-	if m.gw != nil {
-		_ = m.gw.Close() // stop serving samples before the node's GetPeer goes
-	}
-	return m.node.Close()
-}
-
-func (c *inprocCluster) Spawn(contacts []string) (Member, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errors.New("fleet: cluster closed")
-	}
-	idx := c.next
-	c.next++
-	c.mu.Unlock()
-
-	seed := uint64(0)
-	if c.cfg.Seed != 0 {
-		seed = mix(c.cfg.Seed, idx)
-	}
-	factory, err := transport.NewFactoryLimits(c.cfg.Backend, "127.0.0.1:0", c.cfg.Limits)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: member %d: %w", idx, err)
-	}
-	node, err := runtime.New(runtime.Config{
-		Protocol: c.cfg.Protocol,
-		ViewSize: c.cfg.ViewSize,
-		Period:   c.cfg.Period,
-		Seed:     seed,
-	}, factory)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: member %d: %w", idx, err)
-	}
-	m := &inprocMember{name: c.cfg.Name(idx), node: node, alive: true}
-	m.src = node
-	if c.cfg.Workload.Kind != "" {
-		ws := c.cfg.workloadSection()
-		engine, err := workload.New(ws)
-		if err != nil {
-			_ = node.Close()
-			return nil, fmt.Errorf("fleet: member %s: %w", m.name, err)
-		}
-		period := ws.Period
-		if period <= 0 {
-			period = c.cfg.Period
-		}
-		att, err := workload.Attach(node, engine, period)
-		if err != nil {
-			_ = node.Close()
-			return nil, fmt.Errorf("fleet: member %s: %w", m.name, err)
-		}
-		m.att = att
-		m.src = workload.NewNodeSource(node, engine)
-	}
-	if len(contacts) > 0 {
-		if err := node.Init(contacts); err != nil {
-			_ = node.Close()
-			return nil, fmt.Errorf("fleet: member %s init: %w", m.name, err)
-		}
-	}
-	if err := node.Start(); err != nil {
-		_ = node.Close()
-		return nil, fmt.Errorf("fleet: member %s start: %w", m.name, err)
-	}
-	if m.att != nil {
-		m.att.Runner.Start()
-	}
-	if c.cfg.Gateway.Addr != "" {
-		gs := c.cfg.gatewaySection()
-		gw, err := gateway.New(gs.Addr, node, gateway.Config{
-			BatchSize:        gs.BatchSize,
-			Refresh:          gs.Refresh,
-			RateRPS:          gs.RateRPS,
-			Burst:            gs.Burst,
-			TrustProxyHeader: gs.TrustProxyHeader,
-		})
-		if err != nil {
-			_ = m.kill()
-			return nil, fmt.Errorf("fleet: member %s gateway: %w", m.name, err)
-		}
-		m.gw = gw
-	}
-
-	c.mu.Lock()
-	if c.closed {
-		// Close raced the spawn: do not leak the node.
-		c.mu.Unlock()
-		_ = m.kill()
-		return nil, errors.New("fleet: cluster closed")
-	}
-	c.members = append(c.members, m)
-	c.mu.Unlock()
-
-	if c.cfg.Collector != nil {
-		c.cfg.Collector.Register(m.name, m.src)
-		if m.gw != nil {
-			// The gateway registers as its own source ("node03-gw"), the
-			// same shape the daemon's gateway plugin produces: its serve
-			// counters and latency land in the exposition and long-form
-			// dumps beside the node's gossip counters.
-			c.cfg.Collector.RegisterFunc(m.name+"-gw", m.gw.Snapshot)
-		}
-	}
-	return m, nil
-}
-
-func (c *inprocCluster) Kill(m Member) error {
-	im, ok := m.(*inprocMember)
-	if !ok {
-		return fmt.Errorf("fleet: member %s is not from this cluster", m.Name())
-	}
-	return im.kill()
-}
-
-func (c *inprocCluster) Addrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	addrs := make([]string, 0, len(c.members))
-	for _, m := range c.members {
-		if m.Alive() {
-			addrs = append(addrs, m.Addr())
-		}
-	}
-	return addrs
-}
-
-func (c *inprocCluster) Snapshot() []metrics.NodeSnapshot {
-	c.mu.Lock()
-	members := make([]*inprocMember, len(c.members))
-	copy(members, c.members)
-	c.mu.Unlock()
-	snaps := make([]metrics.NodeSnapshot, 0, len(members))
-	for _, m := range members {
-		if !m.Alive() {
-			continue
-		}
-		s, _ := m.Snapshot() // inproc snapshots cannot fail
-		snaps = append(snaps, s)
-	}
-	return snaps
-}
-
-// SetFaultRules implements Cluster. Inproc members share this process's
-// transports, so the rules land on the process-global fault set — which
-// every registry backend consults — and cover future spawns for free.
-func (c *inprocCluster) SetFaultRules(rules []transport.FaultRule) error {
-	c.mu.Lock()
-	c.faulted = true
-	c.mu.Unlock()
-	transport.Faults().SetRules(rules)
+func (m *inprocMember) setFaultRules(rules []transport.FaultRule) error {
+	m.mgr.SetFaultRules(rules)
 	return nil
 }
 
-func (c *inprocCluster) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+func (m *inprocMember) register(coll *metrics.Collector) { coll.Register(m.name, m.mgr.Source()) }
+
+func (m *inprocMember) kill() error {
+	if !m.markDead() {
 		return nil
 	}
-	c.closed = true
-	members := make([]*inprocMember, len(c.members))
-	copy(members, c.members)
-	faulted := c.faulted
-	c.mu.Unlock()
-
-	if faulted {
-		transport.Faults().SetRules(nil)
-	}
-	var first error
-	for _, m := range members {
-		if err := m.kill(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return m.mgr.Close()
 }
+
+func (m *inprocMember) stop() error { return m.kill() }

@@ -1,39 +1,35 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"peersampling/internal/config"
+	"peersampling/internal/daemon"
 	"peersampling/internal/metrics"
 	"peersampling/internal/transport"
 )
 
-// subprocessCluster forks one psnode process per member and drives each
+// subprocess forks one psnode process per member and drives each
 // through its control agent. Killing a member is a real SIGKILL: kernel
 // connection state, file descriptors and timers die with the process,
 // which is exactly the failure the paper's churn model abstracts.
-type subprocessCluster struct {
-	cfg    Config
-	dir    string
-	ownDir bool // Close removes dir only when the cluster created it
-
-	mu      sync.Mutex
-	members []*subprocessMember
-	next    int
-	closed  bool
-	// faultRules is the rule table last set through SetFaultRules; Spawn
-	// pushes it to fresh members so respawns under an active chaos plan
-	// observe the same network the survivors do.
-	faultRules []transport.FaultRule
+type subprocess struct {
+	psnode  string
+	timeout time.Duration
+	dir     string
+	ownDir  bool // close removes dir only when the driver created it
 }
 
-func newSubprocess(cfg Config) (*subprocessCluster, error) {
+func newSubprocess(cfg Config) (*cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Psnode == "" {
 		return nil, errors.New("fleet: subprocess driver needs Config.Psnode (path to the psnode binary)")
@@ -41,109 +37,31 @@ func newSubprocess(cfg Config) (*subprocessCluster, error) {
 	if _, err := exec.LookPath(cfg.Psnode); err != nil {
 		return nil, fmt.Errorf("fleet: psnode binary: %w", err)
 	}
-	c := &subprocessCluster{cfg: cfg, dir: cfg.Dir}
-	if c.dir == "" {
+	d := &subprocess{psnode: cfg.Psnode, timeout: cfg.SpawnTimeout, dir: cfg.Dir}
+	if d.dir == "" {
 		dir, err := os.MkdirTemp("", "psfleet-*")
 		if err != nil {
 			return nil, fmt.Errorf("fleet: scratch dir: %w", err)
 		}
-		c.dir, c.ownDir = dir, true
+		d.dir, d.ownDir = dir, true
 	}
-	return c, nil
+	return &cluster{cfg: cfg, drv: d}, nil
 }
 
-type subprocessMember struct {
-	name   string
-	info   AgentInfo
-	client *agentClient
-	cmd    *exec.Cmd
-	logf   *os.File
-	exited chan struct{} // closed when cmd.Wait returns
-
-	mu    sync.Mutex
-	alive bool
+func (d *subprocess) close() error {
+	if d.ownDir {
+		return os.RemoveAll(d.dir)
+	}
+	return nil
 }
 
-func (m *subprocessMember) Name() string { return m.name }
-func (m *subprocessMember) Addr() string { return m.info.Addr }
-
-// GatewayAddr comes from the member's ready file: the daemon reports the
-// bound gateway address alongside its control address.
-func (m *subprocessMember) GatewayAddr() string { return m.info.GatewayAddr }
-
-func (m *subprocessMember) Alive() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.alive
-}
-
-func (m *subprocessMember) Snapshot() (metrics.NodeSnapshot, error) {
-	s, err := m.client.snapshot()
-	if err != nil {
-		return metrics.NodeSnapshot{}, err
-	}
-	s.Node = m.name
-	return s, nil
-}
-
-func (m *subprocessMember) View() ([]transport.Descriptor, error) {
-	return m.client.view()
-}
-
-// markDead flips Alive off; returns whether this call did the flip.
-func (m *subprocessMember) markDead() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	was := m.alive
-	m.alive = false
-	return was
-}
-
-// memberConfig maps the cluster's node template onto a full daemon
-// config for one member: loopback ephemeral listener, control agent for
-// the parent to drive, ready file for address discovery. Zero template
-// fields keep the daemon defaults.
-func (c *subprocessCluster) memberConfig(contacts []string, readyPath string) config.Config {
-	nc := config.Default()
-	nc.Node.Listen = "127.0.0.1:0"
-	nc.Node.Protocol = c.cfg.Protocol.String()
-	nc.Node.Contacts = contacts
-	if c.cfg.ViewSize != 0 {
-		// Invalid values (negative) are written out too: the member's own
-		// config validation rejects them, exactly like a hand-edited file.
-		nc.Node.ViewSize = c.cfg.ViewSize
-	}
-	if c.cfg.Period > 0 {
-		nc.Node.Period = c.cfg.Period
-	}
-	nc.Transport.Backend = c.cfg.Backend
-	nc.Transport.MaxConns = c.cfg.Limits.MaxConns
-	nc.Transport.KeepAlive = c.cfg.Limits.KeepAlive
-	nc.Transport.PushOnlyKeepAlive = c.cfg.Limits.PushOnlyKeepAlive
-	nc.Transport.FirstFrameTimeout = c.cfg.Limits.FirstFrameTimeout
-	nc.Control.Addr = "127.0.0.1:0"
-	nc.Control.ReadyFile = readyPath
-	if c.cfg.Workload.Kind != "" {
-		nc.Workload = c.cfg.workloadSection()
-	}
-	if c.cfg.Gateway.Addr != "" {
-		nc.Gateway = c.cfg.gatewaySection()
-	}
-	return nc
-}
-
-func (c *subprocessCluster) Spawn(contacts []string) (Member, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errors.New("fleet: cluster closed")
-	}
-	idx := c.next
-	c.next++
-	c.mu.Unlock()
-
-	name := c.cfg.Name(idx)
-	memberDir := filepath.Join(c.dir, name)
+// launch provisions the member like a real deployment: the full node
+// configuration, plus the control agent and ready file this driver
+// needs, is written into the member's directory and psnode boots from
+// the file alone, so the exact config every member ran with survives
+// next to its log for post-mortems.
+func (d *subprocess) launch(name string, nc config.Config) (member, error) {
+	memberDir := filepath.Join(d.dir, name)
 	if err := os.MkdirAll(memberDir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: member %s: %w", name, err)
 	}
@@ -154,23 +72,21 @@ func (c *subprocessCluster) Spawn(contacts []string) (Member, error) {
 		return nil, fmt.Errorf("fleet: member %s: %w", name, err)
 	}
 
-	// Members are provisioned like a real deployment: the full node
-	// configuration is written into the member's directory and psnode
-	// boots from the file alone, so the exact config every member ran
-	// with survives next to its log for post-mortems.
+	nc.Control.Addr = "127.0.0.1:0"
+	nc.Control.ReadyFile = readyPath
 	cfgPath := filepath.Join(memberDir, "config.json")
-	if err := config.WriteFile(cfgPath, c.memberConfig(contacts, readyPath)); err != nil {
+	if err := config.WriteFile(cfgPath, nc); err != nil {
 		logf.Close()
 		return nil, fmt.Errorf("fleet: member %s: %w", name, err)
 	}
-	cmd := exec.Command(c.cfg.Psnode, "-config", cfgPath)
+	cmd := exec.Command(d.psnode, "-config", cfgPath)
 	cmd.Stdout = logf
 	cmd.Stderr = logf
 	if err := cmd.Start(); err != nil {
 		logf.Close()
 		return nil, fmt.Errorf("fleet: member %s: %w", name, err)
 	}
-	m := &subprocessMember{name: name, cmd: cmd, logf: logf, exited: make(chan struct{}), alive: true}
+	m := &subprocessMember{name: name, cmd: cmd, logf: logf, exited: make(chan struct{})}
 	go func() {
 		_ = cmd.Wait()
 		close(m.exited)
@@ -182,10 +98,10 @@ func (c *subprocessCluster) Spawn(contacts []string) (Member, error) {
 	// caught within milliseconds while a slow one costs ten polls a
 	// second, not a hundred.
 	start := time.Now()
-	deadline := start.Add(c.cfg.SpawnTimeout)
+	deadline := start.Add(d.timeout)
 	backoff := time.Millisecond
 	for {
-		info, err := ReadReady(readyPath)
+		info, err := daemon.ReadReady(readyPath)
 		if err == nil {
 			m.info = info
 			break
@@ -203,7 +119,7 @@ func (c *subprocessCluster) Spawn(contacts []string) (Member, error) {
 			<-m.exited
 			logf.Close()
 			return nil, fmt.Errorf("fleet: member %s not ready after %v (timeout %v); log tail:\n%s",
-				name, time.Since(start).Round(time.Millisecond), c.cfg.SpawnTimeout, tailFile(logf.Name(), 2048))
+				name, time.Since(start).Round(time.Millisecond), d.timeout, tailFile(logf.Name(), 2048))
 		}
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > 100*time.Millisecond {
@@ -211,51 +127,57 @@ func (c *subprocessCluster) Spawn(contacts []string) (Member, error) {
 		}
 	}
 	if m.info.ControlAddr == "" {
-		_ = cmd.Process.Kill()
-		<-m.exited
-		logf.Close()
+		_ = m.kill()
 		return nil, fmt.Errorf("fleet: member %s came up without a control agent", name)
 	}
 	m.client = newAgentClient(m.info.ControlAddr)
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		_ = c.killMember(m)
-		return nil, errors.New("fleet: cluster closed")
-	}
-	c.members = append(c.members, m)
-	rules := c.faultRules
-	c.mu.Unlock()
-
-	if len(rules) > 0 {
-		// A member joining mid-plan must see the active faults; failing
-		// that is a spawn failure, not a silent hole in the partition.
-		if err := m.client.setFaults(rules); err != nil {
-			_ = c.killMember(m)
-			return nil, fmt.Errorf("fleet: member %s fault rules: %w", name, err)
-		}
-	}
-
-	if c.cfg.Collector != nil {
-		// The remote poller lands this member in the same exposition and
-		// long-form dumps as in-process nodes; when the member dies, the
-		// collector serves its last snapshot marked stale.
-		c.cfg.Collector.RegisterPoller(m.name, m.client.remote)
-	}
 	return m, nil
 }
 
-func (c *subprocessCluster) Kill(m Member) error {
-	sm, ok := m.(*subprocessMember)
-	if !ok {
-		return fmt.Errorf("fleet: member %s is not from this cluster", m.Name())
-	}
-	return c.killMember(sm)
+type subprocessMember struct {
+	liveness
+	name   string
+	info   daemon.AgentInfo
+	client *agentClient
+	cmd    *exec.Cmd
+	logf   *os.File
+	exited chan struct{} // closed when cmd.Wait returns
 }
 
-// killMember SIGKILLs the process and reaps it.
-func (c *subprocessCluster) killMember(m *subprocessMember) error {
+func (m *subprocessMember) Name() string { return m.name }
+func (m *subprocessMember) Addr() string { return m.info.Addr }
+
+// GatewayAddr comes from the member's ready file: the daemon reports the
+// bound gateway address alongside its control address.
+func (m *subprocessMember) GatewayAddr() string { return m.info.GatewayAddr }
+
+func (m *subprocessMember) Snapshot() (metrics.NodeSnapshot, error) {
+	s, err := m.client.snapshot()
+	if err != nil {
+		return metrics.NodeSnapshot{}, err
+	}
+	s.Node = m.name
+	return s, nil
+}
+
+func (m *subprocessMember) View() ([]transport.Descriptor, error) {
+	return m.client.view()
+}
+
+func (m *subprocessMember) setFaultRules(rules []transport.FaultRule) error {
+	return m.client.setFaults(rules)
+}
+
+// register lands the member on the collector as a remote poller: it
+// shows up in the same exposition and long-form dumps as in-process
+// nodes, and when it dies the collector serves its last snapshot marked
+// stale.
+func (m *subprocessMember) register(coll *metrics.Collector) {
+	coll.RegisterPoller(m.name, m.client.remote)
+}
+
+// kill SIGKILLs the process and reaps it.
+func (m *subprocessMember) kill() error {
 	if !m.markDead() {
 		return nil
 	}
@@ -268,116 +190,23 @@ func (c *subprocessCluster) killMember(m *subprocessMember) error {
 	return nil
 }
 
-// stopMember asks the agent for a graceful shutdown and falls back to
-// SIGKILL when the process does not exit in time.
-func (c *subprocessCluster) stopMember(m *subprocessMember, patience time.Duration) {
+// stop asks the agent for a graceful shutdown and falls back to SIGKILL
+// when the process does not exit within three seconds.
+func (m *subprocessMember) stop() error {
 	if !m.markDead() {
-		return
+		return nil
 	}
-	graceful := m.client.stopNode() == nil
-	if graceful {
+	if m.client.stopNode() == nil {
 		select {
 		case <-m.exited:
 			m.logf.Close()
-			return
-		case <-time.After(patience):
+			return nil
+		case <-time.After(3 * time.Second):
 		}
 	}
 	_ = m.cmd.Process.Kill()
 	<-m.exited
 	m.logf.Close()
-}
-
-func (c *subprocessCluster) Addrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	addrs := make([]string, 0, len(c.members))
-	for _, m := range c.members {
-		if m.Alive() {
-			addrs = append(addrs, m.Addr())
-		}
-	}
-	return addrs
-}
-
-func (c *subprocessCluster) Snapshot() []metrics.NodeSnapshot {
-	c.mu.Lock()
-	members := make([]*subprocessMember, len(c.members))
-	copy(members, c.members)
-	c.mu.Unlock()
-	snaps := make([]metrics.NodeSnapshot, 0, len(members))
-	for _, m := range members {
-		if !m.Alive() {
-			continue
-		}
-		if s, err := m.Snapshot(); err == nil {
-			snaps = append(snaps, s)
-		}
-	}
-	return snaps
-}
-
-// SetFaultRules implements Cluster: the rule table is pushed to every
-// live member's control agent (each installs it on its process-global
-// fault set) and remembered for members spawned later. A member that
-// cannot be reached is skipped when it is already dead — its network
-// stack died with it — but a live member refusing the push is an error.
-func (c *subprocessCluster) SetFaultRules(rules []transport.FaultRule) error {
-	c.mu.Lock()
-	c.faultRules = append([]transport.FaultRule(nil), rules...)
-	members := make([]*subprocessMember, len(c.members))
-	copy(members, c.members)
-	c.mu.Unlock()
-
-	var errs []error
-	for _, m := range members {
-		if !m.Alive() {
-			continue
-		}
-		if err := m.client.setFaults(rules); err != nil {
-			if !m.Alive() { // died under the push: that is churn, not failure
-				continue
-			}
-			errs = append(errs, fmt.Errorf("fleet: member %s: %w", m.name, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-func (c *subprocessCluster) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	members := make([]*subprocessMember, len(c.members))
-	copy(members, c.members)
-	c.mu.Unlock()
-
-	// One last poll round before the processes go away warms the
-	// collector's staleness cache, so a final dump or scrape after Close
-	// replays the fleet's true end state (marked stale) instead of
-	// zeros. Inproc clusters need no such step — their nodes remain
-	// readable after Close.
-	if c.cfg.Collector != nil {
-		c.cfg.Collector.Snapshot()
-	}
-
-	// Stop members in parallel: each gets a graceful window, then the
-	// hammer. A fleet of dozens must not take dozens of seconds to fold.
-	var wg sync.WaitGroup
-	for _, m := range members {
-		wg.Add(1)
-		go func(m *subprocessMember) {
-			defer wg.Done()
-			c.stopMember(m, 3*time.Second)
-		}(m)
-	}
-	wg.Wait()
-	if c.ownDir {
-		return os.RemoveAll(c.dir)
-	}
 	return nil
 }
 
@@ -392,4 +221,94 @@ func tailFile(path string, n int64) string {
 		raw = raw[int64(len(raw))-n:]
 	}
 	return string(raw)
+}
+
+// agentClient drives one member's control agent from the parent side.
+// Snapshot scraping is delegated to metrics.Remote — the same code path
+// a collector uses — so the fetch contract (timeout, body cap, error
+// shape) lives in one place.
+type agentClient struct {
+	base   string // "http://host:port"
+	hc     *http.Client
+	remote *metrics.Remote
+}
+
+func newAgentClient(controlAddr string) *agentClient {
+	base := "http://" + controlAddr
+	return &agentClient{
+		base:   base,
+		hc:     &http.Client{Timeout: 2 * time.Second},
+		remote: metrics.NewRemote(base + "/snapshot"),
+	}
+}
+
+func (c *agentClient) getJSON(path string, v any) error {
+	resp, err := c.hc.Get(c.base + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		_, _ = io.CopyN(io.Discard, resp.Body, 4096)
+		return fmt.Errorf("fleet: agent %s%s: status %d", c.base, path, resp.StatusCode)
+	}
+	return json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(v)
+}
+
+func (c *agentClient) health() (daemon.AgentInfo, error) {
+	var info daemon.AgentInfo
+	err := c.getJSON("/healthz", &info)
+	return info, err
+}
+
+func (c *agentClient) snapshot() (metrics.NodeSnapshot, error) {
+	return c.remote.Poll()
+}
+
+func (c *agentClient) view() ([]transport.Descriptor, error) {
+	var entries []struct {
+		Addr string `json:"addr"`
+		Hop  int32  `json:"hop"`
+	}
+	if err := c.getJSON("/view", &entries); err != nil {
+		return nil, err
+	}
+	view := make([]transport.Descriptor, len(entries))
+	for i, e := range entries {
+		view[i] = transport.Descriptor{Addr: e.Addr, Hop: e.Hop}
+	}
+	return view, nil
+}
+
+func (c *agentClient) setFaults(rules []transport.FaultRule) error {
+	if rules == nil {
+		rules = []transport.FaultRule{} // encode "heal" as [], not null
+	}
+	raw, err := json.Marshal(rules)
+	if err != nil {
+		return fmt.Errorf("fleet: fault rules: %w", err)
+	}
+	resp, err := c.hc.Post(c.base+"/faults", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	_, _ = io.CopyN(io.Discard, resp.Body, 4096)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("fleet: agent %s/faults: status %d", c.base, resp.StatusCode)
+	}
+	return nil
+}
+
+func (c *agentClient) stopNode() error {
+	resp, err := c.hc.Post(c.base+"/stop", "application/json", nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	_, _ = io.CopyN(io.Discard, resp.Body, 4096)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("fleet: agent %s/stop: status %d", c.base, resp.StatusCode)
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"sync"
 
+	"peersampling/internal/core"
 	"peersampling/internal/transport"
 )
 
@@ -59,26 +60,25 @@ func (c *Combined) Init(contacts []string) error {
 }
 
 // GetPeer implements Service: a uniform sample from the union of both
-// views (duplicates between the views are not double-counted). The two
+// views (duplicates between the views are not double-counted), collected
+// in view order so a fixed seed gives a fixed sequence. The two
 // instances are one logical participant with two transport addresses, so
 // both own addresses are excluded — each instance's view can legitimately
 // contain the other's address learned through gossip.
 func (c *Combined) GetPeer() (string, error) {
-	union := make(map[string]struct{})
-	for _, d := range c.primary.View() {
-		union[d.Addr] = struct{}{}
+	own := [2]string{c.primary.Addr(), c.secondary.Addr()}
+	seen := make(map[string]bool)
+	var addrs []string
+	for _, view := range [2][]core.Descriptor[string]{c.primary.View(), c.secondary.View()} {
+		for _, d := range view {
+			if d.Addr != own[0] && d.Addr != own[1] && !seen[d.Addr] {
+				seen[d.Addr] = true
+				addrs = append(addrs, d.Addr)
+			}
+		}
 	}
-	for _, d := range c.secondary.View() {
-		union[d.Addr] = struct{}{}
-	}
-	delete(union, c.primary.Addr())
-	delete(union, c.secondary.Addr())
-	if len(union) == 0 {
+	if len(addrs) == 0 {
 		return "", errors.New("runtime: combined service has no peers")
-	}
-	addrs := make([]string, 0, len(union))
-	for a := range union {
-		addrs = append(addrs, a)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -7,14 +7,13 @@ import (
 	"peersampling/internal/transport"
 )
 
-// TestClusterConvergesUnderMessageLoss drives a cluster over a lossy
-// fabric: gossip's redundancy must still converge views, just more
+// TestClusterConvergesUnderMessageLoss drives a cluster whose nodes
+// share a lossy fault set: gossip's redundancy must still converge views, just more
 // slowly, and failed exchanges must be accounted rather than fatal.
 func TestClusterConvergesUnderMessageLoss(t *testing.T) {
 	loss := transport.NewFaultSet(99)
 	loss.SetRules([]transport.FaultRule{{From: "*", To: "*", Loss: 0.3}})
-	f := transport.NewFabric(transport.WithFaults(loss))
-	nodes := buildCluster(t, f, core.Newscast, 12, nil)
+	nodes := buildCluster(t, transport.NewFabric(), core.Newscast, 12, func(c *Config) { c.Faults = loss })
 	tickAll(nodes, 60)
 
 	full := 0

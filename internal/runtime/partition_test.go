@@ -27,8 +27,8 @@ func knowsAcross(groupA []*Node, groupB []*Node) int {
 }
 
 // partition cuts every link between the two groups, both directions, as
-// fabric fault rules; healing is SetRules(nil).
-func partition(groupA, groupB []*Node) *transport.FaultSet {
+// fault rules; healing is SetRules(nil).
+func partition(groupA, groupB []*Node) []transport.FaultRule {
 	var rules []transport.FaultRule
 	for _, a := range groupA {
 		for _, b := range groupB {
@@ -37,9 +37,7 @@ func partition(groupA, groupB []*Node) *transport.FaultSet {
 				transport.FaultRule{From: b.Addr(), To: a.Addr(), Cut: true})
 		}
 	}
-	fs := transport.NewFaultSet(1)
-	fs.SetRules(rules)
-	return fs
+	return rules
 }
 
 // TestPartitionForgettingHeadVsRand reproduces the paper's Section 8
@@ -49,20 +47,22 @@ func partition(groupA, groupB []*Node) *transport.FaultSet {
 // view selection retains cross-partition descriptors for much longer.
 func TestPartitionForgettingHeadVsRand(t *testing.T) {
 	run := func(proto core.Protocol) (crossBefore, crossAfter int) {
-		f := transport.NewFabric()
+		faults := transport.NewFaultSet(1)
 		// Each side must offer more fresh peers than the view holds
 		// (12 > c = 8), otherwise stale far-side entries survive head
 		// selection for lack of replacements.
-		nodes := buildCluster(t, f, proto, 24, func(c *Config) { c.ViewSize = 8 })
+		nodes := buildCluster(t, transport.NewFabric(), proto, 24, func(c *Config) {
+			c.ViewSize = 8
+			c.Faults = faults
+		})
 		tickAll(nodes, 25) // converge
 		left, right := nodes[:12], nodes[12:]
 		crossBefore = knowsAcross(left, right)
 
 		// Partition the network and keep gossiping for a while.
-		f.SetFaults(partition(left, right))
+		faults.SetRules(partition(left, right))
 		tickAll(nodes, 25)
 		crossAfter = knowsAcross(left, right)
-		f.SetFaults(nil)
 		return crossBefore, crossAfter
 	}
 
@@ -87,10 +87,11 @@ func TestPartitionForgettingHeadVsRand(t *testing.T) {
 func TestCombinedServiceSurvivesPartition(t *testing.T) {
 	f := transport.NewFabric()
 	factory := f.Factory("part")
+	faults := transport.NewFaultSet(1)
 
-	fast := Config{Protocol: core.Newscast, ViewSize: 8, Period: time.Hour, Seed: 1}
+	fast := Config{Protocol: core.Newscast, ViewSize: 8, Period: time.Hour, Seed: 1, Faults: faults}
 	slow := Config{Protocol: core.Protocol{PeerSel: core.PeerRand, ViewSel: core.ViewRand, Prop: core.PushPull},
-		ViewSize: 8, Period: time.Hour, Seed: 2}
+		ViewSize: 8, Period: time.Hour, Seed: 2, Faults: faults}
 	svc, err := NewCombined(fast, slow, factory, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestCombinedServiceSurvivesPartition(t *testing.T) {
 	defer svc.Close()
 
 	// A small population for each protocol to gossip with.
-	others := buildCluster(t, f, core.Newscast, 10, nil)
+	others := buildCluster(t, f, core.Newscast, 10, func(c *Config) { c.Faults = faults })
 	if err := svc.Init([]string{others[0].Addr()}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestCombinedServiceSurvivesPartition(t *testing.T) {
 
 	// Partition the combined service away from everyone and let it keep
 	// gossiping into the void.
-	f.SetFaults(partition([]*Node{svc.Primary(), svc.Secondary()}, others))
+	faults.SetRules(partition([]*Node{svc.Primary(), svc.Secondary()}, others))
 	for c := 0; c < 25; c++ {
 		svc.Tick()
 		tickAll(others, 1)
@@ -119,7 +120,7 @@ func TestCombinedServiceSurvivesPartition(t *testing.T) {
 	// cannot rotate, but the slow random view must still name far-side
 	// peers, so the combined service still answers GetPeer with a real
 	// member after the partition heals.
-	f.SetFaults(nil)
+	faults.SetRules(nil)
 	foreign := map[string]bool{}
 	for _, n := range others {
 		foreign[n.Addr()] = true

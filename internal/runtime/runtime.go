@@ -61,6 +61,12 @@ type Config struct {
 	// callback is invoked with no node locks held, so it may call back
 	// into the node (View, Stats, GetPeer) without deadlocking.
 	OnError func(error)
+	// Faults, when non-nil, shapes every exchange this node initiates,
+	// gossip or app: rules matching (own address, peer) cut, drop or
+	// delay it before the transport runs. Injected latency counts
+	// against the exchange timeout and its measured round trip. Nodes
+	// may share one set; nil injects nothing.
+	Faults *transport.FaultSet
 }
 
 // Defaults for Config zero values.
@@ -73,6 +79,7 @@ const (
 type Node struct {
 	cfg       Config
 	transport transport.Transport
+	addr      string // the transport's bound address, fixed for its lifetime
 
 	mu    sync.Mutex
 	state *core.Node[string]
@@ -119,11 +126,12 @@ func New(cfg Config, factory transport.Factory) (*Node, error) {
 		return nil, fmt.Errorf("runtime: transport: %w", err)
 	}
 	n.transport = tr
+	n.addr = tr.Addr()
 	seed := cfg.Seed
 	if seed == 0 {
-		seed = hashString(tr.Addr())
+		seed = hashString(n.addr)
 	}
-	state, err := core.NewNode(tr.Addr(), cfg.Protocol, cfg.ViewSize,
+	state, err := core.NewNode(n.addr, cfg.Protocol, cfg.ViewSize,
 		rand.New(rand.NewPCG(seed, 0x90DE)))
 	if err != nil {
 		_ = tr.Close()
@@ -137,7 +145,7 @@ func New(cfg Config, factory transport.Factory) (*Node, error) {
 }
 
 // Addr returns the node's transport address.
-func (n *Node) Addr() string { return n.transport.Addr() }
+func (n *Node) Addr() string { return n.addr }
 
 // Protocol returns the protocol tuple the node executes.
 func (n *Node) Protocol() core.Protocol { return n.cfg.Protocol }
@@ -150,7 +158,7 @@ func (n *Node) Protocol() core.Protocol { return n.cfg.Protocol }
 // never contain its owner) and duplicate contacts collapse to one entry
 // (Bootstrap and Merge deduplicate).
 func (n *Node) Init(contacts []string) error {
-	self := n.transport.Addr()
+	self := n.addr
 	descs := make([]core.Descriptor[string], 0, len(contacts))
 	for _, c := range contacts {
 		c = strings.TrimSpace(c)
@@ -305,7 +313,11 @@ func (n *Node) Tick() {
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ExchangeTimeout)
 	defer cancel()
 	began := time.Now()
-	resp, ok, err := n.transport.Exchange(ctx, peer, req)
+	var resp transport.Response
+	var ok bool
+	if err = n.cfg.Faults.Apply(ctx, n.addr, peer); err == nil {
+		resp, ok, err = n.transport.Exchange(ctx, peer, req)
+	}
 	elapsed := time.Since(began)
 
 	n.mu.Lock()
@@ -345,13 +357,16 @@ func (n *Node) SetAppHandler(h transport.AppHandler) (ok bool) {
 // node's transport and, when wantReply is set, returns the peer's reply
 // payload. replied reports whether a reply arrived. The error surface
 // matches transport.Exchange; a transport without app support returns an
-// error immediately.
+// error immediately. Config.Faults applies as it does to gossip.
 func (n *Node) SendApp(ctx context.Context, peer, topic string, payload []byte, wantReply bool) (reply []byte, replied bool, err error) {
 	c, ok := n.transport.(transport.AppCarrier)
 	if !ok {
 		return nil, false, errors.New("runtime: transport cannot carry app payloads")
 	}
-	msg := transport.AppMessage{From: n.Addr(), Topic: topic, Payload: payload, WantReply: wantReply}
+	if err := n.cfg.Faults.Apply(ctx, n.addr, peer); err != nil {
+		return nil, false, err
+	}
+	msg := transport.AppMessage{From: n.addr, Topic: topic, Payload: payload, WantReply: wantReply}
 	resp, replied, err := c.ExchangeApp(ctx, peer, msg)
 	if err != nil {
 		return nil, false, err

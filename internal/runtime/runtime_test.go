@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -443,6 +444,38 @@ func TestCombinedService(t *testing.T) {
 	}
 	if svc.Primary().Protocol() == svc.Secondary().Protocol() {
 		t.Error("combined instances share a protocol; expected two")
+	}
+}
+
+// TestCombinedGetPeerIsSeeded: two services with the same seed and the
+// same views sample the same peer sequence.
+func TestCombinedGetPeerIsSeeded(t *testing.T) {
+	contacts := make([]string, 12)
+	for i := range contacts {
+		contacts[i] = fmt.Sprintf("peer-%02d", i)
+	}
+	sample := func() []string {
+		svc, err := NewCombined(memConfig(core.Newscast), memConfig(core.Lpbcast), transport.NewFabric().Factory("seeded"), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		if err := svc.Primary().Init(contacts[:8]); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Secondary().Init(contacts[4:]); err != nil {
+			t.Fatal(err)
+		}
+		peers := make([]string, 64)
+		for i := range peers {
+			if peers[i], err = svc.GetPeer(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return peers
+	}
+	if a, b := sample(), sample(); !slices.Equal(a, b) {
+		t.Fatalf("same seed, same views, different samples:\n%v\n%v", a, b)
 	}
 }
 

@@ -16,7 +16,7 @@
 //
 // Most experiments run on the cycle-based simulator (internal/sim). The
 // exceptions are the live drills, which boot a real cluster on a fleet
-// driver (internal/fleet, selected through LiveEnv — goroutine nodes in
+// driver (internal/fleet, selected through LiveEnv — daemons in
 // this process or forked psnode processes): RunLiveBootstrap measures
 // single-contact convergence, RunHostile attacks one node with a
 // connection flood and slowloris peers to prove the transport hardening

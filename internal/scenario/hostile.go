@@ -139,7 +139,8 @@ func (r *HostileResult) Render() string {
 // collector while the experiment runs (see cmd/experiments -metrics-addr)
 // exposes the attack as a live time series — accept rejects and evictions
 // climbing on the victim while every node's view-size gauge holds. The
-// seed drives protocol randomness only; socket timing is inherently real.
+// seed drives the chaos plan's victim choice; members seed their protocol
+// randomness from their own addresses, and socket timing is real.
 func RunHostile(sc Scale, seed uint64, env LiveEnv) (*HostileResult, error) {
 	plan, err := chaos.Load(hostilePlan)
 	if err != nil {
@@ -152,7 +153,6 @@ func RunHostile(sc Scale, seed uint64, env LiveEnv) (*HostileResult, error) {
 		Protocol: core.Newscast,
 		ViewSize: p.ViewSize,
 		Period:   p.Period,
-		Seed:     seed,
 		Backend:  "tcp",
 		Limits:   transport.Limits{MaxConns: p.MaxConns, KeepAlive: p.KeepAlive},
 		Name: func(i int) string {

@@ -139,7 +139,8 @@ func (r *LiveAggregateResult) CSV() map[string]string {
 // workload engine, seeds member i with value i, measures the estimate
 // variance per period until it collapses, then reruns the seeding as a
 // size estimation (one 1, rest 0) and reads the estimates back. Timing
-// is real; the seed parameterises the sampling layer only.
+// is real, and the seed chooses nothing: members seed their protocol
+// randomness from their own addresses.
 func RunLiveAggregate(sc Scale, seed uint64, env LiveEnv) (*LiveAggregateResult, error) {
 	p := liveAggregateDerive(sc)
 	res := &LiveAggregateResult{Params: p, Driver: env.DriverName()}
@@ -148,7 +149,6 @@ func RunLiveAggregate(sc Scale, seed uint64, env LiveEnv) (*LiveAggregateResult,
 		Protocol: core.Newscast,
 		ViewSize: p.ViewSize,
 		Period:   p.Period,
-		Seed:     seed,
 		Backend:  "tcp",
 		Workload: config.WorkloadSection{
 			Kind:   config.WorkloadAggregate,

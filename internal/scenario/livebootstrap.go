@@ -16,7 +16,7 @@ import (
 // until each view holds every other member. Where the simulator measures
 // the resulting topology, this experiment measures the deployment-facing
 // questions: how long bootstrap convergence takes in real time, and what
-// it costs on the wire. It runs on either fleet driver: goroutine nodes
+// it costs on the wire. It runs on either fleet driver: daemons
 // in this process, or forked psnode processes observed through their
 // control agents. Timings are real-network nondeterministic; the
 // invariants reported (full convergence, no failed exchanges against a
@@ -109,8 +109,9 @@ func (r *LiveBootstrapResult) Render() string {
 // snapshot round. With env.Collector set, every member is registered
 // before gossip starts, so a scrape or dump attached by cmd/experiments
 // observes the whole convergence transient — through the remote Source
-// when the members are real processes. The seed drives protocol
-// randomness only; socket timing is real.
+// when the members are real processes. Bootstrap runs no chaos plan,
+// so the seed chooses nothing: members seed their protocol randomness
+// from their own addresses, and socket timing is real.
 func RunLiveBootstrap(sc Scale, seed uint64, env LiveEnv) (*LiveBootstrapResult, error) {
 	p := liveBootstrapDerive(sc)
 	res := &LiveBootstrapResult{Params: p, Driver: env.DriverName()}
@@ -119,7 +120,6 @@ func RunLiveBootstrap(sc Scale, seed uint64, env LiveEnv) (*LiveBootstrapResult,
 		Protocol: core.Newscast,
 		ViewSize: p.ViewSize,
 		Period:   p.Period,
-		Seed:     seed,
 		Backend:  "tcp",
 	})
 	if err != nil {

@@ -139,7 +139,6 @@ func RunLiveBroadcast(sc Scale, seed uint64, env LiveEnv) (*LiveBroadcastResult,
 		Protocol: core.Newscast,
 		ViewSize: p.ViewSize,
 		Period:   p.Period,
-		Seed:     seed,
 		Backend:  "tcp",
 		Workload: config.WorkloadSection{
 			Kind:   config.WorkloadBroadcast,

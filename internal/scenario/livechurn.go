@@ -154,8 +154,9 @@ func (r *LiveChurnResult) Render() string {
 // re-convergence between the executor's steps. Kill victims are chosen
 // by the executor's seeded RNG; with env.Collector set, respawned
 // members register under fresh names and dead subprocess members stay
-// visible as stale sources. The seed drives victim choice and protocol
-// randomness; timing is real.
+// visible as stale sources. The seed drives chaos victim choice; members
+// seed their protocol randomness from their own addresses, and timing is
+// real.
 func RunLiveChurn(sc Scale, seed uint64, env LiveEnv) (*LiveChurnResult, error) {
 	plan, err := chaos.Load(liveChurnPlan)
 	if err != nil {
@@ -168,7 +169,6 @@ func RunLiveChurn(sc Scale, seed uint64, env LiveEnv) (*LiveChurnResult, error) 
 		Protocol: core.Newscast,
 		ViewSize: p.ViewSize,
 		Period:   p.Period,
-		Seed:     seed,
 		Backend:  "tcp",
 	})
 	if err != nil {

@@ -209,7 +209,6 @@ func RunLiveGateway(sc Scale, seed uint64, env LiveEnv) (*LiveGatewayResult, err
 		Protocol: core.Newscast,
 		ViewSize: p.ViewSize,
 		Period:   p.Period,
-		Seed:     seed,
 		Backend:  "tcp",
 		Gateway: config.GatewaySection{
 			Addr:             "127.0.0.1:0",

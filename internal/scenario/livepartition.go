@@ -208,7 +208,7 @@ func freshPairs(members []fleet.Member, maxHop int) int {
 // fleet-wide freshness trace throughout. The executor pushes its rules
 // through Cluster.SetFaultRules, so under the subprocess driver the cut
 // reaches real psnode processes via their control agents. The seed
-// drives island choice and protocol randomness; timing is real.
+// drives the chaos plan's island choice; timing is real.
 func RunLivePartition(sc Scale, seed uint64, env LiveEnv) (*LivePartitionResult, error) {
 	plan, err := chaos.Load(livePartitionPlan)
 	if err != nil {
@@ -221,7 +221,6 @@ func RunLivePartition(sc Scale, seed uint64, env LiveEnv) (*LivePartitionResult,
 		Protocol: core.Newscast,
 		ViewSize: p.ViewSize,
 		Period:   p.Period,
-		Seed:     seed,
 		Backend:  "tcp",
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"peersampling/internal/metrics"
-	"peersampling/internal/transport"
 )
 
 // The partition-heal scenario is the chaos executor's acceptance test at
@@ -39,11 +38,6 @@ func TestLivePartitionHealsAfterRuleExpiry(t *testing.T) {
 	}
 	if actions["latency"] != 1 || actions["partition"] != 1 || actions["expire"] != 2 {
 		t.Fatalf("event actions = %v", actions)
-	}
-	// The run must leave the process-global fault set clean for whatever
-	// runs next.
-	if got := transport.Faults().ActiveRules(); got != 0 {
-		t.Fatalf("run left %d fault rules installed", got)
 	}
 	if len(res.Trace) == 0 {
 		t.Fatal("no freshness samples recorded")

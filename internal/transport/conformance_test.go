@@ -8,14 +8,12 @@ import (
 )
 
 // conformanceBackends are the four exchange strategies every behaviour
-// below must agree on: the registry's real backends and the fabric.
+// below must agree on: the named real backends and the fabric.
 var conformanceBackends = []string{"tcp", "tcp-pooled", "udp", "fabric"}
 
-// conformancePair is one backend's client and server endpoints plus the
-// hook that installs fault rules where that backend reads them.
+// conformancePair is one backend's client and server endpoints.
 type conformancePair struct {
 	client, server Transport
-	setFaults      func([]FaultRule)
 	// seen receives the tag of every message a server handler ran on.
 	seen chan string
 }
@@ -35,17 +33,13 @@ func newConformancePair(t *testing.T, backend string, noApp bool) *conformancePa
 	}
 	var factory Factory
 	if backend == "fabric" {
-		fs := NewFaultSet(1)
-		factory = NewFabric(WithFaults(fs)).Factory("node")
-		p.setFaults = fs.SetRules
+		factory = NewFabric().Factory("node")
 	} else {
 		var err error
 		if factory, err = NewFactory(backend, "127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
-		p.setFaults = Faults().SetRules
 	}
-	t.Cleanup(func() { p.setFaults(nil) })
 	for _, tr := range []*Transport{&p.server, &p.client} {
 		var err error
 		if *tr, err = factory(gossip); err != nil {
@@ -81,7 +75,8 @@ func (p *conformancePair) exchange(ctx context.Context, app, pull bool, tag stri
 // TestBackendConformance runs every exchange behaviour over every
 // backend, for gossip and app frames alike. Where a real backend can
 // only notice a missing reply by timing out, the fabric reports it at
-// once; that is the one permitted difference.
+// once; that is the one permitted difference. Link faults are not a
+// transport concern: runtime's TestLinkFaults covers them per backend.
 func TestBackendConformance(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -89,7 +84,6 @@ func TestBackendConformance(t *testing.T) {
 		pull    bool
 		noApp   bool // the server has no app handler (app frames only)
 		closed  bool // the client endpoint is closed first
-		cut     bool // a Cut rule covers client -> server
 		wantOK  bool
 		wantErr error // the error every backend reports
 		noReply bool  // the pull gets no reply: a real backend times out
@@ -100,7 +94,6 @@ func TestBackendConformance(t *testing.T) {
 		{name: "handler declines", tag: "decline", pull: true, noReply: true, seen: true},
 		{name: "no app handler", tag: "orphan", pull: true, noApp: true, noReply: true},
 		{name: "closed endpoint", tag: "closed", pull: true, closed: true, wantErr: ErrClosed},
-		{name: "cut rule", tag: "cut", pull: true, cut: true, wantErr: ErrUnreachable},
 	}
 	for _, backend := range conformanceBackends {
 		for _, app := range []bool{false, true} {
@@ -116,9 +109,6 @@ func TestBackendConformance(t *testing.T) {
 					p := newConformancePair(t, backend, tc.noApp)
 					if tc.closed {
 						_ = p.client.Close()
-					}
-					if tc.cut {
-						p.setFaults([]FaultRule{{From: p.client.Addr(), To: p.server.Addr(), Cut: true}})
 					}
 					ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 					if tc.noReply {

@@ -6,7 +6,7 @@
 // compact binary envelope and share the same round trip and the same
 // passive dispatch. The engine runs over three connection strategies:
 // an in-memory fabric (tests and single-process simulations), a TCP
-// stream, and UDP datagrams. The registry names the real backends —
+// stream, and UDP datagrams. A fixed table names the real backends —
 // "tcp-pooled" (the stream with persistent per-peer connections and idle
 // eviction; the production default), "tcp" (the stream without an idle
 // pool, so every exchange dials) and "udp" (one exchange per datagram
@@ -14,9 +14,10 @@
 // command line, and they export wire-level counters via StatsReporter.
 //
 // Faults come from FaultRules only: cut links, loss and latency, matched
-// per directed link. The real backends read the process-global Faults
-// set; a Fabric reads its own (WithFaults, SetFaults), where a partition
-// is a Cut rule on each direction of every crossing link.
+// per directed link and held in a FaultSet. No backend reads one: a
+// runtime node applies its own set (runtime.Config.Faults) before each
+// exchange it initiates, on every backend alike. A partition is a Cut
+// rule on each direction of every crossing link.
 //
 // # Hardening against hostile networks
 //

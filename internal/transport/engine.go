@@ -10,9 +10,8 @@ import (
 )
 
 // The request/reply engine shared by the real backends. An active
-// exchange is one round trip: check the link, dial (or borrow) a
-// connection, write one frame and, for a pull, read and decode one
-// reply. A passive exchange decodes one frame, runs the handler of its
+// exchange is one round trip: dial (or borrow) a connection, write one
+// frame and, for a pull, read and decode one reply. A passive exchange decodes one frame, runs the handler of its
 // family (gossip or app) and encodes the answer. The stream strategy
 // (tcp.go) and the datagram strategy (udp.go) differ only in how the
 // bytes reach the peer; gossip and app frames take the same path.
@@ -40,17 +39,13 @@ func unreachable(addr string, err error) error {
 	return fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
 }
 
-// linkDeadline opens every active exchange on a real backend: it applies
-// the injected link fault (see checkLinkFault) and returns the
-// exchange's deadline, the caller's or else timeout from now.
-func linkDeadline(ctx context.Context, from, to string, timeout time.Duration) (time.Time, error) {
-	if err := checkLinkFault(ctx, from, to); err != nil {
-		return time.Time{}, err
-	}
+// linkDeadline is the deadline of an active exchange on a real backend:
+// the caller's, or else timeout from now.
+func linkDeadline(ctx context.Context, timeout time.Duration) time.Time {
 	if deadline, ok := ctx.Deadline(); ok {
-		return deadline, nil
+		return deadline
 	}
-	return time.Now().Add(timeout), nil
+	return time.Now().Add(timeout)
 }
 
 // dialPeer opens the socket for an exchange ("udp") or a pooled stream

@@ -10,12 +10,13 @@ import (
 )
 
 // Per-link fault injection: the transport half of internal/chaos. A
-// FaultSet holds directed src→dst rules (cut the link, drop a fraction
-// of messages, add latency) and every registry backend consults the
-// process-global set on its active exchange path, so a chaos executor
-// can partition, degrade or delay live tcp / tcp-pooled / udp traffic
-// without the transports knowing anything about plans or timelines. The
-// in-memory Fabric honours the same rule shape via Fabric.SetFaults.
+// FaultSet holds directed src->dst rules (cut the link, drop a fraction
+// of messages, add latency). The transports themselves know nothing of
+// faults: a runtime node consults at most one FaultSet
+// (runtime.Config.Faults) on every exchange it initiates, gossip or app,
+// before the transport runs. So a chaos executor can partition, degrade
+// or delay one node's links on any backend, and nodes that do not share
+// a set never share a rule.
 
 // FaultRule is one directed per-link fault. From and To are transport
 // addresses as the dialing side sees them (the sender's own Addr and the
@@ -41,18 +42,10 @@ func (r FaultRule) matches(from, to string) bool {
 	return (r.From == "*" || r.From == from) && (r.To == "*" || r.To == to)
 }
 
-// FaultInjector decides the fate of one outbound message. Inject returns
-// the latency to add before the message proceeds, or a non-nil error when
-// the message must fail instead (ErrUnreachable for a cut link, ErrDropped
-// for injected loss). Implementations must be safe for concurrent use.
-type FaultInjector interface {
-	Inject(from, to string) (latency time.Duration, err error)
-}
-
-// FaultSet is the standard FaultInjector: a swappable table of FaultRules
-// with a seeded RNG for loss decisions. The zero value is invalid; use
-// NewFaultSet. When several rules match one message, any Cut wins, and
-// the largest Loss and Latency apply.
+// FaultSet is a swappable table of FaultRules with a seeded RNG for loss
+// decisions. The zero value is invalid; use NewFaultSet. A nil *FaultSet
+// injects nothing. When several rules match one message, any Cut wins,
+// and the largest Loss and Latency apply.
 type FaultSet struct {
 	active atomic.Int32 // rule count, for a lock-free empty fast path
 
@@ -77,29 +70,35 @@ func (f *FaultSet) SetRules(rules []FaultRule) {
 	f.active.Store(int32(len(cp)))
 }
 
-// Reseed restarts the loss RNG, making a replayed plan's drop decisions
-// reproducible.
-func (f *FaultSet) Reseed(seed uint64) {
-	f.mu.Lock()
-	f.rng = rand.New(rand.NewPCG(seed, 0xC4A05))
-	f.mu.Unlock()
-}
-
-// Rules returns a copy of the current rule table.
-func (f *FaultSet) Rules() []FaultRule {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]FaultRule(nil), f.rules...)
-}
-
 // ActiveRules reports how many rules are installed.
 func (f *FaultSet) ActiveRules() int { return int(f.active.Load()) }
 
-// Inject implements FaultInjector.
-func (f *FaultSet) Inject(from, to string) (time.Duration, error) {
-	if f.active.Load() == 0 {
-		return 0, nil
+// Apply decides the fate of one outbound message from->to: it waits out
+// any injected latency, returning early with ctx's error if ctx ends
+// first, and returns the injected failure, if any (ErrUnreachable for a
+// cut link, ErrDropped for injected loss). A nil or empty set costs one
+// check.
+func (f *FaultSet) Apply(ctx context.Context, from, to string) error {
+	if f == nil || f.active.Load() == 0 {
+		return nil
 	}
+	d, err := f.decide(from, to)
+	if err != nil || d <= 0 {
+		return err
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// decide matches one message against the rules: the latency to add, or
+// the failure to inject instead.
+func (f *FaultSet) decide(from, to string) (time.Duration, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var latency time.Duration
@@ -122,42 +121,4 @@ func (f *FaultSet) Inject(from, to string) (time.Duration, error) {
 		return 0, fmt.Errorf("%w: fault rule loss", ErrDropped)
 	}
 	return latency, nil
-}
-
-// defaultFaults is the process-global fault set every registry backend
-// consults. One table per process is exactly the deployment shape: a
-// forked psnode holds its own, and an inproc fleet's members share one
-// keyed by their distinct addresses.
-var defaultFaults = NewFaultSet(1)
-
-// Faults returns the process-global fault set — the hook a chaos
-// executor (or a daemon's control agent) installs rules into.
-func Faults() *FaultSet { return defaultFaults }
-
-// checkLinkFault applies the process-global fault set to one outbound
-// message on the active side: it sleeps out any injected latency
-// (honouring ctx) and returns the injected failure, if any. The empty
-// table costs one atomic load.
-func checkLinkFault(ctx context.Context, from, to string) error {
-	d, err := defaultFaults.Inject(from, to)
-	if err != nil {
-		return err
-	}
-	return sleepCtx(ctx, d)
-}
-
-// sleepCtx waits out an injected latency d, returning early with ctx's
-// error if ctx ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -9,7 +9,7 @@ import (
 
 // Hardening defaults. They bound resource use per listener without
 // affecting well-behaved gossip traffic: a healthy cluster peer holds at
-// most PoolConfig.MaxIdlePerPeer connections into a node, so even large
+// most DefaultMaxIdlePerPeer connections into a node, so even large
 // clusters sit far below DefaultMaxConns.
 const (
 	// DefaultMaxConns caps the connections a listener serves concurrently.

@@ -5,37 +5,21 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Fabric is an in-memory network connecting any number of endpoints in one
-// process: the failure-injection substrate for runtime tests and
-// single-process demos. Its only fault model is a per-link FaultInjector
-// (WithFaults, SetFaults), the same FaultRule shape the real transports
-// read: Loss rules drop exchanges, Latency rules delay them, and Cut
-// rules on every crossing link make a partition.
+// process: the substrate for runtime tests, single-process demos and the
+// benchmark's transport-free fleets. It has no fault model of its own: a
+// node's runtime.Config.Faults applies to fabric exchanges exactly as it
+// does to socket ones, and Remove simulates a crashed endpoint.
 type Fabric struct {
 	mu        sync.RWMutex
 	endpoints map[string]*memEndpoint
-	faults    FaultInjector
-}
-
-// FabricOption configures a Fabric.
-type FabricOption func(*Fabric)
-
-// WithFaults installs a per-link fault injector (usually a *FaultSet):
-// directed cut/loss/latency rules applied to every exchange.
-func WithFaults(fi FaultInjector) FabricOption {
-	return func(f *Fabric) { f.faults = fi }
 }
 
 // NewFabric returns an empty in-memory network.
-func NewFabric(opts ...FabricOption) *Fabric {
-	f := &Fabric{endpoints: make(map[string]*memEndpoint)}
-	for _, o := range opts {
-		o(f)
-	}
-	return f
+func NewFabric() *Fabric {
+	return &Fabric{endpoints: make(map[string]*memEndpoint)}
 }
 
 // Endpoint registers a new address served by h and returns its transport.
@@ -68,15 +52,6 @@ func (f *Fabric) Factory(prefix string) Factory {
 	}
 }
 
-// SetFaults installs (or, with nil, removes) a per-link fault injector
-// at runtime — the Fabric form of the chaos hook the real transports
-// read from the process-global Faults set.
-func (f *Fabric) SetFaults(fi FaultInjector) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.faults = fi
-}
-
 // Remove unregisters an address (simulating a crashed node whose peers
 // still hold its descriptor).
 func (f *Fabric) Remove(addr string) {
@@ -85,21 +60,15 @@ func (f *Fabric) Remove(addr string) {
 	delete(f.endpoints, addr)
 }
 
-// lookup resolves a destination endpoint for a sender and applies the
-// per-link faults. It returns the endpoint and any injected latency, or
-// a reason error when undeliverable.
-func (f *Fabric) lookup(from, to string) (*memEndpoint, time.Duration, error) {
+// lookup resolves a destination endpoint, or reports it unreachable.
+func (f *Fabric) lookup(to string) (*memEndpoint, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	dst, ok := f.endpoints[to]
 	if !ok || dst.closed.Load() {
-		return nil, 0, fmt.Errorf("%w: %s", ErrUnreachable, to)
+		return nil, fmt.Errorf("%w: %s", ErrUnreachable, to)
 	}
-	if f.faults == nil {
-		return dst, 0, nil
-	}
-	d, err := f.faults.Inject(from, to)
-	return dst, d, err
+	return dst, nil
 }
 
 // memEndpoint implements Transport over a Fabric.
@@ -120,17 +89,14 @@ var (
 func (e *memEndpoint) Addr() string { return e.addr }
 
 // reach is the front half of every fabric exchange, gossip or app: the
-// closed check, the lookup with its faults, the injected latency and the
-// context check. It returns the endpoint to deliver to.
+// closed check, the lookup and the context check. It returns the
+// endpoint to deliver to.
 func (e *memEndpoint) reach(ctx context.Context, addr string) (*memEndpoint, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	dst, latency, err := e.fabric.lookup(e.addr, addr)
+	dst, err := e.fabric.lookup(addr)
 	if err != nil {
-		return nil, err
-	}
-	if err := sleepCtx(ctx, latency); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 func echoHandler(self string) Handler {
@@ -88,62 +87,6 @@ func TestFabricClose(t *testing.T) {
 	// The address becomes reusable after Close.
 	if _, err := f.Endpoint("b", echoHandler("b")); err != nil {
 		t.Errorf("re-register after close: %v", err)
-	}
-}
-
-// faultRules is a seeded fault set holding rules, for fabric fault tests.
-func faultRules(rules ...FaultRule) *FaultSet {
-	fs := NewFaultSet(7)
-	fs.SetRules(rules)
-	return fs
-}
-
-func TestFabricLoss(t *testing.T) {
-	f := NewFabric(WithFaults(faultRules(FaultRule{From: "*", To: "*", Loss: 1})))
-	a, _ := f.Endpoint("a", echoHandler("a"))
-	if _, err := f.Endpoint("b", echoHandler("b")); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := a.Exchange(context.Background(), "b", Request{From: "a", WantReply: true})
-	if !errors.Is(err, ErrDropped) {
-		t.Errorf("err = %v want ErrDropped", err)
-	}
-}
-
-func TestFabricPartition(t *testing.T) {
-	f := NewFabric()
-	a, _ := f.Endpoint("a", echoHandler("a"))
-	if _, err := f.Endpoint("b", echoHandler("b")); err != nil {
-		t.Fatal(err)
-	}
-	// A partition is a Cut rule on each direction of every crossing link.
-	f.SetFaults(faultRules(FaultRule{From: "a", To: "b", Cut: true}, FaultRule{From: "b", To: "a", Cut: true}))
-	if _, _, err := a.Exchange(context.Background(), "b", Request{From: "a", WantReply: true}); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("partitioned exchange: %v want ErrUnreachable", err)
-	}
-	f.SetFaults(nil)
-	if _, ok, err := a.Exchange(context.Background(), "b", Request{From: "a", WantReply: true}); err != nil || !ok {
-		t.Errorf("healed exchange: %v ok=%v", err, ok)
-	}
-}
-
-func TestFabricLatencyAndContext(t *testing.T) {
-	f := NewFabric(WithFaults(faultRules(FaultRule{From: "*", To: "*", Latency: 50 * time.Millisecond})))
-	a, _ := f.Endpoint("a", echoHandler("a"))
-	if _, err := f.Endpoint("b", echoHandler("b")); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, ok, err := a.Exchange(context.Background(), "b", Request{From: "a", WantReply: true}); err != nil || !ok {
-		t.Fatalf("exchange: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
-		t.Errorf("latency not applied: %v", elapsed)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, _, err := a.Exchange(ctx, "b", Request{From: "a", WantReply: true}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v want DeadlineExceeded", err)
 	}
 }
 

@@ -201,7 +201,7 @@ func TestPooledTCPConcurrentExchanges(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// At most MaxIdlePerPeer conns are retained once the burst drains.
+	// At most DefaultMaxIdlePerPeer conns are retained once the burst drains.
 	client.mu.Lock()
 	idle := len(client.idle[server.Addr()])
 	client.mu.Unlock()

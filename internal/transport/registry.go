@@ -1,45 +1,31 @@
 package transport
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
-// Builder constructs a Factory serving real traffic on a listen address
-// under the given hardening limits (the zero Limits selects the
-// defaults). It is the registration unit of the backend registry: daemons
-// resolve a user-supplied backend name to a Builder, then bind it to
-// their listen and limit flags.
-type Builder func(listen string, lim Limits) Factory
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Builder{}
-)
-
-// Register adds a named backend to the registry, replacing any previous
-// registration under the same name. The built-in backends "tcp",
-// "tcp-pooled" and "udp" are registered at init time; external packages
-// may add their own.
-func Register(name string, b Builder) {
-	if name == "" || b == nil {
-		panic("transport: Register with empty name or nil builder")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[name] = b
+// backends names the real backends a daemon can select by name, each
+// bound to a listen address and hardening limits (the zero Limits
+// selects the defaults). The table is sorted by name.
+var backends = []struct {
+	name  string
+	build func(listen string, lim Limits) Factory
+}{
+	{"tcp", func(listen string, lim Limits) Factory {
+		return func(h Handler) (Transport, error) { return ListenTCPLimits(listen, h, lim) }
+	}},
+	{"tcp-pooled", func(listen string, lim Limits) Factory {
+		return func(h Handler) (Transport, error) { return ListenPooledTCP(listen, h, PoolConfig{Limits: lim}) }
+	}},
+	{"udp", func(listen string, lim Limits) Factory {
+		return func(h Handler) (Transport, error) { return ListenUDPLimits(listen, h, lim) }
+	}},
 }
 
-// Backends returns the sorted names of all registered backends.
+// Backends returns the sorted names of the real backends.
 func Backends() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := make([]string, len(backends))
+	for i, b := range backends {
+		names[i] = b.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -53,23 +39,10 @@ func NewFactory(name, listen string) (Factory, error) {
 // NewFactoryLimits is NewFactory with explicit hardening limits threaded
 // through to the backend.
 func NewFactoryLimits(name, listen string, lim Limits) (Factory, error) {
-	registryMu.RLock()
-	b, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("transport: unknown backend %q (available: %v)", name, Backends())
+	for _, b := range backends {
+		if b.name == name {
+			return b.build(listen, lim), nil
+		}
 	}
-	return b(listen, lim), nil
-}
-
-func init() {
-	Register("tcp", func(listen string, lim Limits) Factory {
-		return func(h Handler) (Transport, error) { return ListenTCPLimits(listen, h, lim) }
-	})
-	Register("tcp-pooled", func(listen string, lim Limits) Factory {
-		return func(h Handler) (Transport, error) { return ListenPooledTCP(listen, h, PoolConfig{Limits: lim}) }
-	})
-	Register("udp", func(listen string, lim Limits) Factory {
-		return func(h Handler) (Transport, error) { return ListenUDPLimits(listen, h, lim) }
-	})
+	return nil, fmt.Errorf("transport: unknown backend %q (available: %v)", name, Backends())
 }

@@ -20,6 +20,8 @@ const tcpDefaultTimeout = 5 * time.Second
 // needs to outlive a handful of periods to turn every steady-state
 // exchange into a reuse.
 const (
+	// DefaultMaxIdlePerPeer caps the idle connections a pooled transport
+	// retains per peer address; surplus connections are closed on release.
 	DefaultMaxIdlePerPeer = 2
 	DefaultIdleTimeout    = time.Minute
 	// poolSweepDivisor sets how often the eviction sweep runs relative to
@@ -34,9 +36,6 @@ const (
 // PoolConfig tunes the idle pool of a transport built by ListenPooledTCP.
 // The zero value selects the defaults above.
 type PoolConfig struct {
-	// MaxIdlePerPeer caps the idle connections retained per peer address;
-	// surplus connections are closed on release rather than pooled.
-	MaxIdlePerPeer int
 	// IdleTimeout evicts pooled connections unused for this long. Values
 	// above DefaultIdleTimeout (or below a millisecond) are rejected at
 	// construction: the passive side of every TCP backend keeps served
@@ -52,9 +51,6 @@ type PoolConfig struct {
 }
 
 func (c *PoolConfig) fill() error {
-	if c.MaxIdlePerPeer <= 0 {
-		c.MaxIdlePerPeer = DefaultMaxIdlePerPeer
-	}
 	switch {
 	case c.IdleTimeout == 0:
 		c.IdleTimeout = DefaultIdleTimeout
@@ -162,7 +158,7 @@ func listenStream(addr string, h Handler, cfg PoolConfig, pooled bool) (*TCP, er
 	t.wg.Add(1)
 	go t.serve()
 	if pooled {
-		t.maxIdle = cfg.MaxIdlePerPeer
+		t.maxIdle = DefaultMaxIdlePerPeer
 		t.wg.Add(1)
 		go t.sweepLoop()
 	}
@@ -231,10 +227,7 @@ func streamRoundTrip[R replyMsg](t *TCP, ctx context.Context, addr string, frame
 	if t.isClosed() {
 		return none, false, ErrClosed
 	}
-	deadline, err := linkDeadline(ctx, t.Addr(), addr, tcpDefaultTimeout)
-	if err != nil {
-		return none, false, err
-	}
+	deadline := linkDeadline(ctx, tcpDefaultTimeout)
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeaderSize))
 	pc, err := t.borrow(ctx, addr, deadline)
 	if err != nil {

@@ -234,10 +234,7 @@ func datagramRoundTrip[R replyMsg](t *UDP, ctx context.Context, addr string, fra
 		return none, false, ErrClosed
 	default:
 	}
-	deadline, err := linkDeadline(ctx, t.Addr(), addr, udpDefaultTimeout)
-	if err != nil {
-		return none, false, err
-	}
+	deadline := linkDeadline(ctx, udpDefaultTimeout)
 	if len(frame) > MaxDatagramSize {
 		return none, false, fmt.Errorf("%w: %d bytes > %d", ErrOversized, len(frame), MaxDatagramSize)
 	}

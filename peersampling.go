@@ -25,7 +25,7 @@
 //     hostile networks via TransportLimits (connection caps with accept
 //     backpressure, keep-alive budgets that shrink for peers that never
 //     pull — see the README's "hostile networks" section);
-//   - a cycle-based simulator (Simulation) and the complete experimental
+//   - a cycle-based simulator (NewSimulation) and the complete experimental
 //     methodology of the paper (see internal/scenario and the benchmark
 //     harness at the repository root);
 //   - example gossip applications built on the service: epidemic
@@ -62,7 +62,6 @@ import (
 	"peersampling/internal/config"
 	"peersampling/internal/core"
 	"peersampling/internal/daemon"
-	"peersampling/internal/gateway"
 	"peersampling/internal/metrics"
 	"peersampling/internal/runtime"
 	"peersampling/internal/scenario"
@@ -74,28 +73,16 @@ import (
 type (
 	// Protocol is a 3-tuple (peer selection, view selection, propagation).
 	Protocol = core.Protocol
-	// PeerSelection picks the exchange partner: PeerRand, PeerHead, PeerTail.
-	PeerSelection = core.PeerSelection
-	// ViewSelection truncates merged views: ViewRand, ViewHead, ViewTail.
-	ViewSelection = core.ViewSelection
-	// Propagation sets exchange symmetry: Push, Pull, PushPull.
-	Propagation = core.Propagation
-	// Descriptor is a peer address plus the hop-count age of the entry.
-	Descriptor = core.Descriptor[string]
 )
 
 // Policy constants, re-exported.
 const (
 	PeerRand = core.PeerRand
-	PeerHead = core.PeerHead
 	PeerTail = core.PeerTail
 
 	ViewRand = core.ViewRand
-	ViewHead = core.ViewHead
-	ViewTail = core.ViewTail
 
 	Push     = core.Push
-	Pull     = core.Pull
 	PushPull = core.PushPull
 )
 
@@ -126,9 +113,6 @@ type (
 	Node = runtime.Node
 	// NodeConfig parameterises a Node.
 	NodeConfig = runtime.Config
-	// Combined couples two protocol instances into one service (the
-	// paper's concluding "second view" proposal).
-	Combined = runtime.Combined
 )
 
 // NewNode constructs a runtime node whose transport endpoint is built by
@@ -137,37 +121,27 @@ func NewNode(cfg NodeConfig, factory TransportFactory) (*Node, error) {
 	return runtime.New(cfg, factory)
 }
 
-// NewCombined couples two protocol instances into one sampling service.
-func NewCombined(primary, secondary NodeConfig, factory TransportFactory, seed uint64) (*Combined, error) {
+// NewCombined couples two protocol instances into one sampling service
+// (the paper's concluding "second view" proposal).
+func NewCombined(primary, secondary NodeConfig, factory TransportFactory, seed uint64) (*runtime.Combined, error) {
 	return runtime.NewCombined(primary, secondary, factory, seed)
 }
 
 // Transports (re-exported from internal/transport).
 type (
-	// Transport moves gossip exchanges between nodes.
-	Transport = transport.Transport
 	// TransportFactory builds a node's endpoint around its handler.
 	TransportFactory = transport.Factory
-	// TransportStats is a snapshot of a real backend's wire-level
-	// counters (dials, reuses, bytes in/out, dropped datagrams, rejected
-	// and evicted hostile connections); see Node.TransportStats.
-	TransportStats = transport.Stats
 	// TransportLimits bounds a listener's resource use under hostile
 	// load: max concurrent served connections (accept backpressure with
 	// rejects counted), and keep-alive budgets that shrink for peers that
 	// never initiate a pull. The zero value selects safe defaults.
 	TransportLimits = transport.Limits
-	// PoolConfig tunes the pooled TCP backend (idle cap and timeout,
-	// plus listener hardening via its Limits field).
-	PoolConfig = transport.PoolConfig
 	// Fabric is the in-memory test network.
 	Fabric = transport.Fabric
-	// FabricOption configures a Fabric.
-	FabricOption = transport.FabricOption
 )
 
 // NewFabric returns an in-memory network for single-process clusters.
-func NewFabric(opts ...FabricOption) *Fabric { return transport.NewFabric(opts...) }
+func NewFabric() *Fabric { return transport.NewFabric() }
 
 // TCPFactory returns a TransportFactory serving real TCP on the given
 // listen address (use "host:0" for an ephemeral port; Node.Addr reports
@@ -191,15 +165,12 @@ func firstLimit(lim []TransportLimits) TransportLimits {
 
 // PooledTCPFactory returns a TransportFactory serving TCP with persistent
 // per-peer connections: each exchange reuses a pooled connection instead
-// of dialing, and idle connections are evicted after cfg.IdleTimeout. A
-// zero PoolConfig selects the defaults.
-func PooledTCPFactory(listen string, cfg ...PoolConfig) TransportFactory {
-	var pc PoolConfig
-	if len(cfg) > 0 {
-		pc = cfg[0]
-	}
+// of dialing, and idle connections are evicted after a minute. An
+// optional TransportLimits hardens the listener; omitted, the defaults
+// apply.
+func PooledTCPFactory(listen string, lim ...TransportLimits) TransportFactory {
 	return func(h transport.Handler) (transport.Transport, error) {
-		return transport.ListenPooledTCP(listen, h, pc)
+		return transport.ListenPooledTCP(listen, h, transport.PoolConfig{Limits: firstLimit(lim)})
 	}
 }
 
@@ -208,7 +179,7 @@ func PooledTCPFactory(listen string, cfg ...PoolConfig) TransportFactory {
 // surfacing as exchange failures the protocol self-heals around. A node
 // whose view encodes past one datagram gets an error on every exchange it
 // initiates; a response that would not fit is dropped and counted in
-// TransportStats (the wire carries no error frames), which the oversized
+// Node.TransportStats (the wire carries no error frames), which the oversized
 // node's own active errors make diagnosable.
 // An optional TransportLimits caps concurrent handler dispatch; omitted,
 // the defaults apply.
@@ -218,43 +189,23 @@ func UDPFactory(listen string, lim ...TransportLimits) TransportFactory {
 	}
 }
 
-// NewTransportFactory resolves a registered backend name ("tcp",
+// NewTransportFactory resolves a backend name ("tcp",
 // "tcp-pooled", "udp") to a TransportFactory bound to the listen address,
 // under the default TransportLimits.
 func NewTransportFactory(name, listen string) (TransportFactory, error) {
 	return transport.NewFactory(name, listen)
 }
 
-// NewTransportFactoryLimits is NewTransportFactory with explicit
-// hardening limits threaded through to the backend (see TransportLimits
-// and the "hostile networks" section of the README).
-func NewTransportFactoryLimits(name, listen string, lim TransportLimits) (TransportFactory, error) {
-	return transport.NewFactoryLimits(name, listen, lim)
-}
-
-// TransportBackends returns the sorted names of the registered
-// real-network transport backends.
+// TransportBackends returns the sorted names of the real-network
+// transport backends.
 func TransportBackends() []string { return transport.Backends() }
 
 // Observability (re-exported from internal/metrics): continuous
-// instrumentation for live deployments.
-type (
-	// Collector snapshots registered nodes: protocol counters, all wire
-	// counters and view-shape gauges. Register a *Node and expose the
-	// collector through a MetricsServer and/or a MetricsDumper.
-	Collector = metrics.Collector
-	// MetricsServer serves a Collector's snapshots on HTTP GET /metrics
-	// in the Prometheus text exposition format.
-	MetricsServer = metrics.Server
-	// MetricsDumper appends periodic snapshot rounds as long-form CSV
-	// (node,cycle,metric,value — the schema the experiment renderers
-	// emit) or JSONL.
-	MetricsDumper = metrics.Dumper
-	// MetricsSnapshot is one node's observable state at one instant.
-	MetricsSnapshot = metrics.NodeSnapshot
-	// MetricsFormat selects a dumper's output shape.
-	MetricsFormat = metrics.Format
-)
+// instrumentation for live deployments. A collector snapshots registered
+// nodes (protocol counters, wire counters, view-shape gauges); a metrics
+// server exposes it on HTTP GET /metrics in the Prometheus text format,
+// and a dumper appends snapshot rounds as long-form CSV
+// (node,cycle,metric,value) or JSONL.
 
 // Dumper output formats.
 const (
@@ -263,65 +214,50 @@ const (
 )
 
 // NewCollector returns an empty metrics collector.
-func NewCollector() *Collector { return metrics.New() }
+func NewCollector() *metrics.Collector { return metrics.New() }
 
 // NewMetricsServer serves the collector on addr (":0" picks an ephemeral
 // port, reported by the server's Addr method) until Close.
-func NewMetricsServer(c *Collector, addr string) (*MetricsServer, error) {
+func NewMetricsServer(c *metrics.Collector, addr string) (*metrics.Server, error) {
 	return metrics.NewServer(c, addr)
 }
 
 // NewMetricsDumper returns a dumper appending snapshot rounds to w; call
 // Dump per round or Start/Stop for a background ticker.
-func NewMetricsDumper(c *Collector, w io.Writer, format MetricsFormat) *MetricsDumper {
+func NewMetricsDumper(c *metrics.Collector, w io.Writer, format metrics.Format) *metrics.Dumper {
 	return metrics.NewDumper(c, w, format)
-}
-
-// NewMetricsFileDumper returns a dumper appending to the file at path,
-// creating it if needed: the format follows the extension and the CSV
-// header is only written into an empty file, so restarts append cleanly.
-// Close the dumper (after Stop) to close the file.
-func NewMetricsFileDumper(c *Collector, path string) (*MetricsDumper, error) {
-	return metrics.NewFileDumper(c, path)
 }
 
 // MetricsFormatForPath picks the dump format implied by a file extension
 // (".jsonl"/".ndjson" select JSONL, anything else CSV).
-func MetricsFormatForPath(path string) MetricsFormat { return metrics.FormatForPath(path) }
+func MetricsFormatForPath(path string) metrics.Format { return metrics.FormatForPath(path) }
 
 // Simulation (re-exported from internal/sim) for experimentation at scale
 // without real sockets or timers.
 type (
-	// Simulation is a cycle-based network of protocol instances.
-	Simulation = sim.Network
-	// SimConfig parameterises a Simulation.
+	// SimConfig parameterises a simulation.
 	SimConfig = sim.Config
-	// SimNodeID identifies a simulated node.
-	SimNodeID = sim.NodeID
-	// Observation is one row of overlay metrics.
-	Observation = sim.Observation
 	// MetricsConfig tunes metric estimation on large overlays.
 	MetricsConfig = sim.MetricsConfig
 )
 
-// NewSimulation returns an empty cycle-based simulation.
-func NewSimulation(cfg SimConfig) (*Simulation, error) { return sim.New(cfg) }
+// NewSimulation returns an empty cycle-based simulation: a network of
+// protocol instances advanced one cycle at a time.
+func NewSimulation(cfg SimConfig) (*sim.Network, error) { return sim.New(cfg) }
 
 // NewRandomOverlay returns a Simulation of n nodes whose views start as
 // uniform random samples (the paper's random initial topology).
-func NewRandomOverlay(cfg SimConfig, n int) *Simulation { return scenario.BuildRandom(cfg, n) }
+func NewRandomOverlay(cfg SimConfig, n int) *sim.Network { return scenario.BuildRandom(cfg, n) }
 
 // NewLatticeOverlay returns a Simulation of n nodes bootstrapped as the
 // paper's structured ring lattice.
-func NewLatticeOverlay(cfg SimConfig, n int) *Simulation { return scenario.BuildLattice(cfg, n) }
+func NewLatticeOverlay(cfg SimConfig, n int) *sim.Network { return scenario.BuildLattice(cfg, n) }
 
 // Workload peer sources (re-exported from internal/app): the simulation
 // backends the broadcast and aggregate engines draw gossip partners from.
 type (
 	// WorkloadSource hands each simulated node its per-round peer stream.
 	WorkloadSource = app.Source[sim.NodeID]
-	// WorkloadSnapshot is one engine's counter snapshot.
-	WorkloadSnapshot = app.Snapshot
 )
 
 // NewUniformPeers returns the idealised uniform peer source over n nodes
@@ -333,40 +269,18 @@ func NewUniformPeers(n int, seed, salt uint64) WorkloadSource { return app.NewUn
 // NewOverlayPeers draws workload gossip partners from the live views of a
 // peer sampling simulation; each workload round advances the overlay one
 // gossip cycle.
-func NewOverlayPeers(s *Simulation) WorkloadSource { return app.NewOverlay(s) }
+func NewOverlayPeers(s *sim.Network) WorkloadSource { return app.NewOverlay(s) }
 
-// Daemon runtime (re-exported from internal/config, internal/daemon and
-// internal/gateway): the configuration-driven service form of the node,
-// the same machinery cmd/psnode runs.
+// Daemon runtime (re-exported from internal/config and internal/daemon):
+// the configuration-driven service form of the node, the same machinery
+// cmd/psnode runs.
 type (
 	// Config is the daemon's full versioned configuration: node identity
 	// and protocol, transport backend and hardening limits, metrics
 	// endpoints, control surface, and the sampling gateway.
 	Config = config.Config
-	// ConfigDiff classifies the changes between two configs into
-	// hot-applicable and restart-required field paths.
-	ConfigDiff = config.ReloadDiff
-	// ConfigFlags overlays explicitly-set command-line flags onto a
-	// Config (see FromFlags / Apply).
-	ConfigFlags = config.Flags
-	// Daemon owns one node plus its plugin service surface (metrics
-	// server, dumper, reporter, control agent, gateway) with aggregated
-	// health, live reload and signal handling.
-	Daemon = daemon.Manager
 	// DaemonOptions parameterises NewDaemon.
 	DaemonOptions = daemon.Options
-	// DaemonReport is the aggregated status served on /healthz.
-	DaemonReport = daemon.Report
-	// PluginStatus is one daemon plugin's lifecycle state.
-	PluginStatus = daemon.Status
-	// Gateway serves cached peer samples to light clients over HTTP
-	// (GET /v1/sample?n=K) with per-client rate limiting.
-	Gateway = gateway.Gateway
-	// GatewayConfig tunes a Gateway's cache and rate limits.
-	GatewayConfig = gateway.Config
-	// GatewaySampler is the node-side surface a Gateway draws from
-	// (satisfied by *Node).
-	GatewaySampler = gateway.Sampler
 )
 
 // DefaultConfig returns the daemon configuration with every field at its
@@ -379,22 +293,12 @@ func DefaultConfig() Config { return config.Default() }
 // naming the offending field path.
 func LoadConfig(path string) (Config, error) { return config.LoadFile(path) }
 
-// WriteConfig writes cfg to path as JSON (a valid LoadConfig input —
-// how the fleet's subprocess driver provisions its members).
-func WriteConfig(path string, cfg Config) error { return config.WriteFile(path, cfg) }
-
 // ConfigFromFlags registers the daemon's config-override flags on fs;
 // after fs.Parse, Apply overlays exactly the flags the user set.
-func ConfigFromFlags(fs *flag.FlagSet) *ConfigFlags { return config.FromFlags(fs) }
+func ConfigFromFlags(fs *flag.FlagSet) *config.Flags { return config.FromFlags(fs) }
 
 // NewDaemon builds the full daemon — node, transport, and every plugin
-// the config enables — without starting it. Use Start/Close for manual
-// lifecycles or Run for the signal-driven foreground form.
-func NewDaemon(cfg Config, opts DaemonOptions) (*Daemon, error) { return daemon.New(cfg, opts) }
-
-// NewGateway serves the light-client sampling API on addr off s
-// (typically a *Node), refreshing its peer cache in the background. A
-// zero GatewayConfig selects the defaults.
-func NewGateway(addr string, s GatewaySampler, cfg GatewayConfig) (*Gateway, error) {
-	return gateway.New(addr, s, cfg)
-}
+// the config enables (metrics server, dumper, reporter, control agent,
+// gateway) — without starting it. Use Start/Close for manual lifecycles
+// or Run for the signal-driven foreground form.
+func NewDaemon(cfg Config, opts DaemonOptions) (*daemon.Manager, error) { return daemon.New(cfg, opts) }

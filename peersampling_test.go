@@ -80,14 +80,6 @@ func TestFacadeNodeLifecycle(t *testing.T) {
 	}
 }
 
-func TestFacadeFabricOptions(t *testing.T) {
-	var applied *peersampling.Fabric
-	fabric := peersampling.NewFabric(func(f *peersampling.Fabric) { applied = f })
-	if fabric == nil || applied != fabric {
-		t.Fatalf("fabric option not applied to the new fabric: %p vs %p", applied, fabric)
-	}
-}
-
 func TestFacadeSimulation(t *testing.T) {
 	cfg := peersampling.SimConfig{Protocol: peersampling.Newscast(), ViewSize: 15, Seed: 3}
 	w, err := peersampling.NewSimulation(cfg)
