@@ -108,13 +108,44 @@ func TestLinkFaults(t *testing.T) {
 				if got := p.served(app); got != 0 {
 					t.Fatalf("server handled %d messages across a cut link", got)
 				}
-				// The rule is directed: the reverse link still works.
+				p.faults.SetRules(nil)
+				if err := p.exchange(p.client, p.server, app); err != nil {
+					t.Fatalf("healed exchange: %v", err)
+				}
+			})
+			t.Run(prefix+"reverse_link", func(t *testing.T) {
+				p := newFaultPair(t, backend)
+				p.faults.SetRules([]transport.FaultRule{{From: p.client.Addr(), To: p.server.Addr(), Cut: true}})
+				// The rule is directed: while it holds, the reverse link
+				// still works and the cut one still fails.
 				if err := p.exchange(p.server, p.client, app); err != nil {
 					t.Fatalf("reverse exchange: %v", err)
+				}
+				if err := p.exchange(p.client, p.server, app); !errors.Is(err, transport.ErrUnreachable) {
+					t.Fatalf("cut exchange after reverse: err = %v, want ErrUnreachable", err)
 				}
 				p.faults.SetRules(nil)
 				if err := p.exchange(p.client, p.server, app); err != nil {
 					t.Fatalf("healed exchange: %v", err)
+				}
+			})
+			t.Run(prefix+"partition", func(t *testing.T) {
+				p := newFaultPair(t, backend)
+				// A partition is a cut rule on each direction of a link.
+				p.faults.SetRules([]transport.FaultRule{
+					{From: p.client.Addr(), To: p.server.Addr(), Cut: true},
+					{From: p.server.Addr(), To: p.client.Addr(), Cut: true},
+				})
+				for _, dir := range [][2]*Node{{p.client, p.server}, {p.server, p.client}} {
+					if err := p.exchange(dir[0], dir[1], app); !errors.Is(err, transport.ErrUnreachable) {
+						t.Fatalf("partitioned exchange %s->%s: err = %v, want ErrUnreachable", dir[0].Addr(), dir[1].Addr(), err)
+					}
+				}
+				p.faults.SetRules(nil)
+				for _, dir := range [][2]*Node{{p.client, p.server}, {p.server, p.client}} {
+					if err := p.exchange(dir[0], dir[1], app); err != nil {
+						t.Fatalf("healed exchange %s->%s: %v", dir[0].Addr(), dir[1].Addr(), err)
+					}
 				}
 			})
 			t.Run(prefix+"loss", func(t *testing.T) {
