@@ -25,7 +25,8 @@
 // experiments' fault logic (kill waves, floods, partitions, per-link
 // latency/loss) replays from named chaos plans embedded in
 // internal/chaos/plans. -list prints the full registry with each
-// experiment's kind.
+// experiment's kind: "sim" for seeded cycle simulations, "live" for
+// experiments that boot real clusters.
 //
 // The live experiments run on a fleet driver selected with -driver:
 // "inproc" (default) keeps every node a goroutine in this process;
@@ -43,6 +44,10 @@
 // figure CSVs use) so a live run yields a time series like any simulated
 // one. These flags only affect experiments that boot live clusters;
 // cycle-based experiments emit their series via -csv.
+//
+// The exit status is non-zero when any experiment fails to run, and
+// when any live experiment ran but reports that it did not converge; the
+// error names every such experiment, after all of them have run.
 package main
 
 import (
@@ -167,24 +172,20 @@ func run() error {
 
 	fmt.Printf("reproduction scale %q: N=%d, c=%d, %d cycles, %d repetitions\n\n",
 		sc.Name, sc.N, sc.ViewSize, sc.Cycles, sc.Reps)
+	var unconverged []string
 	for _, def := range defs {
 		start := time.Now()
-		var result scenario.Result
-		if def.RunLive != nil {
-			// Live experiments go through the environment-aware entry
-			// point; an error (say, the psnode fleet failing to spawn)
-			// returns through run so the deferred collector/dumper
-			// teardown still happens, instead of dying in a panic.
-			var err error
-			result, err = def.RunLive(sc, *seed, env)
-			if err != nil {
-				return fmt.Errorf("%s: %w", def.ID, err)
-			}
-		} else {
-			result = def.Run(sc, *seed)
+		// An error (say, the psnode fleet failing to spawn) returns through
+		// run so the deferred collector/dumper teardown still happens.
+		result, err := def.Run(sc, *seed, env)
+		if err != nil {
+			return fmt.Errorf("%s: %w", def.ID, err)
 		}
 		fmt.Printf("=== %s — %s (%.1fs)\n\n", def.ID, def.Title, time.Since(start).Seconds())
 		fmt.Println(result.Render())
+		if c, ok := result.(interface{ Converged() bool }); ok && def.Live && !c.Converged() {
+			unconverged = append(unconverged, def.ID)
+		}
 		if *csvDir == "" {
 			continue
 		}
@@ -198,21 +199,19 @@ func run() error {
 			}
 		}
 	}
+	if len(unconverged) > 0 {
+		return fmt.Errorf("live experiments did not converge: %s", strings.Join(unconverged, ", "))
+	}
 	return nil
 }
 
 // listExperiments prints the registry: ID, kind and title per line. The
 // kind says what runs underneath — "sim" for seeded cycle simulations,
-// "live" for experiments that only boot real clusters, "both" for live
-// experiments that also register a plain Run form (every current live
-// experiment does, via its default-environment adapter).
+// "live" for experiments that boot real clusters.
 func listExperiments() {
 	for _, def := range scenario.All() {
 		kind := "sim"
-		switch {
-		case def.Run != nil && def.RunLive != nil:
-			kind = "both"
-		case def.RunLive != nil:
+		if def.Live {
 			kind = "live"
 		}
 		fmt.Printf("%-14s %-5s %s\n", def.ID, kind, def.Title)

@@ -225,16 +225,15 @@ func TestFindAndAll(t *testing.T) {
 		}
 		ids[d.ID] = true
 	}
-	// Exactly the live-cluster experiments take a LiveEnv.
+	// Exactly the live-cluster experiments are marked Live.
 	live := map[string]bool{
 		"hostile": true, "bootstrap": true, "livechurn": true,
 		"livebroadcast": true, "liveaggregate": true, "livegateway": true,
 		"partitionheal": true,
 	}
 	for _, d := range defs {
-		wantLive := live[d.ID]
-		if (d.RunLive != nil) != wantLive {
-			t.Errorf("%s: RunLive presence = %v want %v", d.ID, d.RunLive != nil, wantLive)
+		if d.Live != live[d.ID] {
+			t.Errorf("%s: Live = %v want %v", d.ID, d.Live, live[d.ID])
 		}
 	}
 	if _, ok := Find("figure6"); !ok {

@@ -2,9 +2,8 @@
 // methodology as a registry of named, seeded experiments. Each experiment
 // (table1, figure2..figure7, table2, exclusion) rebuilds one artefact of
 // the evaluation section and renders a paper-shaped text table; the
-// extensions (uniformity, churn, ablation, and the live bootstrap,
-// hostile and livechurn drills) answer questions the paper raises but
-// does not measure.
+// extensions (uniformity, churn, ablation, and the seven live drills)
+// answer questions the paper raises but does not measure.
 //
 // Experiments are pure functions of (Scale, seed): Scale picks the
 // network size, view capacity, cycle counts and estimator effort (Quick
@@ -16,13 +15,29 @@
 //
 // Most experiments run on the cycle-based simulator (internal/sim). The
 // exceptions are the live drills, which boot a real cluster on a fleet
-// driver (internal/fleet, selected through LiveEnv — daemons in
-// this process or forked psnode processes): RunLiveBootstrap measures
-// single-contact convergence, RunHostile attacks one node with a
-// connection flood and slowloris peers to prove the transport hardening
-// layer holds, and RunLiveChurn kills and respawns a fraction of the
-// fleet per round to prove re-convergence. Their counters are
-// timing-dependent where everything else is seeded.
+// driver (internal/fleet, selected through LiveEnv — daemons in this
+// process or forked psnode processes):
 //
-// Command experiments (cmd/experiments) is the CLI over this registry.
+//   - RunLiveBootstrap measures single-contact convergence;
+//   - RunHostile attacks one node with a connection flood and slowloris
+//     peers to prove the transport hardening layer holds;
+//   - RunLiveChurn kills and respawns a fraction of the fleet per round
+//     to prove re-convergence;
+//   - RunLiveBroadcast spreads one rumor through a kill wave;
+//   - RunLiveAggregate measures push-pull variance decay and estimates
+//     the fleet's size;
+//   - RunLiveGateway loads every member's sampling gateway through a
+//     kill wave;
+//   - RunLivePartition cuts the fleet in two and watches it heal.
+//
+// All seven share one harness (live.go): deriveShape sizes the fleet
+// from the Scale, LiveEnv.boot builds it, spawns it from one contact and
+// waits for complete views, pollUntil is the one poll loop, and
+// liveHead renders the common report header. Fault logic replays from
+// named internal/chaos plans. Their counters are timing-dependent where
+// everything else is seeded.
+//
+// Each Def has one entry point, Run(Scale, seed, LiveEnv); simulations
+// ignore the environment. Command experiments (cmd/experiments) is the
+// CLI over this registry.
 package scenario

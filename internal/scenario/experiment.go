@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -27,113 +26,59 @@ type Result interface {
 type Def struct {
 	ID    string
 	Title string
-	Run   func(sc Scale, seed uint64) Result
-	// RunLive is set on experiments that boot a live cluster (real
-	// sockets, real time, possibly real processes — see LiveEnv): the
-	// environment selects the fleet driver and optionally a collector
-	// observing every member. Unlike Run, RunLive returns an error,
-	// because booting real processes has real failure modes (a missing
-	// psnode binary is not a panic-grade programmer error). It is nil
-	// for cycle-based experiments, which are observed through their own
-	// Result series instead.
-	RunLive func(sc Scale, seed uint64, env LiveEnv) (Result, error)
+	// Live marks experiments that boot a live cluster (real sockets, real
+	// time, possibly real processes); the rest are seeded cycle
+	// simulations that ignore the LiveEnv.
+	Live bool
+	// Run executes the experiment. The environment selects a live
+	// experiment's fleet driver and optionally a collector observing
+	// every member. The error reports a live cluster's real failure
+	// modes (a missing psnode binary is not a panic-grade programmer
+	// error); simulations never return one.
+	Run func(sc Scale, seed uint64, env LiveEnv) (Result, error)
 }
 
-// runLiveDirect adapts a RunLive function to the plain Run signature for
-// the registry: default environment, errors escalated to panics (the
-// inproc driver only fails on programmer error, matching the other
-// scenarios' contract).
-func runLiveDirect(f func(sc Scale, seed uint64, env LiveEnv) (Result, error)) func(Scale, uint64) Result {
-	return func(sc Scale, seed uint64) Result {
-		r, err := f(sc, seed, LiveEnv{})
+// simDef registers a seeded cycle simulation.
+func simDef[R Result](id, title string, run func(Scale, uint64) R) Def {
+	return Def{ID: id, Title: title, Run: func(sc Scale, seed uint64, _ LiveEnv) (Result, error) {
+		return run(sc, seed), nil
+	}}
+}
+
+// liveDef registers a live-cluster experiment.
+func liveDef[R Result](id, title string, run func(Scale, uint64, LiveEnv) (R, error)) Def {
+	return Def{ID: id, Title: title, Live: true, Run: func(sc Scale, seed uint64, env LiveEnv) (Result, error) {
+		r, err := run(sc, seed, env)
 		if err != nil {
-			panic(fmt.Sprintf("scenario: %v", err))
+			return nil, err // not a Result holding a nil *R
 		}
-		return r
-	}
+		return r, nil
+	}}
 }
 
 // All returns the full experiment registry in paper order.
 func All() []Def {
 	return []Def{
-		{"table1", "Table 1: partitioning in the growing overlay scenario", func(sc Scale, seed uint64) Result { return RunTable1(sc, seed) }, nil},
-		{"figure2", "Figure 2: dynamics of graph properties, growing scenario", func(sc Scale, seed uint64) Result { return RunFigure2(sc, seed) }, nil},
-		{"figure3", "Figure 3: dynamics from lattice and random initialisation", func(sc Scale, seed uint64) Result { return RunFigure3(sc, seed) }, nil},
-		{"figure4", "Figure 4: degree distributions from random initialisation", func(sc Scale, seed uint64) Result { return RunFigure4(sc, seed) }, nil},
-		{"table2", "Table 2: dynamics of individual node degrees", func(sc Scale, seed uint64) Result { return RunTable2(sc, seed) }, nil},
-		{"figure5", "Figure 5: autocorrelation of node degree over time", func(sc Scale, seed uint64) Result { return RunFigure5(sc, seed) }, nil},
-		{"figure6", "Figure 6: connectivity after catastrophic node removal", func(sc Scale, seed uint64) Result { return RunFigure6(sc, seed) }, nil},
-		{"figure7", "Figure 7: self-healing after 50% node failure", func(sc Scale, seed uint64) Result { return RunFigure7(sc, seed) }, nil},
-		{"exclusion", "Section 4.3: why (head,*,*), (*,tail,*), (*,*,pull) are excluded", func(sc Scale, seed uint64) Result { return RunExclusion(sc, seed) }, nil},
-		{"uniformity", "Sampling quality: getPeer() versus independent uniform sampling", func(sc Scale, seed uint64) Result { return RunUniformity(sc, seed) }, nil},
-		{"churn", "Extension: steady-state behaviour under continuous churn", func(sc Scale, seed uint64) Result { return RunChurn(sc, seed) }, nil},
-		{
-			"bootstrap", "Extension: live cluster bootstrap convergence over real sockets",
-			runLiveDirect(liveBootstrapDef),
-			liveBootstrapDef,
-		},
-		{
-			"hostile", "Extension: live cluster under connection flood and slowloris",
-			runLiveDirect(hostileDef),
-			hostileDef,
-		},
-		{
-			"livechurn", "Extension: fleet churn — kill and respawn real nodes each round",
-			runLiveDirect(liveChurnDef),
-			liveChurnDef,
-		},
-		{
-			"livebroadcast", "Extension: epidemic rumor spread over a live fleet under a kill wave",
-			runLiveDirect(liveBroadcastDef),
-			liveBroadcastDef,
-		},
-		{
-			"liveaggregate", "Extension: live push-pull averaging — variance decay and size estimation",
-			runLiveDirect(liveAggregateDef),
-			liveAggregateDef,
-		},
-		{
-			"livegateway", "Extension: gateway sampling API under ramping load and a kill wave",
-			runLiveDirect(liveGatewayDef),
-			liveGatewayDef,
-		},
-		{
-			"partitionheal", "Extension: partition and heal a live fleet from a declarative fault plan",
-			runLiveDirect(livePartitionDef),
-			livePartitionDef,
-		},
-		{"ablation", "Ablation: overlay quality and robustness versus view size c", func(sc Scale, seed uint64) Result { return RunAblation(sc, seed) }, nil},
+		simDef("table1", "Table 1: partitioning in the growing overlay scenario", RunTable1),
+		simDef("figure2", "Figure 2: dynamics of graph properties, growing scenario", RunFigure2),
+		simDef("figure3", "Figure 3: dynamics from lattice and random initialisation", RunFigure3),
+		simDef("figure4", "Figure 4: degree distributions from random initialisation", RunFigure4),
+		simDef("table2", "Table 2: dynamics of individual node degrees", RunTable2),
+		simDef("figure5", "Figure 5: autocorrelation of node degree over time", RunFigure5),
+		simDef("figure6", "Figure 6: connectivity after catastrophic node removal", RunFigure6),
+		simDef("figure7", "Figure 7: self-healing after 50% node failure", RunFigure7),
+		simDef("exclusion", "Section 4.3: why (head,*,*), (*,tail,*), (*,*,pull) are excluded", RunExclusion),
+		simDef("uniformity", "Sampling quality: getPeer() versus independent uniform sampling", RunUniformity),
+		simDef("churn", "Extension: steady-state behaviour under continuous churn", RunChurn),
+		liveDef("bootstrap", "Extension: live cluster bootstrap convergence over real sockets", RunLiveBootstrap),
+		liveDef("hostile", "Extension: live cluster under connection flood and slowloris", RunHostile),
+		liveDef("livechurn", "Extension: fleet churn — kill and respawn real nodes each round", RunLiveChurn),
+		liveDef("livebroadcast", "Extension: epidemic rumor spread over a live fleet under a kill wave", RunLiveBroadcast),
+		liveDef("liveaggregate", "Extension: live push-pull averaging — variance decay and size estimation", RunLiveAggregate),
+		liveDef("livegateway", "Extension: gateway sampling API under ramping load and a kill wave", RunLiveGateway),
+		liveDef("partitionheal", "Extension: partition and heal a live fleet from a declarative fault plan", RunLivePartition),
+		simDef("ablation", "Ablation: overlay quality and robustness versus view size c", RunAblation),
 	}
-}
-
-// The live experiments' RunLive shapes, named so All can register both
-// the plain and the environment-aware form without repeating closures.
-func liveBootstrapDef(sc Scale, seed uint64, env LiveEnv) (Result, error) {
-	return RunLiveBootstrap(sc, seed, env)
-}
-
-func hostileDef(sc Scale, seed uint64, env LiveEnv) (Result, error) {
-	return RunHostile(sc, seed, env)
-}
-
-func liveChurnDef(sc Scale, seed uint64, env LiveEnv) (Result, error) {
-	return RunLiveChurn(sc, seed, env)
-}
-
-func liveBroadcastDef(sc Scale, seed uint64, env LiveEnv) (Result, error) {
-	return RunLiveBroadcast(sc, seed, env)
-}
-
-func liveAggregateDef(sc Scale, seed uint64, env LiveEnv) (Result, error) {
-	return RunLiveAggregate(sc, seed, env)
-}
-
-func liveGatewayDef(sc Scale, seed uint64, env LiveEnv) (Result, error) {
-	return RunLiveGateway(sc, seed, env)
-}
-
-func livePartitionDef(sc Scale, seed uint64, env LiveEnv) (Result, error) {
-	return RunLivePartition(sc, seed, env)
 }
 
 // Find returns the experiment definition with the given ID.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"peersampling/internal/chaos"
-	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 	"peersampling/internal/transport"
 )
@@ -37,52 +36,24 @@ import (
 // "victim" so the plan can address it.
 const hostilePlan = "hostile-flood"
 
-// hostileParams derives live-cluster parameters from a simulation Scale
-// (the cluster is necessarily much smaller than the paper's 10^4 — every
-// node owns a real listener, growing mildly with the scale) and the
-// attack's shape from the named chaos plan.
+// hostileParams is the cluster's shape (necessarily much smaller than
+// the paper's 10^4 — every node owns a real listener), the listener
+// limits every member runs, and the attack's shape from the named chaos
+// plan.
 type hostileParams struct {
-	Nodes     int           // live cluster size
-	ViewSize  int           // view capacity, capped below cluster size
-	MaxConns  int           // victim's listener cap, deliberately tight
+	liveShape
+	MaxConns  int           // every listener's cap, deliberately tight
 	KeepAlive time.Duration // full keep-alive budget (shrunken budgets derive)
-	Period    time.Duration // gossip period T
 	Plan      string        // chaos plan driving the attack
 	Attack    time.Duration // flood duration (from the plan)
 	Flooders  int           // concurrent attacker goroutines (from the plan)
-}
-
-func hostileDerive(sc Scale, plan *chaos.Plan) hostileParams {
-	nodes := sc.N / 50
-	if nodes < 8 {
-		nodes = 8
-	}
-	if nodes > 24 {
-		nodes = 24
-	}
-	view := sc.ViewSize
-	if view > nodes-1 {
-		view = nodes - 1
-	}
-	flood, _ := plan.FirstFlood()
-	return hostileParams{
-		Nodes:     nodes,
-		ViewSize:  view,
-		MaxConns:  nodes, // tight: the flood WILL hit the cap
-		KeepAlive: 400 * time.Millisecond,
-		Period:    20 * time.Millisecond,
-		Plan:      plan.Name,
-		Attack:    flood.For,
-		Flooders:  flood.Flooders,
-	}
 }
 
 // HostileResult reports the hostile-network experiment: listener counters
 // on the attacked node and overlay health across the cluster.
 type HostileResult struct {
 	Params hostileParams
-	// Driver names the fleet driver that ran the cluster.
-	Driver string
+	liveHead
 
 	FloodDials uint64 // connections the attackers opened (or tried)
 	// Victim listener counters over the whole run.
@@ -113,17 +84,15 @@ func (r *HostileResult) Converged() bool {
 // Render implements Result.
 func (r *HostileResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Hostile network: connection flood + slowloris against a live cluster\n")
-	fmt.Fprintf(&b, "cluster: %d nodes (%s driver), c=%d, T=%v, tcp backend, max-conns=%d, keepalive=%v\n",
-		r.Params.Nodes, r.Driver, r.Params.ViewSize, r.Params.Period, r.Params.MaxConns, r.Params.KeepAlive)
+	r.header(&b, "Hostile network: connection flood + slowloris against a live cluster", r.Params.liveShape,
+		fmt.Sprintf(", max-conns=%d, keepalive=%v", r.Params.MaxConns, r.Params.KeepAlive))
 	fmt.Fprintf(&b, "attack: plan=%s: %d flooders for %v -> %d connections thrown at one node\n",
 		r.Params.Plan, r.Params.Flooders, r.Params.Attack, r.FloodDials)
-	fmt.Fprintf(&b, "%-34s %10s\n", "", "value")
-	fmt.Fprintf(&b, "%-34s %10d\n", "accepts rejected at the cap", r.AcceptRejects)
-	fmt.Fprintf(&b, "%-34s %10d\n", "slowloris conns evicted", r.KeepAliveEvictions)
-	fmt.Fprintf(&b, "%-34s %10d\n", "victim exchanges during attack", r.VictimExchanges)
-	fmt.Fprintf(&b, "%-34s %7d/%2d\n", "complete views after attack", r.CompleteViews, r.Params.Nodes)
-	fmt.Fprintf(&b, "%-34s %10d\n", "stray view entries", r.StrayDescriptors)
+	fmt.Fprintf(&b, "%-38s %10d\n", "accepts rejected at the cap", r.AcceptRejects)
+	fmt.Fprintf(&b, "%-38s %10d\n", "slowloris conns evicted", r.KeepAliveEvictions)
+	fmt.Fprintf(&b, "%-38s %10d\n", "victim exchanges during attack", r.VictimExchanges)
+	fmt.Fprintf(&b, "%-38s %7d/%2d\n", "complete views after attack", r.CompleteViews, r.Params.Nodes)
+	fmt.Fprintf(&b, "%-38s %10d\n", "stray view entries", r.StrayDescriptors)
 	fmt.Fprintf(&b, "converged under attack: %v\n", r.Converged())
 	return b.String()
 }
@@ -146,15 +115,18 @@ func RunHostile(sc Scale, seed uint64, env LiveEnv) (*HostileResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := hostileDerive(sc, plan)
-	res := &HostileResult{Params: p, Driver: env.DriverName()}
-
-	cluster, err := env.cluster(fleet.Config{
-		Protocol: core.Newscast,
-		ViewSize: p.ViewSize,
-		Period:   p.Period,
-		Backend:  "tcp",
-		Limits:   transport.Limits{MaxConns: p.MaxConns, KeepAlive: p.KeepAlive},
+	shape := deriveShape(sc, 50, 8, 24)
+	flood, _ := plan.FirstFlood()
+	p := hostileParams{
+		liveShape: shape,
+		MaxConns:  shape.Nodes, // tight: the flood WILL hit the cap
+		KeepAlive: 400 * time.Millisecond,
+		Plan:      plan.Name,
+		Attack:    flood.For,
+		Flooders:  flood.Flooders,
+	}
+	f, err := env.boot(shape, fleet.Config{
+		Limits: transport.Limits{MaxConns: p.MaxConns, KeepAlive: p.KeepAlive},
 		Name: func(i int) string {
 			if i == 0 {
 				return "victim"
@@ -165,17 +137,11 @@ func RunHostile(sc Scale, seed uint64, env LiveEnv) (*HostileResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
-
-	members, err := spawnLinear(cluster, p.Nodes)
-	if err != nil {
-		return nil, err
-	}
+	defer f.Close()
+	res := &HostileResult{Params: p, liveHead: f.head}
+	members := f.members
 	victim := members[0]
 	ever := liveAddrs(members)
-
-	// Let the overlay converge before the attack (bounded wait).
-	waitCompleteViews(members, p.Period, 20*p.Period*time.Duration(p.Nodes))
 
 	// Attack: the plan's flood event. Flooders dial the victim and hold
 	// everything they get open without ever writing a byte — each admitted
@@ -187,7 +153,7 @@ func RunHostile(sc Scale, seed uint64, env LiveEnv) (*HostileResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: hostile: victim snapshot: %w", err)
 	}
-	ex := chaos.New(plan, cluster, members, chaos.Options{Seed: mix(seed, 0x05711E)})
+	ex := chaos.New(plan, f.Cluster, members, chaos.Options{Seed: mix(seed, 0x05711E)})
 	defer ex.Close()
 	attack, err := ex.Step()
 	if err != nil {

@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
+	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 	"peersampling/internal/metrics"
 	"peersampling/internal/transport"
@@ -24,20 +26,96 @@ type LiveEnv struct {
 	Psnode string
 }
 
-// DriverName returns the effective driver for result rendering.
-func (e LiveEnv) DriverName() string {
-	if e.Driver == "" {
-		return fleet.DriverInproc
+// liveShape is a live fleet's size, view capacity and gossip period.
+type liveShape struct {
+	Nodes    int           // fleet size at full strength
+	ViewSize int           // view capacity, capped below fleet size
+	Period   time.Duration // gossip period T
+}
+
+// deriveShape sizes a live fleet from a simulation Scale: one member per
+// perNode simulated nodes, clamped to [lo, hi] — small enough that every
+// member can own a real listener and, under the subprocess driver, a
+// real process.
+func deriveShape(sc Scale, perNode, lo, hi int) liveShape {
+	nodes := min(max(sc.N/perNode, lo), hi)
+	return liveShape{Nodes: nodes, ViewSize: min(sc.ViewSize, nodes-1), Period: 20 * time.Millisecond}
+}
+
+// phaseTimeout bounds every wait for the fleet to (re)converge. The flat
+// grace on top of the gossip-scaled deadline covers subprocess members'
+// process-spawn time on loaded machines; a healthy fleet returns early.
+func (s liveShape) phaseTimeout() time.Duration {
+	return 30*s.Period*time.Duration(s.Nodes) + 5*time.Second
+}
+
+// liveHead is what every live result reports about its boot: the fleet
+// driver that ran it and the bootstrap outcome.
+type liveHead struct {
+	// Driver names the fleet driver that ran the cluster.
+	Driver string
+	// BootstrapComplete counts complete views after bootstrap (must be
+	// Nodes for the rest of the experiment to mean anything);
+	// BootstrapTime is the wall-clock time from a full fleet to full
+	// views, or the bounded wait.
+	BootstrapComplete int
+	BootstrapTime     time.Duration
+}
+
+// header writes the lines every live result opens with: the title, the
+// fleet's shape and driver (extra appends the experiment's own
+// settings) and the bootstrap outcome.
+func (h liveHead) header(b *strings.Builder, title string, s liveShape, extra string) {
+	fmt.Fprintf(b, "%s\n", title)
+	fmt.Fprintf(b, "fleet: %d nodes (%s driver), c=%d, T=%v%s\n", s.Nodes, h.Driver, s.ViewSize, s.Period, extra)
+	fmt.Fprintf(b, "%-38s %10s\n", "", "value")
+	fmt.Fprintf(b, "%-38s %7d/%2d\n", "complete views after bootstrap", h.BootstrapComplete, s.Nodes)
+	fmt.Fprintf(b, "%-38s %10v\n", "bootstrap time", h.BootstrapTime.Round(time.Millisecond))
+}
+
+// liveFleet is a booted live cluster: the fleet, the members it was
+// booted with, and the bootstrap outcome.
+type liveFleet struct {
+	fleet.Cluster
+	members []fleet.Member
+	head    liveHead
+}
+
+// boot is the one boot path of every live experiment. It builds env's
+// fleet from tmpl running Newscast over tcp with the shape's view size
+// and period, spawns shape.Nodes members from a single contact, and
+// waits (bounded) for every view to complete. The clock starts after the
+// spawn: under the subprocess driver forking a dozen daemons costs far
+// more wall time than gossip convergence at T=20ms, and that cost is the
+// driver's, not the protocol's. The caller closes the fleet.
+func (env LiveEnv) boot(s liveShape, tmpl fleet.Config) (*liveFleet, error) {
+	tmpl.Protocol = core.Newscast
+	tmpl.ViewSize = s.ViewSize
+	tmpl.Period = s.Period
+	tmpl.Backend = "tcp"
+	cluster, err := env.cluster(tmpl)
+	if err != nil {
+		return nil, err
 	}
-	return e.Driver
+	members, err := spawnLinear(cluster, s.Nodes)
+	if err != nil {
+		_ = cluster.Close()
+		return nil, err
+	}
+	f := &liveFleet{Cluster: cluster, members: members, head: liveHead{Driver: env.Driver}}
+	if f.head.Driver == "" {
+		f.head.Driver = fleet.DriverInproc
+	}
+	f.head.BootstrapComplete, f.head.BootstrapTime = waitCompleteViews(members, s.Period, s.phaseTimeout())
+	return f, nil
 }
 
 // cluster builds the fleet for this environment around the scenario's
 // node template.
-func (e LiveEnv) cluster(cfg fleet.Config) (fleet.Cluster, error) {
-	cfg.Collector = e.Collector
-	cfg.Psnode = e.Psnode
-	return fleet.New(e.Driver, cfg)
+func (env LiveEnv) cluster(cfg fleet.Config) (fleet.Cluster, error) {
+	cfg.Collector = env.Collector
+	cfg.Psnode = env.Psnode
+	return fleet.New(env.Driver, cfg)
 }
 
 // spawnLinear boots n members: the first contactless, every later one
@@ -103,19 +181,29 @@ func completeLiveViews(members []fleet.Member) (complete, liveCount int) {
 	return complete, len(live)
 }
 
+// pollUntil calls done once per period until it reports true or the
+// timeout expires, and returns how long that took. It is the one poll
+// loop of the live experiments: done runs at least once, and once more
+// after the deadline passes.
+func pollUntil(period, timeout time.Duration, done func() bool) time.Duration {
+	start := time.Now()
+	deadline := start.Add(timeout)
+	for !done() && !time.Now().After(deadline) {
+		time.Sleep(period)
+	}
+	return time.Since(start)
+}
+
 // waitCompleteViews polls until every live member's view is complete or
 // the timeout expires, returning the final complete count and how long
 // the wait took.
 func waitCompleteViews(members []fleet.Member, period, timeout time.Duration) (complete int, waited time.Duration) {
-	start := time.Now()
-	deadline := start.Add(timeout)
-	for {
-		c, live := completeLiveViews(members)
-		if c == live || time.Now().After(deadline) {
-			return c, time.Since(start)
-		}
-		time.Sleep(period)
-	}
+	waited = pollUntil(period, timeout, func() bool {
+		var live int
+		complete, live = completeLiveViews(members)
+		return complete == live
+	})
+	return complete, waited
 }
 
 // strayDescriptors counts view entries across live members that point at

@@ -9,9 +9,9 @@ import (
 
 	"peersampling/aggregate"
 	"peersampling/internal/config"
-	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 	"peersampling/internal/metrics"
+	"peersampling/internal/stats"
 )
 
 // The live aggregation experiment runs the paper's second application —
@@ -20,36 +20,14 @@ import (
 // values over the transport's app-payload frames, and the empirical
 // variance decay is measured against the protocol's ideal rate of
 // 1/(2*sqrt(e)) per round. A second phase reruns the classic network
-// size estimation trick (value 1 at one node, 0 elsewhere; every
-// estimate converges to 1/N) to check the averaged mass is meaningful
-// end to end.
+// size estimation trick (one extra unit of mass at one node; every
+// estimate converges to the old mean plus 1/N) to check the averaged
+// mass is meaningful end to end.
 
-// liveAggregateParams derives the fleet's shape from a simulation Scale.
+// liveAggregateParams is the fleet's shape plus the measurement length.
 type liveAggregateParams struct {
-	Nodes    int           // fleet size
-	ViewSize int           // view capacity, capped below fleet size
-	Period   time.Duration // gossip and workload round length T
-	Polls    int           // measurement polls per phase (one per period)
-}
-
-func liveAggregateDerive(sc Scale) liveAggregateParams {
-	nodes := sc.N / 50
-	if nodes < 8 {
-		nodes = 8
-	}
-	if nodes > 24 {
-		nodes = 24
-	}
-	view := sc.ViewSize
-	if view > nodes-1 {
-		view = nodes - 1
-	}
-	return liveAggregateParams{
-		Nodes:    nodes,
-		ViewSize: view,
-		Period:   20 * time.Millisecond,
-		Polls:    40,
-	}
+	liveShape
+	Polls int // measurement polls per phase (one per period)
 }
 
 // idealRate is the paper's expected variance reduction factor per round
@@ -59,12 +37,8 @@ var idealRate = 1 / (2 * math.Sqrt(math.E))
 // LiveAggregateResult reports the live averaging experiment.
 type LiveAggregateResult struct {
 	Params liveAggregateParams
-	// Driver names the fleet driver that ran the cluster.
-	Driver string
+	liveHead
 
-	// BootstrapComplete counts complete views after bootstrap.
-	BootstrapComplete int
-	BootstrapTime     time.Duration
 	// VariancePerPoll is the empirical estimate variance across live
 	// members, one point per measurement poll.
 	VariancePerPoll []float64
@@ -75,8 +49,9 @@ type LiveAggregateResult struct {
 	// the ideal is 1/(2*sqrt(e)) ~ 0.303. Live concurrency makes the
 	// match loose, but the decay must be unmistakably exponential.
 	EmpiricalRate float64
-	// SizeEstimates are the per-node network size estimates (1/value)
-	// after the size-estimation phase, sorted ascending.
+	// SizeEstimates are the per-node network size estimates
+	// (1/(value - phase-1 mean)) after the size-estimation phase, sorted
+	// ascending.
 	SizeEstimates []float64
 	// MedianSizeEstimate summarises them; the truth is Nodes.
 	MedianSizeEstimate float64
@@ -107,12 +82,7 @@ func (r *LiveAggregateResult) Converged() bool {
 // Render implements Result.
 func (r *LiveAggregateResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Live aggregation: push-pull averaging across a real fleet\n")
-	fmt.Fprintf(&b, "fleet: %d nodes (%s driver), c=%d, T=%v\n",
-		r.Params.Nodes, r.Driver, r.Params.ViewSize, r.Params.Period)
-	fmt.Fprintf(&b, "%-38s %10s\n", "", "value")
-	fmt.Fprintf(&b, "%-38s %7d/%2d\n", "complete views after bootstrap", r.BootstrapComplete, r.Params.Nodes)
-	fmt.Fprintf(&b, "%-38s %10v\n", "bootstrap time", r.BootstrapTime.Round(time.Millisecond))
+	r.header(&b, "Live aggregation: push-pull averaging across a real fleet", r.Params.liveShape, "")
 	if n := len(r.VariancePerPoll); n > 0 {
 		fmt.Fprintf(&b, "%-38s %10.3g\n", "initial estimate variance", r.VariancePerPoll[0])
 		fmt.Fprintf(&b, "%-38s %10.3g\n", "final estimate variance", r.VariancePerPoll[n-1])
@@ -137,19 +107,13 @@ func (r *LiveAggregateResult) CSV() map[string]string {
 
 // RunLiveAggregate boots a fleet whose members all run an aggregate
 // workload engine, seeds member i with value i, measures the estimate
-// variance per period until it collapses, then reruns the seeding as a
-// size estimation (one 1, rest 0) and reads the estimates back. Timing
-// is real, and the seed chooses nothing: members seed their protocol
-// randomness from their own addresses.
+// variance per period until it collapses, then adds one unit of mass at
+// the first member as a size estimation and reads the estimates back.
+// Timing is real, and the seed chooses nothing: members seed their
+// protocol randomness from their own addresses.
 func RunLiveAggregate(sc Scale, seed uint64, env LiveEnv) (*LiveAggregateResult, error) {
-	p := liveAggregateDerive(sc)
-	res := &LiveAggregateResult{Params: p, Driver: env.DriverName()}
-
-	cluster, err := env.cluster(fleet.Config{
-		Protocol: core.Newscast,
-		ViewSize: p.ViewSize,
-		Period:   p.Period,
-		Backend:  "tcp",
+	p := liveAggregateParams{liveShape: deriveShape(sc, 50, 8, 24), Polls: 40}
+	f, err := env.boot(p.liveShape, fleet.Config{
 		Workload: config.WorkloadSection{
 			Kind:   config.WorkloadAggregate,
 			Period: p.Period,
@@ -158,14 +122,9 @@ func RunLiveAggregate(sc Scale, seed uint64, env LiveEnv) (*LiveAggregateResult,
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
-
-	members, err := spawnLinear(cluster, p.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	phaseTimeout := 30*p.Period*time.Duration(p.Nodes) + 5*time.Second
-	res.BootstrapComplete, res.BootstrapTime = waitCompleteViews(members, p.Period, phaseTimeout)
+	defer f.Close()
+	res := &LiveAggregateResult{Params: p, liveHead: f.head}
+	members := f.members
 
 	seeder, err := newAppSeeder()
 	if err != nil {
@@ -181,7 +140,9 @@ func RunLiveAggregate(sc Scale, seed uint64, env LiveEnv) (*LiveAggregateResult,
 		}
 	}
 	roundsAtStart := meanRounds(liveAppSnapshots(members))
-	for poll := 0; poll < p.Polls; poll++ {
+	var mean float64
+	pollUntil(p.Period, p.phaseTimeout(), func() bool {
+		poll := len(res.VariancePerPoll)
 		snaps := liveAppSnapshots(members)
 		values := make([]float64, 0, len(snaps))
 		for _, s := range snaps {
@@ -190,16 +151,14 @@ func RunLiveAggregate(sc Scale, seed uint64, env LiveEnv) (*LiveAggregateResult,
 				Key: s.Node, Cycle: poll, Metric: "value", Value: s.App.Value,
 			})
 		}
-		v := variance(values)
+		mean = stats.Mean(values)
+		v := stats.Variance(values)
 		res.VariancePerPoll = append(res.VariancePerPoll, v)
 		res.rows = append(res.rows, metrics.LongRow{
 			Key: "fleet", Cycle: poll, Metric: "variance", Value: v,
 		})
-		if v < 1e-9 {
-			break
-		}
-		time.Sleep(p.Period)
-	}
+		return v < 1e-9 || poll+1 == p.Polls
+	})
 	res.RoundsElapsed = meanRounds(liveAppSnapshots(members)) - roundsAtStart
 	if n := len(res.VariancePerPoll); n >= 2 && res.RoundsElapsed > 0 {
 		first, last := res.VariancePerPoll[0], res.VariancePerPoll[n-1]
@@ -208,24 +167,21 @@ func RunLiveAggregate(sc Scale, seed uint64, env LiveEnv) (*LiveAggregateResult,
 		}
 	}
 
-	// Phase 2 — network size estimation: value 1 at the first member, 0
-	// elsewhere; every estimate converges to 1/N.
-	for i, m := range members {
-		v := 0.0
-		if i == 0 {
-			v = 1
-		}
-		if err := seeder.send(m.Addr(), aggregate.Topic, aggregate.EncodeSet(v)); err != nil {
-			return nil, err
-		}
+	// Phase 2 — network size estimation. One set message adds one unit
+	// of mass at the first member, so every estimate converges to
+	// mean + 1/N. Resetting every member instead races the resets against
+	// the gossip still running between them and changes the fleet's mass
+	// by whatever the not-yet-reset members averaged in meanwhile.
+	if err := seeder.send(members[0].Addr(), aggregate.Topic, aggregate.EncodeSet(mean+1)); err != nil {
+		return nil, err
 	}
 	time.Sleep(time.Duration(p.Polls) * p.Period)
 	final := liveAppSnapshots(members)
 	for _, s := range final {
-		if s.App.Value <= 0 {
-			continue // not yet reached by any mass; 1/value is meaningless
+		if s.App.Value <= mean {
+			continue // not yet reached by the extra mass; the estimate is meaningless
 		}
-		est := aggregate.SizeEstimate(s.App.Value)
+		est := aggregate.SizeEstimate(s.App.Value - mean)
 		res.SizeEstimates = append(res.SizeEstimates, est)
 		res.rows = append(res.rows, metrics.LongRow{
 			Key: s.Node, Cycle: p.Polls, Metric: "size_estimate", Value: est,
@@ -238,24 +194,6 @@ func RunLiveAggregate(sc Scale, seed uint64, env LiveEnv) (*LiveAggregateResult,
 
 	res.Sent, res.Received, res.Failures = liveAppTotals(final)
 	return res, nil
-}
-
-// variance is the population variance of values.
-func variance(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range values {
-		mean += v
-	}
-	mean /= float64(len(values))
-	sum := 0.0
-	for _, v := range values {
-		d := v - mean
-		sum += d * d
-	}
-	return sum / float64(len(values))
 }
 
 // meanRounds averages the workload engines' round counters.

@@ -22,7 +22,7 @@ func TestLiveBootstrapConvergesAndIsObservable(t *testing.T) {
 	}
 
 	if !res.Converged() {
-		t.Fatalf("cluster did not converge: %d/%d complete views", res.CompleteViews, res.Params.Nodes)
+		t.Fatalf("cluster did not converge: %d/%d complete views", res.BootstrapComplete, res.Params.Nodes)
 	}
 	if res.Driver != "inproc" {
 		t.Fatalf("default driver = %q", res.Driver)

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"peersampling/broadcast"
+	"peersampling/internal/chaos"
 	"peersampling/internal/config"
-	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 	"peersampling/internal/metrics"
 )
@@ -22,46 +22,24 @@ import (
 // every survivor, with deliveries to dead peers absorbed as routine
 // failures.
 
-// liveBroadcastParams derives the fleet's shape from a simulation Scale.
-type liveBroadcastParams struct {
-	Nodes        int           // fleet size at full strength
-	ViewSize     int           // view capacity, capped below fleet size
-	Period       time.Duration // gossip and workload round length T
-	Fanout       int           // rumor pushes per round per infected node
-	KillFraction float64       // fraction of members killed mid-spread
-}
+// liveBroadcastPlan names the fault plan whose one kill wave lands
+// mid-spread (see internal/chaos/plans). The experiment steps it once,
+// right after seeding the rumor, so the plan's offset only orders it.
+const liveBroadcastPlan = "gateway-kill"
 
-func liveBroadcastDerive(sc Scale) liveBroadcastParams {
-	nodes := sc.N / 50
-	if nodes < 8 {
-		nodes = 8
-	}
-	if nodes > 24 {
-		nodes = 24
-	}
-	view := sc.ViewSize
-	if view > nodes-1 {
-		view = nodes - 1
-	}
-	return liveBroadcastParams{
-		Nodes:        nodes,
-		ViewSize:     view,
-		Period:       20 * time.Millisecond,
-		Fanout:       2,
-		KillFraction: 0.25,
-	}
+// liveBroadcastParams is the fleet's shape plus the workload's fanout
+// and the kill wave from the named chaos plan.
+type liveBroadcastParams struct {
+	liveShape
+	Fanout       int     // rumor pushes per round per infected node
+	KillFraction float64 // fraction of members killed mid-spread (from the plan)
 }
 
 // LiveBroadcastResult reports the live dissemination experiment.
 type LiveBroadcastResult struct {
 	Params liveBroadcastParams
-	// Driver names the fleet driver that ran the cluster.
-	Driver string
+	liveHead
 
-	// BootstrapComplete counts complete views after bootstrap (must be
-	// Nodes for the spread measurement to mean anything).
-	BootstrapComplete int
-	BootstrapTime     time.Duration
 	// Killed is how many members the mid-spread kill wave removed.
 	Killed int
 	// Coverage is the infected fraction among live members per poll
@@ -95,13 +73,8 @@ func (r *LiveBroadcastResult) Converged() bool {
 // Render implements Result.
 func (r *LiveBroadcastResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Live broadcast: epidemic rumor spread across a real fleet under a kill wave\n")
-	fmt.Fprintf(&b, "fleet: %d nodes (%s driver), c=%d, T=%v, fanout=%d, %.0f%% killed mid-spread\n",
-		r.Params.Nodes, r.Driver, r.Params.ViewSize, r.Params.Period,
-		r.Params.Fanout, r.Params.KillFraction*100)
-	fmt.Fprintf(&b, "%-38s %10s\n", "", "value")
-	fmt.Fprintf(&b, "%-38s %7d/%2d\n", "complete views after bootstrap", r.BootstrapComplete, r.Params.Nodes)
-	fmt.Fprintf(&b, "%-38s %10v\n", "bootstrap time", r.BootstrapTime.Round(time.Millisecond))
+	r.header(&b, "Live broadcast: epidemic rumor spread across a real fleet under a kill wave", r.Params.liveShape,
+		fmt.Sprintf(", fanout=%d, %.0f%% killed mid-spread", r.Params.Fanout, r.Params.KillFraction*100))
 	fmt.Fprintf(&b, "%-38s %10d\n", "members killed mid-spread", r.Killed)
 	if len(r.Coverage) > 0 {
 		fmt.Fprintf(&b, "%-38s %9.0f%%\n", "final rumor coverage (survivors)", r.Coverage[len(r.Coverage)-1]*100)
@@ -126,20 +99,22 @@ func (r *LiveBroadcastResult) CSV() map[string]string {
 }
 
 // RunLiveBroadcast boots a fleet whose members all run a broadcast
-// workload engine, injects one rumor into the first member, kills
-// KillFraction of the other members mid-spread, and polls the workload
-// counters until the rumor covers every survivor (or the measurement
-// deadline passes). The seed drives victim choice; timing is real.
+// workload engine, injects one rumor into the first member, replays the
+// gateway-kill plan's wave against the other members mid-spread, and
+// polls the workload counters until the rumor covers every survivor (or
+// the measurement deadline passes). The seed drives victim choice;
+// timing is real.
 func RunLiveBroadcast(sc Scale, seed uint64, env LiveEnv) (*LiveBroadcastResult, error) {
-	p := liveBroadcastDerive(sc)
-	res := &LiveBroadcastResult{Params: p, Driver: env.DriverName(), PollsTo99: -1}
-	rng := newRand(mix(seed, 0x4CB))
-
-	cluster, err := env.cluster(fleet.Config{
-		Protocol: core.Newscast,
-		ViewSize: p.ViewSize,
-		Period:   p.Period,
-		Backend:  "tcp",
+	plan, err := chaos.Load(liveBroadcastPlan)
+	if err != nil {
+		return nil, err
+	}
+	p := liveBroadcastParams{
+		liveShape:    deriveShape(sc, 50, 8, 24),
+		Fanout:       2,
+		KillFraction: plan.KillWaves()[0].Fraction,
+	}
+	f, err := env.boot(p.liveShape, fleet.Config{
 		Workload: config.WorkloadSection{
 			Kind:   config.WorkloadBroadcast,
 			Period: p.Period,
@@ -150,49 +125,31 @@ func RunLiveBroadcast(sc Scale, seed uint64, env LiveEnv) (*LiveBroadcastResult,
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
-
-	members, err := spawnLinear(cluster, p.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	phaseTimeout := 30*p.Period*time.Duration(p.Nodes) + 5*time.Second
-	res.BootstrapComplete, res.BootstrapTime = waitCompleteViews(members, p.Period, phaseTimeout)
+	defer f.Close()
+	res := &LiveBroadcastResult{Params: p, liveHead: f.head, PollsTo99: -1}
+	members := f.members
 
 	seeder, err := newAppSeeder()
 	if err != nil {
 		return nil, err
 	}
 	defer seeder.Close()
-	source := members[0]
-	if err := seeder.send(source.Addr(), broadcast.Topic, []byte("the-rumor")); err != nil {
+	if err := seeder.send(members[0].Addr(), broadcast.Topic, []byte("the-rumor")); err != nil {
 		return nil, err
 	}
 
-	// Kill wave, sparing the source: extinguishing the rumor by killing
-	// its only holder would measure scheduling luck, not dissemination.
-	victims := make([]fleet.Member, 0, len(members)-1)
-	for _, m := range members[1:] {
-		if m.Alive() {
-			victims = append(victims, m)
-		}
+	// Kill wave, sparing the source by leaving it out of the executor's
+	// membership: extinguishing the rumor by killing its only holder
+	// would measure scheduling luck, not dissemination.
+	wave, err := chaos.New(plan, f.Cluster, members[1:], chaos.Options{Seed: mix(seed, 0x4CB)}).Step()
+	if err != nil {
+		return nil, fmt.Errorf("scenario: livebroadcast: %w", err)
 	}
-	kill := (len(victims)*int(p.KillFraction*100) + 99) / 100
-	if kill < 1 {
-		kill = 1
-	}
-	rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
-	for _, victim := range victims[:kill] {
-		if err := cluster.Kill(victim); err != nil {
-			return nil, fmt.Errorf("scenario: livebroadcast kill %s: %w", victim.Name(), err)
-		}
-	}
-	res.Killed = kill
+	res.Killed = len(wave.Killed)
 
 	// Poll the spread once per period until full survivor coverage.
-	start := time.Now()
-	deadline := start.Add(phaseTimeout)
-	for poll := 0; ; poll++ {
+	res.TimeToFull = pollUntil(p.Period, p.phaseTimeout(), func() bool {
+		poll := len(res.Coverage)
 		snaps := liveAppSnapshots(members)
 		infected := 0
 		for _, s := range snaps {
@@ -214,12 +171,8 @@ func RunLiveBroadcast(sc Scale, seed uint64, env LiveEnv) (*LiveBroadcastResult,
 		if coverage >= 0.99 && res.PollsTo99 < 0 {
 			res.PollsTo99 = poll
 		}
-		if coverage >= 1 || time.Now().After(deadline) {
-			res.TimeToFull = time.Since(start)
-			break
-		}
-		time.Sleep(p.Period)
-	}
+		return coverage >= 1
+	})
 
 	res.Sent, res.Received, res.Failures = liveAppTotals(liveAppSnapshots(members))
 	return res, nil

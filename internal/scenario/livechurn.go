@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"peersampling/internal/chaos"
-	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 )
 
@@ -29,38 +28,13 @@ import (
 // order the events.
 const liveChurnPlan = "churn-waves"
 
-// liveChurnParams derives the fleet's shape from a simulation Scale and
-// the churn schedule from the named chaos plan.
+// liveChurnParams is the fleet's shape plus the churn schedule from the
+// named chaos plan.
 type liveChurnParams struct {
-	Nodes        int           // fleet size at full strength
-	ViewSize     int           // view capacity, capped below fleet size
-	Period       time.Duration // gossip period T
-	Plan         string        // chaos plan driving the kill waves
-	KillFraction float64       // fraction of live members killed per wave (from the plan)
-	Rounds       int           // kill/respawn rounds (the plan's kill-wave count)
-}
-
-func liveChurnDerive(sc Scale, plan *chaos.Plan) liveChurnParams {
-	nodes := sc.N / 50
-	if nodes < 8 {
-		nodes = 8
-	}
-	if nodes > 24 {
-		nodes = 24
-	}
-	view := sc.ViewSize
-	if view > nodes-1 {
-		view = nodes - 1
-	}
-	waves := plan.KillWaves()
-	return liveChurnParams{
-		Nodes:        nodes,
-		ViewSize:     view,
-		Period:       20 * time.Millisecond,
-		Plan:         plan.Name,
-		KillFraction: waves[0].Fraction,
-		Rounds:       len(waves),
-	}
+	liveShape
+	Plan         string  // chaos plan driving the kill waves
+	KillFraction float64 // fraction of live members killed per wave (from the plan)
+	Rounds       int     // kill/respawn rounds (the plan's kill-wave count)
 }
 
 // LiveChurnRound reports one kill/respawn wave.
@@ -83,14 +57,9 @@ type LiveChurnRound struct {
 // LiveChurnResult reports the live churn experiment.
 type LiveChurnResult struct {
 	Params liveChurnParams
-	// Driver names the fleet driver that ran the cluster.
-	Driver string
+	liveHead
 
-	// BootstrapComplete counts complete views after initial bootstrap
-	// (must be Nodes for the experiment to mean anything).
-	BootstrapComplete int
-	BootstrapTime     time.Duration
-	Rounds            []LiveChurnRound
+	Rounds []LiveChurnRound
 	// KilledTotal is the total members killed across rounds.
 	KilledTotal int
 	// FinalCompleteViews / FinalLive is the end-state convergence count.
@@ -127,13 +96,8 @@ func (r *LiveChurnResult) Converged() bool {
 // Render implements Result.
 func (r *LiveChurnResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Live churn: kill and respawn waves against a real fleet\n")
-	fmt.Fprintf(&b, "fleet: %d nodes (%s driver), c=%d, T=%v, plan=%s: %.0f%% killed per round, %d rounds\n",
-		r.Params.Nodes, r.Driver, r.Params.ViewSize, r.Params.Period,
-		r.Params.Plan, r.Params.KillFraction*100, r.Params.Rounds)
-	fmt.Fprintf(&b, "%-38s %10s\n", "", "value")
-	fmt.Fprintf(&b, "%-38s %7d/%2d\n", "complete views after bootstrap", r.BootstrapComplete, r.Params.Nodes)
-	fmt.Fprintf(&b, "%-38s %10v\n", "bootstrap time", r.BootstrapTime.Round(time.Millisecond))
+	r.header(&b, "Live churn: kill and respawn waves against a real fleet", r.Params.liveShape,
+		fmt.Sprintf(", plan=%s: %.0f%% killed per round, %d rounds", r.Params.Plan, r.Params.KillFraction*100, r.Params.Rounds))
 	for i, round := range r.Rounds {
 		fmt.Fprintf(&b, "round %d: killed %d, survivors re-converged=%v in %v; respawned %d, full views=%v in %v\n",
 			i+1, round.Killed, round.SurvivorsReconverged, round.AfterKill.Round(time.Millisecond),
@@ -162,42 +126,33 @@ func RunLiveChurn(sc Scale, seed uint64, env LiveEnv) (*LiveChurnResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	p := liveChurnDerive(sc, plan)
-	res := &LiveChurnResult{Params: p, Driver: env.DriverName()}
-
-	cluster, err := env.cluster(fleet.Config{
-		Protocol: core.Newscast,
-		ViewSize: p.ViewSize,
-		Period:   p.Period,
-		Backend:  "tcp",
-	})
+	waves := plan.KillWaves()
+	p := liveChurnParams{
+		liveShape:    deriveShape(sc, 50, 8, 24),
+		Plan:         plan.Name,
+		KillFraction: waves[0].Fraction,
+		Rounds:       len(waves),
+	}
+	f, err := env.boot(p.liveShape, fleet.Config{})
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
-
-	members, err := spawnLinear(cluster, p.Nodes)
-	if err != nil {
-		return nil, err
-	}
+	defer f.Close()
+	res := &LiveChurnResult{Params: p, liveHead: f.head}
+	members := f.members
 	ever := liveAddrs(members)
 	// Dead members drop out of Cluster.Snapshot, so the executor captures
 	// their failure counters at kill time (Applied.KilledFailures) to keep
 	// the fleet-wide total honest — the killed members are exactly the
 	// ones churn hit.
 	var deadFailures uint64
-	// Subprocess members take real process-spawn time; the flat grace on
-	// top of the gossip-scaled deadline covers it on loaded CI machines.
-	phaseTimeout := 30*p.Period*time.Duration(p.Nodes) + 5*time.Second
-
-	res.BootstrapComplete, res.BootstrapTime = waitCompleteViews(members, p.Period, phaseTimeout)
 
 	// The executor owns victim choice and respawn bootstrapping from here;
 	// the scenario paces it with Step so each wave is measured between
 	// kill and respawn. No Collector: the executor would register as an
 	// extra source, and this experiment's collector contract is "the fleet
 	// plus every respawn".
-	ex := chaos.New(plan, cluster, members, chaos.Options{Seed: mix(seed, 0x4C1)})
+	ex := chaos.New(plan, f.Cluster, members, chaos.Options{Seed: mix(seed, 0x4C1)})
 	defer ex.Close()
 
 	for round := 0; round < p.Rounds; round++ {
@@ -215,7 +170,7 @@ func RunLiveChurn(sc Scale, seed uint64, env LiveEnv) (*LiveChurnResult, error) 
 
 		// Survivors must re-converge among themselves.
 		var complete int
-		complete, report.AfterKill = waitCompleteViews(members, p.Period, phaseTimeout)
+		complete, report.AfterKill = waitCompleteViews(members, p.Period, p.phaseTimeout())
 		_, live := completeLiveViews(members)
 		report.SurvivorsReconverged = complete == live
 
@@ -231,7 +186,7 @@ func RunLiveChurn(sc Scale, seed uint64, env LiveEnv) (*LiveChurnResult, error) 
 		}
 		report.Respawned = len(ap.Spawned)
 		members = ex.Members()
-		complete, report.AfterRespawn = waitCompleteViews(members, p.Period, phaseTimeout)
+		complete, report.AfterRespawn = waitCompleteViews(members, p.Period, p.phaseTimeout())
 		_, live = completeLiveViews(members)
 		report.FullReconverged = complete == live && live == p.Nodes
 
@@ -240,7 +195,7 @@ func RunLiveChurn(sc Scale, seed uint64, env LiveEnv) (*LiveChurnResult, error) 
 
 	res.FinalCompleteViews, res.FinalLive = completeLiveViews(members)
 	res.StrayDescriptors = strayDescriptors(members, ever)
-	_, res.Failures, _, _, _ = liveTotals(cluster.Snapshot())
+	_, res.Failures, _, _, _ = liveTotals(f.Snapshot())
 	res.Failures += deadFailures
 	return res, nil
 }

@@ -12,7 +12,7 @@ import (
 // survivors converged, and respawns must bring the fleet back to full
 // complete views, with the churn noise (failed exchanges) absorbed. Run
 // under -race in CI. The inproc driver keeps this fast; the subprocess
-// driver's equivalent run is covered by scripts/fleet-smoke.sh and the
+// driver's equivalent run is covered by scripts/live-smoke.sh and the
 // internal/fleet process tests.
 func TestLiveChurnReconverges(t *testing.T) {
 	if testing.Short() {
@@ -59,15 +59,5 @@ func TestLiveChurnReconverges(t *testing.T) {
 	// The collector saw the original fleet plus every respawn.
 	if want := res.Params.Nodes + res.KilledTotal; coll.Len() != want {
 		t.Errorf("collector holds %d sources want %d", coll.Len(), want)
-	}
-}
-
-func TestLiveChurnRegistered(t *testing.T) {
-	d, ok := Find("livechurn")
-	if !ok {
-		t.Fatal("livechurn experiment not registered")
-	}
-	if d.Title == "" || d.Run == nil || d.RunLive == nil {
-		t.Fatalf("incomplete registration: %+v", d)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"peersampling/internal/chaos"
 	"peersampling/internal/config"
-	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 	"peersampling/internal/load"
 	"peersampling/internal/metrics"
@@ -32,12 +31,11 @@ import (
 // surviving gateways.
 const liveGatewayPlan = "gateway-kill"
 
-// liveGatewayParams derives the fleet's shape from a simulation Scale
-// and the kill wave from the named chaos plan.
+// liveGatewayParams is the fleet's shape (every member serves a
+// gateway), the gateways' settings, the load ramp and the kill wave from
+// the named chaos plan.
 type liveGatewayParams struct {
-	Nodes        int           // fleet size; every member serves a gateway
-	ViewSize     int           // view capacity, capped below fleet size
-	Period       time.Duration // gossip period T
+	liveShape
 	Refresh      time.Duration // gateway sample-cache refresh interval
 	RateRPS      float64       // per-client token refill rate
 	Burst        int           // per-client token bucket capacity
@@ -63,27 +61,13 @@ type loadStage struct {
 }
 
 func liveGatewayDerive(sc Scale, plan *chaos.Plan) liveGatewayParams {
-	nodes := sc.N / 100
-	if nodes < 4 {
-		nodes = 4
-	}
-	if nodes > 10 {
-		nodes = 10
-	}
-	view := sc.ViewSize
-	if view > nodes-1 {
-		view = nodes - 1
-	}
-	waves := plan.KillWaves()
 	p := liveGatewayParams{
-		Nodes:        nodes,
-		ViewSize:     view,
-		Period:       20 * time.Millisecond,
+		liveShape:    deriveShape(sc, 100, 4, 10),
 		Refresh:      50 * time.Millisecond,
 		RateRPS:      50,
 		Burst:        100,
 		Plan:         plan.Name,
-		KillFraction: waves[0].Fraction,
+		KillFraction: plan.KillWaves()[0].Fraction,
 		Stages: []loadStage{
 			{Clients: 250, RPS: 6, Duration: 1200 * time.Millisecond},
 			{Clients: 1000, RPS: 2, Duration: 1500 * time.Millisecond, Kill: true},
@@ -115,13 +99,10 @@ type LiveGatewayStage struct {
 // LiveGatewayResult reports the live gateway experiment.
 type LiveGatewayResult struct {
 	Params liveGatewayParams
-	Driver string
+	liveHead
 
-	// BootstrapComplete counts complete views after initial bootstrap.
-	BootstrapComplete int
-	BootstrapTime     time.Duration
-	Stages            []LiveGatewayStage
-	KilledTotal       int
+	Stages      []LiveGatewayStage
+	KilledTotal int
 	// FinalLive is how many members survived the run.
 	FinalLive int
 }
@@ -158,12 +139,9 @@ func (r *LiveGatewayResult) Converged() bool {
 // Render implements Result.
 func (r *LiveGatewayResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Live gateway: sampling API under ramping load and a kill wave\n")
-	fmt.Fprintf(&b, "fleet: %d nodes (%s driver), c=%d, T=%v, refresh=%v, limit %.0f rps burst %d per client, plan=%s\n",
-		r.Params.Nodes, r.Driver, r.Params.ViewSize, r.Params.Period, r.Params.Refresh,
-		r.Params.RateRPS, r.Params.Burst, r.Params.Plan)
-	fmt.Fprintf(&b, "%-38s %7d/%2d\n", "complete views after bootstrap", r.BootstrapComplete, r.Params.Nodes)
-	fmt.Fprintf(&b, "%-38s %10v\n", "bootstrap time", r.BootstrapTime.Round(time.Millisecond))
+	r.header(&b, "Live gateway: sampling API under ramping load and a kill wave", r.Params.liveShape,
+		fmt.Sprintf(", refresh=%v, limit %.0f rps burst %d per client, plan=%s",
+			r.Params.Refresh, r.Params.RateRPS, r.Params.Burst, r.Params.Plan))
 	for i, st := range r.Stages {
 		s := st.Survivor
 		fmt.Fprintf(&b, "stage %d: %d clients × %.3g rps, killed %d: survivors ok=%d 429=%d 503=%d err=%d p50=%.1fms p99=%.1fms fresh_p99=%.0fms\n",
@@ -203,13 +181,7 @@ func RunLiveGateway(sc Scale, seed uint64, env LiveEnv) (*LiveGatewayResult, err
 		return nil, err
 	}
 	p := liveGatewayDerive(sc, plan)
-	res := &LiveGatewayResult{Params: p, Driver: env.DriverName()}
-
-	cluster, err := env.cluster(fleet.Config{
-		Protocol: core.Newscast,
-		ViewSize: p.ViewSize,
-		Period:   p.Period,
-		Backend:  "tcp",
+	f, err := env.boot(p.liveShape, fleet.Config{
 		Gateway: config.GatewaySection{
 			Addr:             "127.0.0.1:0",
 			Refresh:          p.Refresh,
@@ -221,14 +193,9 @@ func RunLiveGateway(sc Scale, seed uint64, env LiveEnv) (*LiveGatewayResult, err
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
-
-	members, err := spawnLinear(cluster, p.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	phaseTimeout := 30*p.Period*time.Duration(p.Nodes) + 5*time.Second
-	res.BootstrapComplete, res.BootstrapTime = waitCompleteViews(members, p.Period, phaseTimeout)
+	defer f.Close()
+	res := &LiveGatewayResult{Params: p, liveHead: f.head}
+	members := f.members
 
 	gatewayOf := make(map[string]fleet.Member, len(members))
 	for _, m := range members {
@@ -239,7 +206,7 @@ func RunLiveGateway(sc Scale, seed uint64, env LiveEnv) (*LiveGatewayResult, err
 		gatewayOf[addr] = m
 	}
 
-	ex := chaos.New(plan, cluster, members, chaos.Options{Seed: mix(seed, 0x6A7E)})
+	ex := chaos.New(plan, f.Cluster, members, chaos.Options{Seed: mix(seed, 0x6A7E)})
 	defer ex.Close()
 
 	for _, stage := range p.Stages {

@@ -12,7 +12,7 @@ import (
 // a kill wave removes a quarter of the fleet, and the surviving
 // gateways must keep serving fresh samples with bounded tail latency.
 // Run under -race in CI; the subprocess-driver equivalent is covered by
-// scripts/loadgen-smoke.sh.
+// scripts/live-smoke.sh.
 func TestLiveGatewayServesThroughKillWave(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-socket load scenario")
@@ -87,15 +87,5 @@ func TestLiveGatewayServesThroughKillWave(t *testing.T) {
 	}
 	if maxCycle != len(res.Stages)-1 {
 		t.Errorf("CSV max cycle = %d want %d", maxCycle, len(res.Stages)-1)
-	}
-}
-
-func TestLiveGatewayRegistered(t *testing.T) {
-	d, ok := Find("livegateway")
-	if !ok {
-		t.Fatal("livegateway experiment not registered")
-	}
-	if d.Title == "" || d.Run == nil || d.RunLive == nil {
-		t.Fatalf("incomplete registration: %+v", d)
 	}
 }

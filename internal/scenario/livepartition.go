@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"peersampling/internal/chaos"
-	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 	"peersampling/internal/metrics"
 )
@@ -38,37 +37,13 @@ import (
 // after the heal.
 const livePartitionPlan = "partition-heal"
 
-// livePartitionParams derives the fleet's shape from a simulation Scale;
-// the fault timeline comes from the named chaos plan.
+// livePartitionParams is the fleet's shape plus the freshness gauge's
+// settings; the fault timeline comes from the named chaos plan.
 type livePartitionParams struct {
-	Nodes       int           // fleet size
-	ViewSize    int           // view capacity, capped below fleet size
-	Period      time.Duration // gossip period T
+	liveShape
 	Plan        string        // chaos plan driving the faults
 	FreshHop    int           // max hop count for a view entry to count as fresh
 	SampleEvery time.Duration // freshness-trace sampling interval
-}
-
-func livePartitionDerive(sc Scale, plan *chaos.Plan) livePartitionParams {
-	nodes := sc.N / 50
-	if nodes < 8 {
-		nodes = 8
-	}
-	if nodes > 12 {
-		nodes = 12
-	}
-	view := sc.ViewSize
-	if view > nodes-1 {
-		view = nodes - 1
-	}
-	return livePartitionParams{
-		Nodes:       nodes,
-		ViewSize:    view,
-		Period:      20 * time.Millisecond,
-		Plan:        plan.Name,
-		FreshHop:    15,
-		SampleEvery: 50 * time.Millisecond,
-	}
 }
 
 // PartitionSample is one point of the freshness trace.
@@ -85,11 +60,8 @@ type PartitionSample struct {
 // LivePartitionResult reports the partition-heal experiment.
 type LivePartitionResult struct {
 	Params livePartitionParams
-	Driver string
+	liveHead
 
-	// BootstrapComplete counts complete views after initial bootstrap.
-	BootstrapComplete int
-	BootstrapTime     time.Duration
 	// FreshBefore / MinFreshDuring / FreshAfter are the freshness-pair
 	// counts at full convergence, at the worst point while fault rules
 	// were active, and after the heal settled.
@@ -135,12 +107,8 @@ func (r *LivePartitionResult) Converged() bool {
 // Render implements Result.
 func (r *LivePartitionResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Partition heal: cut half the fleet apart from a named fault plan, then recover\n")
-	fmt.Fprintf(&b, "fleet: %d nodes (%s driver), c=%d, T=%v, plan=%s (fresh = hop <= %d)\n",
-		r.Params.Nodes, r.Driver, r.Params.ViewSize, r.Params.Period, r.Params.Plan, r.Params.FreshHop)
-	fmt.Fprintf(&b, "%-38s %10s\n", "", "value")
-	fmt.Fprintf(&b, "%-38s %7d/%2d\n", "complete views after bootstrap", r.BootstrapComplete, r.Params.Nodes)
-	fmt.Fprintf(&b, "%-38s %10v\n", "bootstrap time", r.BootstrapTime.Round(time.Millisecond))
+	r.header(&b, "Partition heal: cut half the fleet apart from a named fault plan, then recover", r.Params.liveShape,
+		fmt.Sprintf(", plan=%s (fresh = hop <= %d)", r.Params.Plan, r.Params.FreshHop))
 	full := r.Params.Nodes * (r.Params.Nodes - 1)
 	fmt.Fprintf(&b, "%-38s %7d/%2d\n", "fresh pairs before the plan", r.FreshBefore, full)
 	fmt.Fprintf(&b, "%-38s %7d/%2d\n", "fresh pairs at the worst point", r.MinFreshDuring, full)
@@ -214,46 +182,33 @@ func RunLivePartition(sc Scale, seed uint64, env LiveEnv) (*LivePartitionResult,
 	if err != nil {
 		return nil, err
 	}
-	p := livePartitionDerive(sc, plan)
-	res := &LivePartitionResult{Params: p, Driver: env.DriverName()}
-
-	cluster, err := env.cluster(fleet.Config{
-		Protocol: core.Newscast,
-		ViewSize: p.ViewSize,
-		Period:   p.Period,
-		Backend:  "tcp",
-	})
+	p := livePartitionParams{
+		liveShape:   deriveShape(sc, 50, 8, 12),
+		Plan:        plan.Name,
+		FreshHop:    15,
+		SampleEvery: 50 * time.Millisecond,
+	}
+	f, err := env.boot(p.liveShape, fleet.Config{})
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
-
-	members, err := spawnLinear(cluster, p.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	phaseTimeout := 30*p.Period*time.Duration(p.Nodes) + 5*time.Second
-	res.BootstrapComplete, res.BootstrapTime = waitCompleteViews(members, p.Period, phaseTimeout)
+	defer f.Close()
+	res := &LivePartitionResult{Params: p, liveHead: f.head}
+	members := f.members
 
 	// Let freshness saturate before the plan starts: the baseline the
 	// partition must demonstrably pull down.
-	deadline := time.Now().Add(phaseTimeout)
-	for {
-		if f := freshPairs(members, p.FreshHop); f > res.FreshBefore {
-			res.FreshBefore = f
-		}
-		if res.FreshBefore == p.Nodes*(p.Nodes-1) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(p.Period)
-	}
-	_, failuresBefore, _, _, _ := liveTotals(cluster.Snapshot())
+	pollUntil(p.Period, p.phaseTimeout(), func() bool {
+		res.FreshBefore = max(res.FreshBefore, freshPairs(members, p.FreshHop))
+		return res.FreshBefore == p.Nodes*(p.Nodes-1)
+	})
+	_, failuresBefore, _, _, _ := liveTotals(f.Snapshot())
 
 	// The executor replays the plan on the real clock while the sampler
 	// records the freshness trace. With env.Collector set the executor
 	// also registers as a "chaos" source, so live dumps carry the same
 	// chaos_event rows this result's CSV does.
-	ex := chaos.New(plan, cluster, members, chaos.Options{
+	ex := chaos.New(plan, f.Cluster, members, chaos.Options{
 		Seed:      mix(seed, 0x9A87),
 		Collector: env.Collector,
 	})
@@ -297,19 +252,13 @@ func RunLivePartition(sc Scale, seed uint64, env LiveEnv) (*LivePartitionResult,
 	}
 
 	// Post-heal: freshness must climb back to (at least) the baseline.
-	deadline = time.Now().Add(phaseTimeout)
-	for {
-		if f := freshPairs(members, p.FreshHop); f > res.FreshAfter {
-			res.FreshAfter = f
-		}
-		if res.FreshAfter >= res.FreshBefore || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(p.Period)
-	}
+	pollUntil(p.Period, p.phaseTimeout(), func() bool {
+		res.FreshAfter = max(res.FreshAfter, freshPairs(members, p.FreshHop))
+		return res.FreshAfter >= res.FreshBefore
+	})
 
 	res.FinalCompleteViews, res.FinalLive = completeLiveViews(members)
-	_, failuresAfter, _, _, _ := liveTotals(cluster.Snapshot())
+	_, failuresAfter, _, _, _ := liveTotals(f.Snapshot())
 	res.FailuresDelta = failuresAfter - failuresBefore
 	res.StepsApplied = len(ex.Fired())
 	res.ActiveRulesEnd = ex.ActiveRules()

@@ -77,13 +77,3 @@ func TestLivePartitionHealsAfterRuleExpiry(t *testing.T) {
 		}
 	}
 }
-
-func TestLivePartitionRegistered(t *testing.T) {
-	d, ok := Find("partitionheal")
-	if !ok {
-		t.Fatal("partitionheal experiment not registered")
-	}
-	if d.Title == "" || d.Run == nil || d.RunLive == nil {
-		t.Fatalf("incomplete registration: %+v", d)
-	}
-}
