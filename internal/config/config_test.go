@@ -1,14 +1,18 @@
 package config
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // TestLoadFileJSON loads a full document and checks every section
 // lands, including values that differ from the defaults.
@@ -333,4 +337,134 @@ func contains(list []string, s string) bool {
 		}
 	}
 	return false
+}
+
+// leafChanges sets every leaf field of the schema, one per entry, to a
+// valid non-default value, with whether a live reload may apply it.
+var leafChanges = []struct {
+	path string
+	hot  bool
+	set  func(*Config)
+}{
+	{"version", false, func(c *Config) { c.Version = 2 }},
+	{"node.listen", false, func(c *Config) { c.Node.Listen = "127.0.0.1:7999" }},
+	{"node.contacts", true, func(c *Config) { c.Node.Contacts = []string{"127.0.0.1:7947"} }},
+	{"node.protocol", false, func(c *Config) { c.Node.Protocol = "(tail,head,pull)" }},
+	{"node.view_size", false, func(c *Config) { c.Node.ViewSize = 11 }},
+	{"node.period", false, func(c *Config) { c.Node.Period = 250 * time.Millisecond }},
+	{"node.diverse", false, func(c *Config) { c.Node.Diverse = true }},
+	{"transport.backend", false, func(c *Config) { c.Transport.Backend = "udp" }},
+	{"transport.max_conns", true, func(c *Config) { c.Transport.MaxConns = 17 }},
+	{"transport.keepalive", true, func(c *Config) { c.Transport.KeepAlive = 30 * time.Second }},
+	{"transport.push_only_keepalive", true, func(c *Config) { c.Transport.PushOnlyKeepAlive = 5 * time.Second }},
+	{"transport.first_frame_timeout", true, func(c *Config) { c.Transport.FirstFrameTimeout = 3 * time.Second }},
+	{"metrics.addr", false, func(c *Config) { c.Metrics.Addr = "127.0.0.1:9999" }},
+	{"metrics.dump", false, func(c *Config) { c.Metrics.Dump = "dump.csv" }},
+	{"metrics.report_interval", true, func(c *Config) { c.Metrics.ReportInterval = 9 * time.Second }},
+	{"control.addr", false, func(c *Config) { c.Control.Addr = "127.0.0.1:7070" }},
+	{"control.ready_file", false, func(c *Config) { c.Control.ReadyFile = "ready.json" }},
+	{"gateway.addr", false, func(c *Config) { c.Gateway.Addr = "127.0.0.1:8080" }},
+	{"gateway.batch_size", true, func(c *Config) { c.Gateway.BatchSize = 17 }},
+	{"gateway.refresh", true, func(c *Config) { c.Gateway.Refresh = 3 * time.Second }},
+	{"gateway.rate_rps", true, func(c *Config) { c.Gateway.RateRPS = 2.5 }},
+	{"gateway.burst", true, func(c *Config) { c.Gateway.Burst = 4 }},
+	{"gateway.trust_proxy_header", true, func(c *Config) { c.Gateway.TrustProxyHeader = true }},
+	{"workload.kind", false, func(c *Config) { c.Workload.Kind = WorkloadAggregate }},
+	{"workload.period", false, func(c *Config) { c.Workload.Period = 500 * time.Millisecond }},
+	{"workload.fanout", false, func(c *Config) { c.Workload.Fanout = 3 }},
+	{"workload.mode", false, func(c *Config) { c.Workload.Mode = "infect-and-die" }},
+	{"workload.ttl", false, func(c *Config) { c.Workload.TTL = 5 }},
+	{"workload.initial", false, func(c *Config) { c.Workload.Initial = 1.5 }},
+}
+
+// TestEachLeafField changes every leaf alone and checks the three
+// places a field must be known: Diff names exactly its path in the
+// right list, MergeHot takes the new value if and only if the field is
+// hot, and WriteFile → LoadFile keeps the non-default value.
+func TestEachLeafField(t *testing.T) {
+	if len(leafChanges) != 29 {
+		t.Fatalf("%d leaf fields in the table, want 29", len(leafChanges))
+	}
+	for _, tc := range leafChanges {
+		t.Run(tc.path, func(t *testing.T) {
+			base := Default()
+			changed := Default()
+			tc.set(&changed)
+
+			d := Diff(base, changed)
+			hot, restart := []string{}, []string{tc.path}
+			if tc.hot {
+				hot, restart = restart, hot
+			}
+			if !slices.Equal(d.Hot, hot) || !slices.Equal(d.Restart, restart) {
+				t.Errorf("Diff = hot %v restart %v, want hot %v restart %v", d.Hot, d.Restart, hot, restart)
+			}
+
+			want := base
+			if tc.hot {
+				want = changed
+			}
+			if merged := MergeHot(base, changed); !reflect.DeepEqual(merged, want) {
+				t.Errorf("MergeHot = %+v, want %+v", merged, want)
+			}
+
+			path := filepath.Join(t.TempDir(), "gen.json")
+			if err := WriteFile(path, changed); err != nil {
+				t.Fatal(err)
+			}
+			back, err := LoadFile(path)
+			if tc.path == "version" {
+				// No other version validates; the written file must still
+				// carry it for LoadFile to reject.
+				if err == nil || !strings.Contains(err.Error(), "config schema version 2") {
+					t.Errorf("LoadFile of a version-2 file: %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(changed.Node.Contacts) == 0 {
+				back.Node.Contacts = nil // WriteFile spells no contacts as []
+			}
+			if !reflect.DeepEqual(back, changed) {
+				t.Errorf("round trip drifted:\n got %+v\nwant %+v", back, changed)
+			}
+		})
+	}
+}
+
+// TestWriteFileGolden pins the generated document byte for byte, for the
+// defaults and for every field set: the subprocess fleet driver hands
+// these files to psnode, and operators read them.
+func TestWriteFileGolden(t *testing.T) {
+	all := Default()
+	for _, tc := range leafChanges {
+		if tc.path != "version" {
+			tc.set(&all)
+		}
+	}
+	for name, cfg := range map[string]Config{"default": Default(), "all_fields": all} {
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := WriteFile(path, cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goldenPath := filepath.Join("testdata", "written_"+name+".json")
+		if *updateGolden {
+			if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: WriteFile drifted from %s:\n%s", name, goldenPath, got)
+		}
+	}
 }

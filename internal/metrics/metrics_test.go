@@ -7,11 +7,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"peersampling/internal/app"
 	"peersampling/internal/core"
 	"peersampling/internal/transport"
 )
@@ -58,9 +60,19 @@ func fixedLatency() transport.LatencySnapshot {
 	return h.Snapshot()
 }
 
-// fixedCollector returns a collector over two fake nodes — one with wire
-// counters, a latency histogram and a populated view, one bare — with
-// time pinned.
+// appFakeSource is a latFakeSource that also runs a workload engine.
+type appFakeSource struct {
+	latFakeSource
+	app app.Snapshot
+}
+
+func (f *appFakeSource) AppSnapshot() (app.Snapshot, bool) { return f.app, true }
+
+// fixedCollector returns a collector with time pinned over every kind of
+// source the exporters render: a node with wire counters, a latency
+// histogram and a populated view; a bare node; a node running a workload
+// engine; a sampling gateway with a serve-time histogram; and a chaos
+// executor that has fired two events.
 func fixedCollector() *Collector {
 	c := New()
 	c.now = func() time.Time { return time.UnixMilli(1700000000000) }
@@ -76,13 +88,40 @@ func fixedCollector() *Collector {
 		lat: fixedLatency(),
 	})
 	c.Register("beta", &fakeSource{addr: "fabric-b", cycles: 1})
+	c.Register("gamma", &appFakeSource{
+		latFakeSource: latFakeSource{
+			fakeSource: fakeSource{
+				addr: "127.0.0.1:7947", cycles: 4, ex: 3, served: 5,
+				wire: &transport.Stats{Dials: 2, Reuses: 1, BytesOut: 300, BytesIn: 200, FramesOut: 3, FramesIn: 3},
+				view: []core.Descriptor[string]{{Addr: "p1", Hop: 0}, {Addr: "p4", Hop: 3}},
+			},
+			lat: fixedLatency(),
+		},
+		app: app.Snapshot{Workload: "broadcast", Rounds: 7, Sent: 14, Received: 11, Failures: 1, Infected: 1, Value: 0.25},
+	})
+	c.RegisterFunc("gateway", func(int64) NodeSnapshot {
+		lat := fixedLatency()
+		return NodeSnapshot{Addr: "127.0.0.1:8080", Cycles: 6, Gateway: &GatewaySnapshot{
+			Requests: 40, PeersServed: 120, RateLimited: 3, Unavailable: 1, Refreshes: 6,
+			Clients: 5, CacheSize: 30, CacheAgeSeconds: 0.75, Latency: &lat,
+		}}
+	})
+	c.RegisterFunc("chaos", func(int64) NodeSnapshot {
+		return NodeSnapshot{Cycles: 2, Chaos: &ChaosSnapshot{
+			Plan: "churn", Events: 2, ActiveRules: 1, Killed: 3, Respawned: 2, FloodDials: 0,
+			Fired: []ChaosEvent{
+				{Seq: 0, Action: "kill", AtSeconds: 1, UnixMillis: 1700000001000, Targets: 3},
+				{Seq: 1, Action: "partition", AtSeconds: 2.5, UnixMillis: 1700000002500, Targets: 1},
+			},
+		}}
+	})
 	return c
 }
 
 func TestCollectorSnapshot(t *testing.T) {
 	snaps := fixedCollector().Snapshot()
-	if len(snaps) != 2 {
-		t.Fatalf("snapshots = %d want 2", len(snaps))
+	if len(snaps) != 5 {
+		t.Fatalf("snapshots = %d want 5", len(snaps))
 	}
 	a := snaps[0]
 	if a.Node != "alpha" || a.Addr != "127.0.0.1:7946" || a.UnixMillis != 1700000000000 {
@@ -235,6 +274,32 @@ func TestPrometheusGolden(t *testing.T) {
 	}
 }
 
+// The long-form rows of the same fixture are pinned the same way, sorted:
+// the dump schema is a contract with external tooling, while the order of
+// rows within one snapshot is not.
+func TestRowsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, s := range fixedCollector().Snapshot() {
+		AppendLongRows(&b, s.Rows())
+	}
+	lines := strings.SplitAfter(b.String(), "\n")
+	sort.Strings(lines)
+	got := []byte(strings.Join(lines, ""))
+	const goldenPath = "testdata/rows.golden"
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("long-form rows drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
 // Every transport counter must appear as its own family: the names come
 // from transport.Stats.Named, so this holds by construction — the test
 // pins the contract.
@@ -337,8 +402,8 @@ func TestDumperJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d JSONL lines want 2", len(lines))
+	if len(lines) != 5 {
+		t.Fatalf("%d JSONL lines want 5", len(lines))
 	}
 	var s NodeSnapshot
 	if err := json.Unmarshal([]byte(lines[0]), &s); err != nil {
