@@ -87,7 +87,7 @@ func run() error {
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve live-experiment node metrics on http://<addr>/metrics while the process runs")
 		metricsCSV = flag.String("metrics-csv", "",
-			"append periodic live-experiment snapshots to this file (long-form CSV; .jsonl selects JSONL)")
+			"append periodic live-experiment snapshots to this file (long-form CSV)")
 		metricsEvery = flag.Duration("metrics-interval", 250*time.Millisecond,
 			"snapshot interval for -metrics-csv")
 

@@ -12,7 +12,7 @@
 //	psnode -config psnode.json -c 50 -transport udp
 //
 // Everything around the node — the Prometheus metrics server, the
-// periodic CSV/JSONL dumper, the report logger, the fleet control agent
+// periodic CSV dumper, the report logger, the fleet control agent
 // and the light-client sampling gateway — runs as a daemon plugin (see
 // internal/daemon); each comes up only when its address or path is
 // configured, and all report into the aggregated /healthz served on the

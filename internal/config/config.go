@@ -19,23 +19,29 @@ const Version = 1
 // cmd/psnode used to take as flags, grouped by subsystem. The zero
 // value is not runnable; start from Default (what LoadFile does) so
 // every unset field carries its documented default.
+//
+// Each field declares its document key once, in a cfg tag; decoding,
+// WriteFile, Diff and MergeHot all walk these tags. A leaf tagged
+// reload:"hot" is one the daemon applies live on reload; every other
+// leaf needs a restart. Leaves are string, []string, int, float64, bool
+// or time.Duration.
 type Config struct {
 	// Version is the config schema version; Default sets it to Version.
-	Version int
+	Version int `cfg:"version"`
 
 	// Node parameterises the sampling node itself.
-	Node NodeSection
+	Node NodeSection `cfg:"node"`
 	// Transport selects and hardens the wire backend.
-	Transport TransportSection
+	Transport TransportSection `cfg:"transport"`
 	// Metrics configures the observability plugins.
-	Metrics MetricsSection
+	Metrics MetricsSection `cfg:"metrics"`
 	// Control configures the fleet control agent and ready file.
-	Control ControlSection
+	Control ControlSection `cfg:"control"`
 	// Gateway configures the light-client sampling API.
-	Gateway GatewaySection
+	Gateway GatewaySection `cfg:"gateway"`
 	// Workload runs a gossip application engine on top of the node's
 	// sampling service.
-	Workload WorkloadSection
+	Workload WorkloadSection `cfg:"workload"`
 }
 
 // NodeSection configures the protocol instance (config keys under
@@ -43,36 +49,36 @@ type Config struct {
 type NodeSection struct {
 	// Listen is the gossip listen address; it doubles as the node's
 	// identity, so bind an address peers can reach.
-	Listen string
+	Listen string `cfg:"listen"`
 	// Contacts are the bootstrap addresses handed to Init.
-	Contacts []string
+	Contacts []string `cfg:"contacts" reload:"hot"`
 	// Protocol is the paper's tuple notation, e.g. "(rand,head,pushpull)".
-	Protocol string
+	Protocol string `cfg:"protocol"`
 	// ViewSize is the partial view capacity c.
-	ViewSize int
+	ViewSize int `cfg:"view_size"`
 	// Period is the gossip cycle length T.
-	Period time.Duration
+	Period time.Duration `cfg:"period"`
 	// Diverse selects the diversity-maximising GetPeer refinement.
-	Diverse bool
+	Diverse bool `cfg:"diverse"`
 }
 
 // TransportSection selects the wire backend and its hardening limits
 // (config keys under "transport:").
 type TransportSection struct {
 	// Backend names the registered transport ("tcp", "tcp-pooled", "udp").
-	Backend string
+	Backend string `cfg:"backend"`
 	// MaxConns caps concurrently served connections (0 = library
-	// default, negative = unlimited). Hot-reloadable.
-	MaxConns int
+	// default, negative = unlimited).
+	MaxConns int `cfg:"max_conns" reload:"hot"`
 	// KeepAlive is the read budget for served connections that pull
-	// (0 = library default). Hot-reloadable.
-	KeepAlive time.Duration
+	// (0 = library default).
+	KeepAlive time.Duration `cfg:"keepalive" reload:"hot"`
 	// PushOnlyKeepAlive is the shrunken budget for push-only peers
-	// (0 derives 3/4 of KeepAlive). Hot-reloadable.
-	PushOnlyKeepAlive time.Duration
+	// (0 derives 3/4 of KeepAlive).
+	PushOnlyKeepAlive time.Duration `cfg:"push_only_keepalive" reload:"hot"`
 	// FirstFrameTimeout is the slowloris window before a connection's
-	// opening frame (0 = library default). Hot-reloadable.
-	FirstFrameTimeout time.Duration
+	// opening frame (0 = library default).
+	FirstFrameTimeout time.Duration `cfg:"first_frame_timeout" reload:"hot"`
 }
 
 // Limits converts the section into the transport layer's Limits shape.
@@ -90,13 +96,12 @@ func (t TransportSection) Limits() transport.Limits {
 type MetricsSection struct {
 	// Addr serves Prometheus text-format metrics on GET /metrics when
 	// non-empty.
-	Addr string
-	// Dump appends periodic snapshots to this file when non-empty
-	// (.jsonl selects JSONL, anything else long-form CSV).
-	Dump string
+	Addr string `cfg:"addr"`
+	// Dump appends periodic snapshots to this file as long-form CSV
+	// when non-empty.
+	Dump string `cfg:"dump"`
 	// ReportInterval paces the dump rounds and the periodic report log.
-	// Hot-reloadable.
-	ReportInterval time.Duration
+	ReportInterval time.Duration `cfg:"report_interval" reload:"hot"`
 }
 
 // ControlSection configures the fleet control surface (config keys
@@ -104,32 +109,31 @@ type MetricsSection struct {
 type ControlSection struct {
 	// Addr serves the fleet agent (GET /healthz, /snapshot, /view; POST
 	// /stop) when non-empty.
-	Addr string
+	Addr string `cfg:"addr"`
 	// ReadyFile, when non-empty, is atomically written with the
 	// daemon's bound addresses once every subsystem is up.
-	ReadyFile string
+	ReadyFile string `cfg:"ready_file"`
 }
 
 // GatewaySection configures the light-client sampling API (config keys
 // under "gateway:"). The gateway is enabled when Addr is non-empty.
 type GatewaySection struct {
 	// Addr serves GET /v1/sample and GET /healthz when non-empty.
-	Addr string
+	Addr string `cfg:"addr"`
 	// BatchSize is how many distinct peers the sample cache targets per
-	// refresh. Hot-reloadable.
-	BatchSize int
-	// Refresh is the cache refresh interval. Hot-reloadable.
-	Refresh time.Duration
+	// refresh.
+	BatchSize int `cfg:"batch_size" reload:"hot"`
+	// Refresh is the cache refresh interval.
+	Refresh time.Duration `cfg:"refresh" reload:"hot"`
 	// RateRPS is the per-client token refill rate (requests/second).
-	// Hot-reloadable.
-	RateRPS float64
-	// Burst is the per-client token bucket capacity. Hot-reloadable.
-	Burst int
+	RateRPS float64 `cfg:"rate_rps" reload:"hot"`
+	// Burst is the per-client token bucket capacity.
+	Burst int `cfg:"burst" reload:"hot"`
 	// TrustProxyHeader rate-limits by the first X-Forwarded-For address
 	// instead of the socket address. Enable only behind a trusted reverse
 	// proxy (or for load harnesses emulating distinct clients) — the
-	// header is client-controlled. Hot-reloadable.
-	TrustProxyHeader bool
+	// header is client-controlled.
+	TrustProxyHeader bool `cfg:"trust_proxy_header" reload:"hot"`
 }
 
 // Workload kinds accepted by WorkloadSection.Kind.
@@ -141,23 +145,25 @@ const (
 // WorkloadSection configures the gossip application engine riding the
 // node (config keys under "workload:"). The workload is enabled when
 // Kind is non-empty; its counters flow through the metrics pipeline
-// alongside the node's own.
+// alongside the node's own. No field is hot: changing any knob means a
+// different engine, and engine state (infection, running average)
+// cannot be migrated live.
 type WorkloadSection struct {
 	// Kind selects the engine: "broadcast" (epidemic dissemination) or
 	// "aggregate" (push-pull averaging). Empty disables the workload.
-	Kind string
+	Kind string `cfg:"kind"`
 	// Period is the engine's round length; zero inherits node.period.
-	Period time.Duration
+	Period time.Duration `cfg:"period"`
 	// Fanout is how many peers the broadcast engine pushes to per round.
-	Fanout int
+	Fanout int `cfg:"fanout"`
 	// Mode selects the broadcast variant: "infect-forever" or
 	// "infect-and-die".
-	Mode string
+	Mode string `cfg:"mode"`
 	// TTL is how many rounds an infect-and-die node gossips after
 	// infection.
-	TTL int
+	TTL int `cfg:"ttl"`
 	// Initial is the aggregate engine's starting value.
-	Initial float64
+	Initial float64 `cfg:"initial"`
 }
 
 // Default returns the runnable baseline configuration: a loopback

@@ -33,7 +33,7 @@ func TestLoadFileJSON(t *testing.T) {
 	if cfg.Transport.Backend != "udp" || cfg.Transport.MaxConns != 256 || cfg.Transport.KeepAlive != 90*time.Second {
 		t.Errorf("transport = %+v", cfg.Transport)
 	}
-	if cfg.Metrics.Addr != "127.0.0.1:9090" || cfg.Metrics.Dump != "/tmp/psnode.jsonl" || cfg.Metrics.ReportInterval != 2*time.Second {
+	if cfg.Metrics.Addr != "127.0.0.1:9090" || cfg.Metrics.Dump != "/tmp/psnode.csv" || cfg.Metrics.ReportInterval != 2*time.Second {
 		t.Errorf("metrics = %+v", cfg.Metrics)
 	}
 	if cfg.Control.Addr != "127.0.0.1:7070" || cfg.Control.ReadyFile != "/tmp/ready.json" {
@@ -61,7 +61,7 @@ const fullDoc = `{
     "diverse": true
   },
   "transport": {"backend": "udp", "max_conns": 256, "keepalive": "90s"},
-  "metrics": {"addr": "127.0.0.1:9090", "dump": "/tmp/psnode.jsonl", "report_interval": "2s"},
+  "metrics": {"addr": "127.0.0.1:9090", "dump": "/tmp/psnode.csv", "report_interval": "2s"},
   "control": {"addr": "127.0.0.1:7070", "ready_file": "/tmp/ready.json"},
   "gateway": {
     "addr": "127.0.0.1:8080",

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
+	"time"
 )
 
 // LoadFile loads, defaults and validates a JSON config file. Fields
@@ -38,111 +41,83 @@ func Parse(raw []byte) (Config, error) {
 	return cfg, nil
 }
 
+// leaf is one tagged leaf field of Config: the document section it sits
+// in ("" for top-level keys), its key, whether a live reload may apply
+// it, and its reflect index path.
+type leaf struct {
+	section, key string
+	hot          bool
+	index        []int
+}
+
+// path is the leaf's dotted field path, as error messages and ReloadDiff
+// spell it.
+func (l leaf) path() string { return joinKey(l.section, l.key) }
+
+// leaves is every cfg-tagged leaf of Config in declaration order, which
+// is the order decoding reads them and Diff reports them. Sections nest
+// one level deep, like the document.
+var leaves = walk(reflect.TypeOf(Config{}), "", nil)
+
+// walk collects the cfg-tagged leaves of the struct type t; a tagged
+// struct-typed field is a section whose fields are walked in turn.
+func walk(t reflect.Type, section string, index []int) []leaf {
+	var out []leaf
+	for i := range t.NumField() {
+		f := t.Field(i)
+		key, ok := f.Tag.Lookup("cfg")
+		if !ok {
+			continue
+		}
+		idx := append(slices.Clone(index), i)
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, walk(f.Type, joinKey(section, key), idx)...)
+			continue
+		}
+		out = append(out, leaf{section, key, f.Tag.Get("reload") == "hot", idx})
+	}
+	return out
+}
+
 // decodeDocument maps the parsed document onto cfg, strictly: a key the
 // schema does not define is an error naming its path, so a typo never
 // silently configures nothing.
 func decodeDocument(root *Document, cfg *Config) error {
-	if err := root.Int("version", &cfg.Version); err != nil {
-		return err
-	}
-	if node := root.Sub("node"); node != nil {
-		if err := decodeNode(node, &cfg.Node); err != nil {
-			return err
+	v := reflect.ValueOf(cfg).Elem()
+	sections := map[string]*Document{"": root}
+	for _, l := range leaves {
+		d, opened := sections[l.section]
+		if !opened {
+			d = root.Sub(l.section)
+			sections[l.section] = d
 		}
-	}
-	if tr := root.Sub("transport"); tr != nil {
-		if err := decodeTransport(tr, &cfg.Transport); err != nil {
-			return err
+		if d == nil {
+			continue // section absent: its defaults stand
 		}
-	}
-	if m := root.Sub("metrics"); m != nil {
-		if err := decodeMetrics(m, &cfg.Metrics); err != nil {
-			return err
-		}
-	}
-	if ctl := root.Sub("control"); ctl != nil {
-		if err := decodeControl(ctl, &cfg.Control); err != nil {
-			return err
-		}
-	}
-	if gw := root.Sub("gateway"); gw != nil {
-		if err := decodeGateway(gw, &cfg.Gateway); err != nil {
-			return err
-		}
-	}
-	if wl := root.Sub("workload"); wl != nil {
-		if err := decodeWorkload(wl, &cfg.Workload); err != nil {
+		if err := read(d, l.key, v.FieldByIndex(l.index).Addr().Interface()); err != nil {
 			return err
 		}
 	}
 	return root.Finish()
 }
 
-func decodeNode(d *Document, n *NodeSection) error {
-	return firstErr(
-		d.Str("listen", &n.Listen),
-		d.StrList("contacts", &n.Contacts),
-		d.Str("protocol", &n.Protocol),
-		d.Int("view_size", &n.ViewSize),
-		d.Duration("period", &n.Period),
-		d.Bool("diverse", &n.Diverse),
-	)
-}
-
-func decodeTransport(d *Document, t *TransportSection) error {
-	return firstErr(
-		d.Str("backend", &t.Backend),
-		d.Int("max_conns", &t.MaxConns),
-		d.Duration("keepalive", &t.KeepAlive),
-		d.Duration("push_only_keepalive", &t.PushOnlyKeepAlive),
-		d.Duration("first_frame_timeout", &t.FirstFrameTimeout),
-	)
-}
-
-func decodeMetrics(d *Document, m *MetricsSection) error {
-	return firstErr(
-		d.Str("addr", &m.Addr),
-		d.Str("dump", &m.Dump),
-		d.Duration("report_interval", &m.ReportInterval),
-	)
-}
-
-func decodeControl(d *Document, c *ControlSection) error {
-	return firstErr(
-		d.Str("addr", &c.Addr),
-		d.Str("ready_file", &c.ReadyFile),
-	)
-}
-
-func decodeGateway(d *Document, g *GatewaySection) error {
-	return firstErr(
-		d.Str("addr", &g.Addr),
-		d.Int("batch_size", &g.BatchSize),
-		d.Duration("refresh", &g.Refresh),
-		d.Float("rate_rps", &g.RateRPS),
-		d.Int("burst", &g.Burst),
-		d.Bool("trust_proxy_header", &g.TrustProxyHeader),
-	)
-}
-
-func decodeWorkload(d *Document, w *WorkloadSection) error {
-	return firstErr(
-		d.Str("kind", &w.Kind),
-		d.Duration("period", &w.Period),
-		d.Int("fanout", &w.Fanout),
-		d.Str("mode", &w.Mode),
-		d.Int("ttl", &w.TTL),
-		d.Float("initial", &w.Initial),
-	)
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+// read decodes one leaf through the Document getter for its type.
+func read(d *Document, key string, dst any) error {
+	switch p := dst.(type) {
+	case *string:
+		return d.Str(key, p)
+	case *[]string:
+		return d.StrList(key, p)
+	case *int:
+		return d.Int(key, p)
+	case *float64:
+		return d.Float(key, p)
+	case *bool:
+		return d.Bool(key, p)
+	case *time.Duration:
+		return d.Duration(key, p)
 	}
-	return nil
+	panic(fmt.Sprintf("config: no reader for %s of type %T", key, dst))
 }
 
 // WriteFile writes cfg as a JSON config document at path — the exact
@@ -164,51 +139,28 @@ func WriteFile(path string, cfg Config) error {
 // generated file should read as the daemon's complete effective
 // configuration, not a diff against defaults the reader must know.
 func encode(cfg Config) map[string]any {
-	contacts := cfg.Node.Contacts
-	if contacts == nil {
-		contacts = []string{}
+	v := reflect.ValueOf(cfg)
+	doc := map[string]any{}
+	for _, l := range leaves {
+		m := doc
+		if l.section != "" {
+			sub, ok := doc[l.section].(map[string]any)
+			if !ok {
+				sub = map[string]any{}
+				doc[l.section] = sub
+			}
+			m = sub
+		}
+		val := v.FieldByIndex(l.index).Interface()
+		switch x := val.(type) {
+		case time.Duration:
+			val = x.String()
+		case []string:
+			if x == nil {
+				val = []string{}
+			}
+		}
+		m[l.key] = val
 	}
-	return map[string]any{
-		"version": cfg.Version,
-		"node": map[string]any{
-			"listen":    cfg.Node.Listen,
-			"contacts":  contacts,
-			"protocol":  cfg.Node.Protocol,
-			"view_size": cfg.Node.ViewSize,
-			"period":    cfg.Node.Period.String(),
-			"diverse":   cfg.Node.Diverse,
-		},
-		"transport": map[string]any{
-			"backend":             cfg.Transport.Backend,
-			"max_conns":           cfg.Transport.MaxConns,
-			"keepalive":           cfg.Transport.KeepAlive.String(),
-			"push_only_keepalive": cfg.Transport.PushOnlyKeepAlive.String(),
-			"first_frame_timeout": cfg.Transport.FirstFrameTimeout.String(),
-		},
-		"metrics": map[string]any{
-			"addr":            cfg.Metrics.Addr,
-			"dump":            cfg.Metrics.Dump,
-			"report_interval": cfg.Metrics.ReportInterval.String(),
-		},
-		"control": map[string]any{
-			"addr":       cfg.Control.Addr,
-			"ready_file": cfg.Control.ReadyFile,
-		},
-		"gateway": map[string]any{
-			"addr":               cfg.Gateway.Addr,
-			"batch_size":         cfg.Gateway.BatchSize,
-			"refresh":            cfg.Gateway.Refresh.String(),
-			"rate_rps":           cfg.Gateway.RateRPS,
-			"burst":              cfg.Gateway.Burst,
-			"trust_proxy_header": cfg.Gateway.TrustProxyHeader,
-		},
-		"workload": map[string]any{
-			"kind":    cfg.Workload.Kind,
-			"period":  cfg.Workload.Period.String(),
-			"fanout":  cfg.Workload.Fanout,
-			"mode":    cfg.Workload.Mode,
-			"ttl":     cfg.Workload.TTL,
-			"initial": cfg.Workload.Initial,
-		},
-	}
+	return doc
 }

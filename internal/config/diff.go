@@ -1,6 +1,9 @@
 package config
 
-import "slices"
+import (
+	"reflect"
+	"slices"
+)
 
 // ReloadDiff classifies the fields that changed between a running
 // daemon's config and a freshly loaded one. Hot fields may be applied
@@ -17,83 +20,48 @@ type ReloadDiff struct {
 // Empty reports whether nothing changed.
 func (d ReloadDiff) Empty() bool { return len(d.Hot) == 0 && len(d.Restart) == 0 }
 
-// Diff compares two configs field by field. The hot set is exactly the
-// fields the daemon knows how to apply without recreating the node or
-// rebinding a listener: transport hardening limits, the report
-// interval, gateway tuning, and added bootstrap contacts (Init merges
-// them into the live view).
+// Diff compares two configs field by field, in declaration order. A
+// changed field is hot when its struct tag says reload:"hot" — exactly
+// the fields the daemon knows how to apply without recreating the node
+// or rebinding a listener: transport hardening limits, the report
+// interval, gateway tuning, and bootstrap contacts (Init merges added
+// ones into the live view).
 func Diff(old, new Config) ReloadDiff {
 	var d ReloadDiff
-	changed := func(path string, hot bool, differs bool) {
-		if !differs {
-			return
+	o, n := reflect.ValueOf(old), reflect.ValueOf(new)
+	for _, l := range leaves {
+		if equal(o.FieldByIndex(l.index), n.FieldByIndex(l.index)) {
+			continue
 		}
-		if hot {
-			d.Hot = append(d.Hot, path)
+		if l.hot {
+			d.Hot = append(d.Hot, l.path())
 		} else {
-			d.Restart = append(d.Restart, path)
+			d.Restart = append(d.Restart, l.path())
 		}
 	}
-
-	changed("version", false, old.Version != new.Version)
-
-	changed("node.listen", false, old.Node.Listen != new.Node.Listen)
-	changed("node.contacts", true, !slices.Equal(old.Node.Contacts, new.Node.Contacts))
-	changed("node.protocol", false, old.Node.Protocol != new.Node.Protocol)
-	changed("node.view_size", false, old.Node.ViewSize != new.Node.ViewSize)
-	changed("node.period", false, old.Node.Period != new.Node.Period)
-	changed("node.diverse", false, old.Node.Diverse != new.Node.Diverse)
-
-	changed("transport.backend", false, old.Transport.Backend != new.Transport.Backend)
-	changed("transport.max_conns", true, old.Transport.MaxConns != new.Transport.MaxConns)
-	changed("transport.keepalive", true, old.Transport.KeepAlive != new.Transport.KeepAlive)
-	changed("transport.push_only_keepalive", true, old.Transport.PushOnlyKeepAlive != new.Transport.PushOnlyKeepAlive)
-	changed("transport.first_frame_timeout", true, old.Transport.FirstFrameTimeout != new.Transport.FirstFrameTimeout)
-
-	changed("metrics.addr", false, old.Metrics.Addr != new.Metrics.Addr)
-	changed("metrics.dump", false, old.Metrics.Dump != new.Metrics.Dump)
-	changed("metrics.report_interval", true, old.Metrics.ReportInterval != new.Metrics.ReportInterval)
-
-	changed("control.addr", false, old.Control.Addr != new.Control.Addr)
-	changed("control.ready_file", false, old.Control.ReadyFile != new.Control.ReadyFile)
-
-	changed("gateway.addr", false, old.Gateway.Addr != new.Gateway.Addr)
-	changed("gateway.batch_size", true, old.Gateway.BatchSize != new.Gateway.BatchSize)
-	changed("gateway.refresh", true, old.Gateway.Refresh != new.Gateway.Refresh)
-	changed("gateway.rate_rps", true, old.Gateway.RateRPS != new.Gateway.RateRPS)
-	changed("gateway.burst", true, old.Gateway.Burst != new.Gateway.Burst)
-	changed("gateway.trust_proxy_header", true, old.Gateway.TrustProxyHeader != new.Gateway.TrustProxyHeader)
-
-	// The whole workload section is restart-only: changing any knob means
-	// a different engine, and engine state (infection, running average)
-	// cannot be migrated live.
-	changed("workload.kind", false, old.Workload.Kind != new.Workload.Kind)
-	changed("workload.period", false, old.Workload.Period != new.Workload.Period)
-	changed("workload.fanout", false, old.Workload.Fanout != new.Workload.Fanout)
-	changed("workload.mode", false, old.Workload.Mode != new.Workload.Mode)
-	changed("workload.ttl", false, old.Workload.TTL != new.Workload.TTL)
-	changed("workload.initial", false, old.Workload.Initial != new.Workload.Initial)
-
 	return d
 }
 
-// MergeHot copies the hot-applicable fields of new onto old, returning
-// the config a daemon actually runs after a live reload: hot fields
-// from the new file, everything restart-required kept as-is. Keeping
-// the merge here, next to Diff's classification, means the two can
-// never disagree about which fields are hot.
+// equal compares two leaf values; a nil and an empty contact list are
+// the same list.
+func equal(a, b reflect.Value) bool {
+	if a.Kind() == reflect.Slice {
+		return slices.Equal(a.Interface().([]string), b.Interface().([]string))
+	}
+	return a.Interface() == b.Interface()
+}
+
+// MergeHot copies the hot fields of new onto old, returning the config
+// a daemon actually runs after a live reload: hot fields from the new
+// file, everything restart-required kept as-is. It reads the same tags
+// as Diff, so the two cannot disagree about which fields are hot.
 func MergeHot(old, new Config) Config {
 	merged := old
-	merged.Node.Contacts = new.Node.Contacts
-	merged.Transport.MaxConns = new.Transport.MaxConns
-	merged.Transport.KeepAlive = new.Transport.KeepAlive
-	merged.Transport.PushOnlyKeepAlive = new.Transport.PushOnlyKeepAlive
-	merged.Transport.FirstFrameTimeout = new.Transport.FirstFrameTimeout
-	merged.Metrics.ReportInterval = new.Metrics.ReportInterval
-	merged.Gateway.BatchSize = new.Gateway.BatchSize
-	merged.Gateway.Refresh = new.Gateway.Refresh
-	merged.Gateway.RateRPS = new.Gateway.RateRPS
-	merged.Gateway.Burst = new.Gateway.Burst
-	merged.Gateway.TrustProxyHeader = new.Gateway.TrustProxyHeader
+	m, n := reflect.ValueOf(&merged).Elem(), reflect.ValueOf(new)
+	for _, l := range leaves {
+		if l.hot {
+			m.FieldByIndex(l.index).Set(n.FieldByIndex(l.index))
+		}
+	}
 	return merged
 }

@@ -8,8 +8,9 @@
 // and so that a running daemon can classify a changed file into fields
 // it may apply live (transport limits, report interval, gateway tuning)
 // versus fields that need a restart (listen address, protocol tuple,
-// view size). See Diff for the classification and internal/daemon for
-// the runtime that applies it.
+// view size). The classification is a reload:"hot" struct tag on each
+// hot field of Config; see Diff, and internal/daemon for the runtime that
+// applies it.
 //
 // Documents parse through encoding/json's token stream into a strict
 // reader (Document) that internal/chaos shares for its plan files: a

@@ -57,7 +57,7 @@ func FromFlags(fs *flag.FlagSet) *Flags {
 	f.metricsAddr = fs.String("metrics-addr", "",
 		"serve Prometheus text-format metrics on http://<addr>/metrics (empty = disabled)")
 	f.metricsCSV = fs.String("metrics-csv", "",
-		"append periodic metric snapshots to this file; .jsonl selects JSONL, anything else long-form CSV (empty = disabled)")
+		"append periodic metric snapshots to this file as long-form CSV (empty = disabled)")
 	f.controlAddr = fs.String("control-addr", "",
 		"serve the fleet control agent on this address: GET /healthz, /snapshot, /view; POST /stop (empty = disabled)")
 	f.readyFile = fs.String("ready-file", "",

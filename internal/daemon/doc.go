@@ -1,6 +1,6 @@
 // Package daemon is the runtime behind cmd/psnode: a Manager that owns
 // one sampling node and wires the service surface around it as discrete
-// plugins — the Prometheus metrics server, the periodic CSV/JSONL
+// plugins — the Prometheus metrics server, the periodic CSV
 // dumper, the periodic report logger, the fleet control agent, and the
 // light-client sampling gateway. Each plugin has a Start/Stop lifecycle
 // and a Status, and the manager aggregates every status into one report

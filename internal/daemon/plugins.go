@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -184,8 +185,9 @@ func (p *dumperPlugin) Stop() error {
 	return err
 }
 
-// reporterPlugin logs the periodic view/stats report — the same
-// snapshots the /metrics endpoint and dump file serve.
+// reporterPlugin logs the periodic report: the node's view, then one
+// line per registered source holding the same long-form rows the dump
+// file gets.
 type reporterPlugin struct {
 	statusHolder
 	m    *Manager
@@ -218,30 +220,12 @@ func (p *reporterPlugin) report() {
 	}
 	p.m.logf("view(%d): %s", len(view), strings.Join(entries, " "))
 	for _, s := range p.m.coll.Snapshot() {
-		if s.Gateway != nil {
-			g := s.Gateway
-			p.m.logf("gateway: requests=%d served=%d limited=%d unavailable=%d cache=%d age=%.1fs",
-				g.Requests, g.PeersServed, g.RateLimited, g.Unavailable, g.CacheSize, g.CacheAgeSeconds)
-			continue
+		rows := s.Rows()
+		parts := make([]string, len(rows))
+		for i, r := range rows {
+			parts[i] = r.Metric + "=" + strconv.FormatFloat(r.Value, 'f', -1, 64)
 		}
-		p.m.logf("stats: cycles=%d exchanges=%d failures=%d served=%d view=%d hops=[%d %.1f %d]",
-			s.Cycles, s.Exchanges, s.Failures, s.Served, s.ViewSize, s.HopMin, s.HopMean, s.HopMax)
-		if s.App != nil {
-			p.m.logf("workload(%s): rounds=%d sent=%d received=%d failures=%d infected=%g value=%g",
-				s.App.Workload, s.App.Rounds, s.App.Sent, s.App.Received, s.App.Failures,
-				s.App.Infected, s.App.Value)
-		}
-		if s.Wire != nil {
-			parts := make([]string, 0, 9)
-			for _, c := range s.Wire.Named() {
-				parts = append(parts, fmt.Sprintf("%s=%d", c.Name, c.Value))
-			}
-			p.m.logf("wire: %s", strings.Join(parts, " "))
-		}
-		if s.Latency != nil && s.Latency.Count > 0 {
-			p.m.logf("latency: p50=%.2fms p99=%.2fms over %d exchanges",
-				s.Latency.Quantile(0.50)*1000, s.Latency.Quantile(0.99)*1000, s.Latency.Count)
-		}
+		p.m.logf("%s: %s", s.Node, strings.Join(parts, " "))
 	}
 }
 

@@ -12,7 +12,12 @@
 //   - Dumper appends periodic long-form CSV (node,cycle,metric,value —
 //     the same schema internal/scenario's renderers emit for the paper's
 //     figures, so live traces and simulator traces are directly
-//     comparable) or JSONL.
+//     comparable).
+//
+// Both read a snapshot through one table of fields: each exported
+// quantity names its long-form metric and its Prometheus family in a
+// single entry, so the two exports cannot drift apart. The psnode report
+// log prints the same long-form rows.
 //
 // Sources need not live in this process: Remote implements the Poller
 // interface by scraping another node's fleet-agent /snapshot endpoint,

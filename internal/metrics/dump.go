@@ -1,10 +1,10 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -12,34 +12,14 @@ import (
 	"peersampling/internal/app"
 )
 
-// Format selects the on-disk shape of a Dumper's output.
-type Format int
-
-const (
-	// FormatCSV appends long-form rows (node,cycle,metric,value), the
-	// schema the internal/scenario renderers emit for the paper's figures.
-	FormatCSV Format = iota
-	// FormatJSONL appends one JSON object per NodeSnapshot per line.
-	FormatJSONL
-)
-
-// FormatForPath picks the format implied by a dump file's extension:
-// ".jsonl" (or ".ndjson") selects FormatJSONL, anything else FormatCSV.
-func FormatForPath(path string) Format {
-	lower := strings.ToLower(path)
-	if strings.HasSuffix(lower, ".jsonl") || strings.HasSuffix(lower, ".ndjson") {
-		return FormatJSONL
-	}
-	return FormatCSV
-}
-
-// Dumper appends periodic snapshot rounds of a Collector to a writer, in
-// CSV or JSONL. Construct with NewDumper, then either call Dump for each
-// round or Start a background ticker. Methods are safe for concurrent
-// use; output rounds never interleave.
+// Dumper appends periodic snapshot rounds of a Collector to a writer as
+// long-form CSV rows (node,cycle,metric,value), the schema the
+// internal/scenario renderers emit for the paper's figures. Construct
+// with NewDumper, then either call Dump for each round or Start a
+// background ticker. Methods are safe for concurrent use; output rounds
+// never interleave.
 type Dumper struct {
 	collector *Collector
-	format    Format
 
 	mu          sync.Mutex
 	w           io.Writer
@@ -54,22 +34,26 @@ type Dumper struct {
 
 // NewDumper returns a dumper appending to w. The CSV header is written
 // before the first round only, so a dump file can span a whole run.
-func NewDumper(c *Collector, w io.Writer, format Format) *Dumper {
-	return &Dumper{collector: c, format: format, w: w}
+func NewDumper(c *Collector, w io.Writer) *Dumper {
+	return &Dumper{collector: c, w: w}
 }
 
 // NewFileDumper opens (or creates) path in append mode and returns a
-// dumper whose format follows the file extension (see FormatForPath).
-// The CSV header is written only when the file is empty, so a daemon
-// restarted onto the same dump file keeps the document parseable instead
-// of burying a second header mid-file. Close the dumper (after Stop) to
-// close the file.
+// dumper writing to it. A .jsonl or .ndjson path is an error: dumps are
+// CSV only, and a config asking for JSONL should fail rather than get
+// CSV under a JSONL name. The CSV header is written only when the file
+// is empty, so a daemon restarted onto the same dump file keeps the
+// document parseable instead of burying a second header mid-file. Close
+// the dumper (after Stop) to close the file.
 func NewFileDumper(c *Collector, path string) (*Dumper, error) {
+	if ext := strings.ToLower(filepath.Ext(path)); ext == ".jsonl" || ext == ".ndjson" {
+		return nil, fmt.Errorf("metrics: dump file %s: JSONL is not supported; dumps are long-form CSV", path)
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("metrics: dump file: %w", err)
 	}
-	d := NewDumper(c, f, FormatForPath(path))
+	d := NewDumper(c, f)
 	if st, err := f.Stat(); err == nil && st.Size() > 0 {
 		d.wroteHeader = true
 	}
@@ -116,21 +100,11 @@ func (d *Dumper) Dump() error {
 	}
 
 	var b strings.Builder
-	switch d.format {
-	case FormatJSONL:
-		enc := json.NewEncoder(&b)
-		for _, s := range snaps {
-			if err := enc.Encode(s); err != nil {
-				return fmt.Errorf("metrics: dump: %w", err)
-			}
-		}
-	default:
-		if !d.wroteHeader {
-			b.WriteString(LongHeader("node"))
-		}
-		for _, s := range snaps {
-			AppendLongRows(&b, s.Rows())
-		}
+	if !d.wroteHeader {
+		b.WriteString(LongHeader("node"))
+	}
+	for _, s := range snaps {
+		AppendLongRows(&b, s.Rows())
 	}
 	if _, err := io.WriteString(d.w, b.String()); err != nil {
 		return err

@@ -51,8 +51,9 @@ type Poller interface {
 }
 
 // NodeSnapshot is one node's observable state at one instant: the shared
-// row type behind every exporter (Prometheus exposition, CSV/JSONL dumps,
-// the psnode report log).
+// row type behind every exporter (Prometheus exposition, long-form CSV
+// dumps, the psnode report log), which all read it through the fields
+// table.
 type NodeSnapshot struct {
 	// Node is the name the source was registered under (the Prometheus
 	// "node" label and the CSV key column).
@@ -170,83 +171,6 @@ type GatewaySnapshot struct {
 	// Latency is the serve-time histogram of successful sample requests;
 	// nil when the gateway keeps none.
 	Latency *transport.LatencySnapshot `json:"latency,omitempty"`
-}
-
-// Rows flattens the snapshot into long-form rows keyed by the node name,
-// with the node's own cycle count as the cycle column — the live analogue
-// of the simulator's per-cycle observations. Wire counters are enumerated
-// through transport.Stats.Named, so a counter added there appears here
-// without any change.
-func (s NodeSnapshot) Rows() []LongRow {
-	rows := []LongRow{
-		{s.Node, int(s.Cycles), "cycles", float64(s.Cycles)},
-		{s.Node, int(s.Cycles), "exchanges", float64(s.Exchanges)},
-		{s.Node, int(s.Cycles), "failures", float64(s.Failures)},
-		{s.Node, int(s.Cycles), "served", float64(s.Served)},
-		{s.Node, int(s.Cycles), "view_size", float64(s.ViewSize)},
-		{s.Node, int(s.Cycles), "view_hop_min", float64(s.HopMin)},
-		{s.Node, int(s.Cycles), "view_hop_mean", s.HopMean},
-		{s.Node, int(s.Cycles), "view_hop_max", float64(s.HopMax)},
-	}
-	if s.Wire != nil {
-		for _, c := range s.Wire.Named() {
-			rows = append(rows, LongRow{s.Node, int(s.Cycles), "wire_" + c.Name, float64(c.Value)})
-		}
-	}
-	if s.Latency != nil {
-		rows = append(rows,
-			LongRow{s.Node, int(s.Cycles), "exchange_latency_p50", s.Latency.Quantile(0.50)},
-			LongRow{s.Node, int(s.Cycles), "exchange_latency_p99", s.Latency.Quantile(0.99)},
-		)
-	}
-	if a := s.App; a != nil {
-		rows = append(rows,
-			LongRow{s.Node, int(s.Cycles), "app_rounds", float64(a.Rounds)},
-			LongRow{s.Node, int(s.Cycles), "app_sent", float64(a.Sent)},
-			LongRow{s.Node, int(s.Cycles), "app_received", float64(a.Received)},
-			LongRow{s.Node, int(s.Cycles), "app_failures", float64(a.Failures)},
-			LongRow{s.Node, int(s.Cycles), "app_infected", a.Infected},
-			LongRow{s.Node, int(s.Cycles), "app_value", a.Value},
-		)
-	}
-	if g := s.Gateway; g != nil {
-		rows = append(rows,
-			LongRow{s.Node, int(s.Cycles), "gateway_requests", float64(g.Requests)},
-			LongRow{s.Node, int(s.Cycles), "gateway_peers_served", float64(g.PeersServed)},
-			LongRow{s.Node, int(s.Cycles), "gateway_rate_limited", float64(g.RateLimited)},
-			LongRow{s.Node, int(s.Cycles), "gateway_unavailable", float64(g.Unavailable)},
-			LongRow{s.Node, int(s.Cycles), "gateway_refreshes", float64(g.Refreshes)},
-			LongRow{s.Node, int(s.Cycles), "gateway_clients", float64(g.Clients)},
-			LongRow{s.Node, int(s.Cycles), "gateway_cache_size", float64(g.CacheSize)},
-			LongRow{s.Node, int(s.Cycles), "gateway_cache_age_seconds", g.CacheAgeSeconds},
-		)
-		if g.Latency != nil {
-			rows = append(rows,
-				LongRow{s.Node, int(s.Cycles), "gateway_latency_p50", g.Latency.Quantile(0.50)},
-				LongRow{s.Node, int(s.Cycles), "gateway_latency_p99", g.Latency.Quantile(0.99)},
-			)
-		}
-	}
-	if c := s.Chaos; c != nil {
-		rows = append(rows,
-			LongRow{s.Node, int(s.Cycles), "chaos_active_rules", float64(c.ActiveRules)},
-			LongRow{s.Node, int(s.Cycles), "chaos_killed", float64(c.Killed)},
-			LongRow{s.Node, int(s.Cycles), "chaos_respawned", float64(c.Respawned)},
-			LongRow{s.Node, int(s.Cycles), "chaos_flood_dials", float64(c.FloodDials)},
-		)
-		// One chaos_event row per applied step, keyed by its timeline
-		// position, valued by its wall-clock second — the join column
-		// against the convergence trace's source_last_update times. The
-		// dumper trims Fired to the steps applied since the previous round
-		// (see dump.go), keeping (node,cycle,metric) unique in dump files.
-		for _, e := range c.Fired {
-			rows = append(rows,
-				LongRow{s.Node, e.Seq, "chaos_event", float64(e.UnixMillis) / 1000},
-				LongRow{s.Node, e.Seq, "chaos_event_" + e.Action, float64(e.Targets)},
-			)
-		}
-	}
-	return rows
 }
 
 // Collector registers nodes and snapshots them on demand. The zero value

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -300,6 +299,22 @@ func TestRowsGolden(t *testing.T) {
 	}
 }
 
+// Label values may arrive from a remote /snapshot body. The exposition
+// format defines only the \\, \" and \n escapes, so a tab or CR is
+// written as is, and an invalid byte becomes U+FFFD to keep the output
+// UTF-8.
+func TestPrometheusEscapesLabels(t *testing.T) {
+	snaps := []NodeSnapshot{{Node: "a\tb\rc\\d\"e\nf\xffg", Addr: "x\ty"}}
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, snaps); err != nil {
+		t.Fatal(err)
+	}
+	want := "peersampling_cycles_total{node=\"a\tb\rc\\\\d\\\"e\\nf\uFFFDg\",addr=\"x\ty\"} 0\n"
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+	}
+}
+
 // Every transport counter must appear as its own family: the names come
 // from transport.Stats.Named, so this holds by construction — the test
 // pins the contract.
@@ -364,19 +379,10 @@ func TestParseLongCSVRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestFormatForPath(t *testing.T) {
-	if FormatForPath("run.jsonl") != FormatJSONL || FormatForPath("RUN.NDJSON") != FormatJSONL {
-		t.Error("jsonl extensions not detected")
-	}
-	if FormatForPath("run.csv") != FormatCSV || FormatForPath("dump") != FormatCSV {
-		t.Error("csv default wrong")
-	}
-}
-
 func TestDumperCSV(t *testing.T) {
 	c := fixedCollector()
 	var buf bytes.Buffer
-	d := NewDumper(c, &buf, FormatCSV)
+	d := NewDumper(c, &buf)
 	if err := d.Dump(); err != nil {
 		t.Fatal(err)
 	}
@@ -391,26 +397,6 @@ func TestDumperCSV(t *testing.T) {
 		t.Fatal(err)
 	} else if len(rows) == 0 {
 		t.Error("no rows dumped")
-	}
-}
-
-func TestDumperJSONL(t *testing.T) {
-	c := fixedCollector()
-	var buf bytes.Buffer
-	d := NewDumper(c, &buf, FormatJSONL)
-	if err := d.Dump(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("%d JSONL lines want 5", len(lines))
-	}
-	var s NodeSnapshot
-	if err := json.Unmarshal([]byte(lines[0]), &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Node != "alpha" || s.Wire == nil || s.Wire.AcceptRejects != 8 {
-		t.Errorf("decoded snapshot wrong: %+v", s)
 	}
 }
 
@@ -446,8 +432,15 @@ func TestFileDumperSurvivesRestart(t *testing.T) {
 		t.Error("no rows")
 	}
 
-	if FormatForPath(path) != FormatCSV {
-		t.Error("extension format wrong")
+	// A JSONL path from an old config fails before creating the file.
+	for _, jsonl := range []string{"dump.jsonl", "DUMP.NDJSON"} {
+		p := t.TempDir() + "/" + jsonl
+		if _, err := NewFileDumper(c, p); err == nil {
+			t.Errorf("JSONL path %s accepted", jsonl)
+		}
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("JSONL path %s created: %v", jsonl, err)
+		}
 	}
 	if _, err := NewFileDumper(c, t.TempDir()+"/missing/dir.csv"); err == nil {
 		t.Error("unwritable path accepted")
@@ -480,7 +473,7 @@ func TestDumperSamplesAtCycleGranularity(t *testing.T) {
 	c.Register("a", src)
 
 	var buf bytes.Buffer
-	d := NewDumper(c, &buf, FormatCSV)
+	d := NewDumper(c, &buf)
 	if err := d.Dump(); err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +516,7 @@ func TestDumperSamplesAtCycleGranularity(t *testing.T) {
 func TestDumperRetriesAfterWriteFailure(t *testing.T) {
 	c := fixedCollector()
 	w := &flakyWriter{fails: 1}
-	d := NewDumper(c, w, FormatCSV)
+	d := NewDumper(c, w)
 	if err := d.Dump(); err == nil {
 		t.Fatal("failed write not reported")
 	}
@@ -555,7 +548,7 @@ func (w *flakyWriter) Write(p []byte) (int, error) {
 
 // Start must tolerate a non-positive interval (clamp, not ticker panic).
 func TestDumperStartClampsInterval(t *testing.T) {
-	d := NewDumper(fixedCollector(), &syncBuffer{}, FormatCSV)
+	d := NewDumper(fixedCollector(), &syncBuffer{})
 	d.Start(0)
 	if err := d.Stop(); err != nil {
 		t.Fatal(err)
@@ -565,7 +558,7 @@ func TestDumperStartClampsInterval(t *testing.T) {
 func TestDumperStartStop(t *testing.T) {
 	c := fixedCollector()
 	var buf syncBuffer
-	d := NewDumper(c, &buf, FormatCSV)
+	d := NewDumper(c, &buf)
 	d.Start(time.Millisecond)
 	time.Sleep(20 * time.Millisecond)
 	if err := d.Stop(); err != nil {

@@ -14,242 +14,81 @@ import (
 // for every scrape. No client library is involved — the format is three
 // line shapes and an escaping rule.
 
-// promFamily describes one metric family and how to read its value from a
-// snapshot. ok=false omits the sample (e.g. wire counters on a transport
-// that keeps none).
-type promFamily struct {
-	name  string
-	help  string
-	typ   string // "counter" or "gauge"
-	value func(s NodeSnapshot) (v float64, ok bool)
-}
-
-// promFamilies enumerates every exported family. Protocol counters and
-// view gauges are fixed; the transport families are generated from
-// transport.Stats.Named via the snapshots, so a wire counter added there
-// is exported without touching this file.
-func promFamilies(snaps []NodeSnapshot) []promFamily {
-	families := []promFamily{
-		{"peersampling_cycles_total", "Active gossip cycles run.", "counter",
-			func(s NodeSnapshot) (float64, bool) { return float64(s.Cycles), true }},
-		{"peersampling_exchanges_total", "Completed active exchanges.", "counter",
-			func(s NodeSnapshot) (float64, bool) { return float64(s.Exchanges), true }},
-		{"peersampling_exchange_failures_total", "Failed active exchanges (unreachable peers, timeouts).", "counter",
-			func(s NodeSnapshot) (float64, bool) { return float64(s.Failures), true }},
-		{"peersampling_requests_served_total", "Passive exchanges served to other nodes.", "counter",
-			func(s NodeSnapshot) (float64, bool) { return float64(s.Served), true }},
-		{"peersampling_view_size", "Current partial view occupancy (capacity is the protocol parameter c).", "gauge",
-			func(s NodeSnapshot) (float64, bool) { return float64(s.ViewSize), true }},
-		{"peersampling_view_hop_min", "Lowest hop age in the view (freshest descriptor).", "gauge",
-			func(s NodeSnapshot) (float64, bool) { return float64(s.HopMin), true }},
-		{"peersampling_view_hop_mean", "Mean hop age across the view.", "gauge",
-			func(s NodeSnapshot) (float64, bool) { return s.HopMean, true }},
-		{"peersampling_view_hop_max", "Highest hop age in the view (stalest descriptor).", "gauge",
-			func(s NodeSnapshot) (float64, bool) { return float64(s.HopMax), true }},
-		{"peersampling_source_up", "1 when the source answered this scrape's poll, 0 when its last snapshot is being replayed (dead or partitioned fleet member).", "gauge",
-			func(s NodeSnapshot) (float64, bool) {
-				if s.Stale {
-					return 0, true
-				}
-				return 1, true
-			}},
-		{"peersampling_source_last_update_seconds", "Unix time of the source's last successful poll; stops advancing when the source dies.", "gauge",
-			func(s NodeSnapshot) (float64, bool) { return float64(s.UnixMillis) / 1000, true }},
-	}
-	families = append(families, appFamilies()...)
-	families = append(families, gatewayFamilies()...)
-	families = append(families, chaosFamilies()...)
-	for _, wire := range wireCounterNames(snaps) {
-		name := wire // capture
-		families = append(families, promFamily{
-			name: "peersampling_transport_" + name + "_total",
-			help: "Transport wire counter " + name + " (see transport.Stats).",
-			typ:  "counter",
-			value: func(s NodeSnapshot) (float64, bool) {
-				if s.Wire == nil {
-					return 0, false
-				}
-				for _, c := range s.Wire.Named() {
-					if c.Name == name {
-						return float64(c.Value), true
-					}
-				}
-				return 0, false
-			},
-		})
-	}
-	return families
-}
-
-// appFamilies enumerates the workload engine's families. Samples are
-// emitted only for snapshots carrying an app.Snapshot, so nodes without
-// a workload stay unaffected. Infection state and the averaging estimate
-// are gauges; everything else counts engine activity.
-func appFamilies() []promFamily {
-	ap := func(read func(a NodeSnapshot) float64) func(NodeSnapshot) (float64, bool) {
-		return func(s NodeSnapshot) (float64, bool) {
-			if s.App == nil {
-				return 0, false
-			}
-			return read(s), true
-		}
-	}
-	return []promFamily{
-		{"peersampling_app_rounds_total", "Workload engine rounds ticked.", "counter",
-			ap(func(s NodeSnapshot) float64 { return float64(s.App.Rounds) })},
-		{"peersampling_app_messages_sent_total", "Workload payloads delivered to drawn peers.", "counter",
-			ap(func(s NodeSnapshot) float64 { return float64(s.App.Sent) })},
-		{"peersampling_app_messages_received_total", "Workload payloads received from peers.", "counter",
-			ap(func(s NodeSnapshot) float64 { return float64(s.App.Received) })},
-		{"peersampling_app_failures_total", "Workload deliveries that failed (unreachable peers, timeouts).", "counter",
-			ap(func(s NodeSnapshot) float64 { return float64(s.App.Failures) })},
-		{"peersampling_app_infected", "1 when the broadcast engine holds the rumor, 0 otherwise.", "gauge",
-			ap(func(s NodeSnapshot) float64 { return s.App.Infected })},
-		{"peersampling_app_value", "Current estimate of the push-pull averaging engine.", "gauge",
-			ap(func(s NodeSnapshot) float64 { return s.App.Value })},
-	}
-}
-
-// gatewayFamilies enumerates the sampling gateway's families. Samples
-// are emitted only for snapshots carrying a GatewaySnapshot, so node
-// sources stay unaffected.
-func gatewayFamilies() []promFamily {
-	gw := func(read func(g *GatewaySnapshot) float64) func(NodeSnapshot) (float64, bool) {
-		return func(s NodeSnapshot) (float64, bool) {
-			if s.Gateway == nil {
-				return 0, false
-			}
-			return read(s.Gateway), true
-		}
-	}
-	return []promFamily{
-		{"peersampling_gateway_requests_total", "Sample requests accepted for serving.", "counter",
-			gw(func(g *GatewaySnapshot) float64 { return float64(g.Requests) })},
-		{"peersampling_gateway_peers_served_total", "Peer addresses returned across all sample requests.", "counter",
-			gw(func(g *GatewaySnapshot) float64 { return float64(g.PeersServed) })},
-		{"peersampling_gateway_rate_limited_total", "Sample requests refused with 429 by the per-client rate limit.", "counter",
-			gw(func(g *GatewaySnapshot) float64 { return float64(g.RateLimited) })},
-		{"peersampling_gateway_unavailable_total", "Sample requests refused with 503 because the sample cache was empty.", "counter",
-			gw(func(g *GatewaySnapshot) float64 { return float64(g.Unavailable) })},
-		{"peersampling_gateway_refreshes_total", "Completed sample-cache refresh rounds.", "counter",
-			gw(func(g *GatewaySnapshot) float64 { return float64(g.Refreshes) })},
-		{"peersampling_gateway_clients", "Client rate-limit buckets currently tracked.", "gauge",
-			gw(func(g *GatewaySnapshot) float64 { return float64(g.Clients) })},
-		{"peersampling_gateway_cache_size", "Distinct peers in the current sample batch.", "gauge",
-			gw(func(g *GatewaySnapshot) float64 { return float64(g.CacheSize) })},
-		{"peersampling_gateway_cache_age_seconds", "Age of the current sample batch.", "gauge",
-			gw(func(g *GatewaySnapshot) float64 { return g.CacheAgeSeconds })},
-	}
-}
-
-// chaosFamilies enumerates the fault-plan executor's families. Samples
-// are emitted only for snapshots carrying a ChaosSnapshot — one source
-// per running plan, beside the node sources it is disturbing.
-func chaosFamilies() []promFamily {
-	ch := func(read func(c *ChaosSnapshot) float64) func(NodeSnapshot) (float64, bool) {
-		return func(s NodeSnapshot) (float64, bool) {
-			if s.Chaos == nil {
-				return 0, false
-			}
-			return read(s.Chaos), true
-		}
-	}
-	return []promFamily{
-		{"peersampling_chaos_active", "Fault rules currently installed on the fleet's transports by the running chaos plan.", "gauge",
-			ch(func(c *ChaosSnapshot) float64 { return float64(c.ActiveRules) })},
-		{"peersampling_chaos_events_total", "Chaos plan timeline steps applied (kills, partitions, rule expiries, floods).", "counter",
-			ch(func(c *ChaosSnapshot) float64 { return float64(c.Events) })},
-		{"peersampling_chaos_killed_total", "Members killed by the chaos plan.", "counter",
-			ch(func(c *ChaosSnapshot) float64 { return float64(c.Killed) })},
-		{"peersampling_chaos_respawned_total", "Members respawned by the chaos plan.", "counter",
-			ch(func(c *ChaosSnapshot) float64 { return float64(c.Respawned) })},
-	}
-}
-
-// wireCounterNames returns the counter names of the first snapshot that
-// carries wire stats; nodes without counters simply emit no transport
-// samples.
-func wireCounterNames(snaps []NodeSnapshot) []string {
-	for _, s := range snaps {
-		if s.Wire == nil {
-			continue
-		}
-		named := s.Wire.Named()
-		names := make([]string, len(named))
-		for i, c := range named {
-			names[i] = c.Name
-		}
-		return names
-	}
-	return nil
-}
-
 // WritePrometheus renders the snapshots in the Prometheus text exposition
 // format: per family a HELP and TYPE line, then one labelled sample per
-// node.
+// node. A family no snapshot carries is omitted.
 func WritePrometheus(w io.Writer, snaps []NodeSnapshot) error {
 	var b strings.Builder
-	for _, fam := range promFamilies(snaps) {
+	for _, f := range fields {
+		if f.prom == "" {
+			continue
+		}
+		typ := "gauge"
+		if f.counter {
+			typ = "counter"
+		}
 		wrote := false
 		for _, s := range snaps {
-			v, ok := fam.value(s)
+			v, ok := f.get(s)
 			if !ok {
 				continue
 			}
 			if !wrote {
-				fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
+				fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.prom, f.help, f.prom, typ)
 				wrote = true
 			}
-			// %q quotes and escapes backslash, double quote and newline —
-			// exactly the label escaping the exposition format defines.
-			fmt.Fprintf(&b, "%s{node=%q,addr=%q} %s\n",
-				fam.name, s.Node, s.Addr, formatValue(v))
+			fmt.Fprintf(&b, "%s{%s} %s\n", f.prom, labels(s), formatValue(v))
 		}
 	}
-	writeLatencyHistogram(&b, snaps, "peersampling_exchange_latency_seconds",
-		"Round-trip time of completed active exchanges.",
-		func(s NodeSnapshot) *transport.LatencySnapshot { return s.Latency })
-	writeLatencyHistogram(&b, snaps, "peersampling_gateway_latency_seconds",
-		"Serve time of successful /v1/sample requests.",
-		func(s NodeSnapshot) *transport.LatencySnapshot {
-			if s.Gateway == nil {
-				return nil
-			}
-			return s.Gateway.Latency
-		})
+	for _, h := range histograms {
+		writeHistogram(&b, snaps, h)
+	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// writeLatencyHistogram renders one latency-histogram family for every
-// node that carries it (pick returns nil for the rest), in the native
-// Prometheus histogram shape: cumulative le-labelled buckets, _sum and
-// _count. Both the exchange round-trip and the gateway serve-time
-// families render through here.
-func writeLatencyHistogram(b *strings.Builder, snaps []NodeSnapshot, family, help string,
-	pick func(NodeSnapshot) *transport.LatencySnapshot) {
+// labels renders a sample's node and addr labels. Both may come from a
+// remote /snapshot body, so they pass through escapeLabel.
+func labels(s NodeSnapshot) string {
+	return `node="` + escapeLabel(s.Node) + `",addr="` + escapeLabel(s.Addr) + `"`
+}
+
+// labelEscaper applies the exposition format's label-value escapes,
+// which are exactly these three; every other byte is written as is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// escapeLabel makes v a valid label value: UTF-8, with backslash, double
+// quote and newline escaped.
+func escapeLabel(v string) string {
+	return labelEscaper.Replace(strings.ToValidUTF8(v, "\uFFFD"))
+}
+
+// writeHistogram renders one latency-histogram family for every node
+// that carries it, in the native Prometheus histogram shape: cumulative
+// le-labelled buckets, _sum and _count.
+func writeHistogram(b *strings.Builder, snaps []NodeSnapshot, h histogram) {
 	wrote := false
 	for _, s := range snaps {
-		lat := pick(s)
+		lat := h.get(s)
 		if lat == nil {
 			continue
 		}
 		if !wrote {
-			fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", family, help, family)
+			fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", h.prom, h.help, h.prom)
 			wrote = true
 		}
+		l := labels(s)
 		cum := lat.Cumulative()
 		for i, bound := range transport.LatencyBounds {
 			var c uint64
 			if i < len(cum) {
 				c = cum[i]
 			}
-			fmt.Fprintf(b, "%s_bucket{node=%q,addr=%q,le=%q} %d\n",
-				family, s.Node, s.Addr, formatValue(bound), c)
+			fmt.Fprintf(b, "%s_bucket{%s,le=\"%s\"} %d\n", h.prom, l, formatValue(bound), c)
 		}
-		fmt.Fprintf(b, "%s_bucket{node=%q,addr=%q,le=\"+Inf\"} %d\n", family, s.Node, s.Addr, lat.Count)
-		fmt.Fprintf(b, "%s_sum{node=%q,addr=%q} %s\n", family, s.Node, s.Addr, formatValue(lat.SumSeconds))
-		fmt.Fprintf(b, "%s_count{node=%q,addr=%q} %d\n", family, s.Node, s.Addr, lat.Count)
+		fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", h.prom, l, lat.Count)
+		fmt.Fprintf(b, "%s_sum{%s} %s\n", h.prom, l, formatValue(lat.SumSeconds))
+		fmt.Fprintf(b, "%s_count{%s} %d\n", h.prom, l, lat.Count)
 	}
 }
 

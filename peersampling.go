@@ -205,13 +205,7 @@ func TransportBackends() []string { return transport.Backends() }
 // nodes (protocol counters, wire counters, view-shape gauges); a metrics
 // server exposes it on HTTP GET /metrics in the Prometheus text format,
 // and a dumper appends snapshot rounds as long-form CSV
-// (node,cycle,metric,value) or JSONL.
-
-// Dumper output formats.
-const (
-	MetricsCSV   = metrics.FormatCSV
-	MetricsJSONL = metrics.FormatJSONL
-)
+// (node,cycle,metric,value).
 
 // NewCollector returns an empty metrics collector.
 func NewCollector() *metrics.Collector { return metrics.New() }
@@ -224,13 +218,9 @@ func NewMetricsServer(c *metrics.Collector, addr string) (*metrics.Server, error
 
 // NewMetricsDumper returns a dumper appending snapshot rounds to w; call
 // Dump per round or Start/Stop for a background ticker.
-func NewMetricsDumper(c *metrics.Collector, w io.Writer, format metrics.Format) *metrics.Dumper {
-	return metrics.NewDumper(c, w, format)
+func NewMetricsDumper(c *metrics.Collector, w io.Writer) *metrics.Dumper {
+	return metrics.NewDumper(c, w)
 }
-
-// MetricsFormatForPath picks the dump format implied by a file extension
-// (".jsonl"/".ndjson" select JSONL, anything else CSV).
-func MetricsFormatForPath(path string) metrics.Format { return metrics.FormatForPath(path) }
 
 // Simulation (re-exported from internal/sim) for experimentation at scale
 // without real sockets or timers.

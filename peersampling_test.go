@@ -265,10 +265,7 @@ func TestFacadeObservability(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if peersampling.MetricsFormatForPath("x.jsonl") != peersampling.MetricsJSONL {
-		t.Error("jsonl extension not detected")
-	}
-	dumper := peersampling.NewMetricsDumper(coll, &buf, peersampling.MetricsCSV)
+	dumper := peersampling.NewMetricsDumper(coll, &buf)
 	if err := dumper.Dump(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Smoke-test the live observability path end to end: build psnode, start
-# it with /metrics on an ephemeral port, scrape the endpoint and check
-# that a known protocol counter and a known wire counter are exported.
-# This is the guard that keeps the Prometheus export from rotting
-# silently: CI fails the moment psnode stops serving the families the
-# docs promise. Run from the repository root.
+# it with /metrics on an ephemeral port and a CSV dump, scrape the
+# endpoint and check that a known protocol counter and a known wire
+# counter are exported, then stop psnode and check the same quantities
+# in the dump file and the report log. This is the guard that keeps all
+# three renderings from rotting silently: CI fails the moment psnode
+# stops producing what the docs promise. Run from the repository root.
 set -eu
 
 tmp=$(mktemp -d)
@@ -18,7 +19,7 @@ trap cleanup EXIT INT TERM
 go build -o "$tmp/psnode" ./cmd/psnode
 
 "$tmp/psnode" -listen 127.0.0.1:0 -period 100ms -report 500ms \
-    -metrics-addr 127.0.0.1:0 >"$tmp/log" 2>&1 &
+    -metrics-addr 127.0.0.1:0 -metrics-csv "$tmp/dump.csv" >"$tmp/log" 2>&1 &
 pid=$!
 
 # psnode logs the bound metrics address; wait for it to appear.
@@ -52,4 +53,24 @@ for family in peersampling_cycles_total peersampling_view_size \
     fi
 done
 
-echo "metrics smoke OK: scraped $addr"
+# Stop psnode: the dumper writes its final round on shutdown, and by now
+# the reporter has logged at least once.
+sleep 1
+kill -INT "$pid"
+wait "$pid" || true
+pid=""
+
+for row in ,cycles, ,wire_dials,; do
+    if ! grep -q -- "$row" "$tmp/dump.csv"; then
+        echo "no $row rows in the dump:" >&2
+        cat "$tmp/dump.csv" >&2
+        exit 1
+    fi
+done
+if ! grep -q "cycles=" "$tmp/log"; then
+    echo "no cycles= report line in the log:" >&2
+    cat "$tmp/log" >&2
+    exit 1
+fi
+
+echo "metrics smoke OK: scraped $addr, dump and report log checked"
