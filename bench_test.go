@@ -1,12 +1,13 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section. Each benchmark runs the corresponding experiment
-// driver at the "quick" reproduction scale (N=500, c=30 — every
+// Benchmark harness: one sub-benchmark per simulated table and figure of
+// the paper's evaluation section and per simulated extension. Each runs
+// the experiment at the "quick" reproduction scale (N=500, c=30 — every
 // qualitative shape of the paper holds there; see EXPERIMENTS.md for
 // paper-scale numbers) and prints the paper-shaped result table once.
 //
 // Run with:
 //
 //	go test -bench=. -benchmem
+//	go test -bench=Experiments/figure6
 //
 // Paper-scale reproduction (N=10^4, c=30, 300 cycles, 100 repetitions):
 //
@@ -35,86 +36,21 @@ func report(b *testing.B, id string, render func() string) {
 	}
 }
 
-func BenchmarkTable1GrowingPartitioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunTable1(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkFigure2GrowingDynamics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunFigure2(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkFigure3ConvergenceDynamics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunFigure3(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkFigure4DegreeDistributions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunFigure4(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkTable2DegreeDynamics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunTable2(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkFigure5Autocorrelation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunFigure5(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkFigure6CatastrophicFailure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunFigure6(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkFigure7SelfHealing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunFigure7(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkExclusionStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunExclusion(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkSamplingUniformity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunUniformity(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkContinuousChurn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunChurn(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
-	}
-}
-
-func BenchmarkViewSizeAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := scenario.RunAblation(scenario.Quick, benchSeed)
-		report(b, res.ID(), res.Render)
+// BenchmarkExperiments runs every simulated experiment of the registry as
+// one sub-benchmark named by its ID.
+func BenchmarkExperiments(b *testing.B) {
+	for _, def := range scenario.All() {
+		if def.Live {
+			continue
+		}
+		b.Run(def.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := def.Run(scenario.Quick, benchSeed, scenario.LiveEnv{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				report(b, def.ID, res.Render)
+			}
+		})
 	}
 }

@@ -7,8 +7,8 @@
 //	psim -protocol "(rand,head,pushpull)" -scenario random -n 10000 -c 30 -cycles 300
 //
 // Scenarios: random, lattice, growing. Failure injection: -kill 0.5
-// fails half the nodes at cycle -killat, after which dead links are
-// tracked (the paper's Figure 7 setup).
+// fails half the nodes at cycle -killat (1 ≤ -killat ≤ -cycles), after
+// which dead links are tracked (the paper's Figure 7 setup).
 package main
 
 import (
@@ -46,10 +46,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *kill < 0 || *kill >= 1 {
-		if *kill != 0 {
-			log.Fatalf("kill fraction %v out of [0,1)", *kill)
-		}
+	if err := checkKill(*kill, *killAt, *cycles); err != nil {
+		log.Fatal(err)
 	}
 	cfg := sim.Config{Protocol: proto, ViewSize: *c, Seed: *seed}
 	mc := sim.MetricsConfig{PathSources: *pathSrc, ClusteringSample: *clustSmpl, Seed: *seed}
@@ -88,4 +86,17 @@ func main() {
 			emit(w.Observe(mc))
 		}
 	}
+}
+
+// checkKill validates the failure-injection flags: the kill fraction lies
+// in [0,1), and a positive one strikes at a cycle the run reaches, so
+// -kill never silently does nothing.
+func checkKill(kill float64, killAt, cycles int) error {
+	if kill < 0 || kill >= 1 {
+		return fmt.Errorf("kill fraction %v out of [0,1)", kill)
+	}
+	if kill > 0 && (killAt < 1 || killAt > cycles) {
+		return fmt.Errorf("-killat %d outside 1..%d: the -kill %v failure would never strike", killAt, cycles, kill)
+	}
+	return nil
 }

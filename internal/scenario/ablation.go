@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"peersampling/internal/core"
-	"peersampling/internal/graph"
 	"peersampling/internal/sim"
 )
 
@@ -35,9 +34,6 @@ type AblationResult struct {
 	Protocol core.Protocol
 	Rows     []AblationRow
 }
-
-// ID implements Result.
-func (*AblationResult) ID() string { return "ablation" }
 
 // Render implements Result.
 func (r *AblationResult) Render() string {
@@ -79,9 +75,6 @@ func ablationViewSizes(sc Scale) []int {
 // overlay quality, healing speed after a 50% failure, and removal
 // robustness.
 func RunAblation(sc Scale, seed uint64) *AblationResult {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	sizes := ablationViewSizes(sc)
 	res := &AblationResult{Scale: sc, Protocol: core.Newscast, Rows: make([]AblationRow, len(sizes))}
 	forEachPar(len(sizes), func(i int) {
@@ -94,24 +87,11 @@ func RunAblation(sc Scale, seed uint64) *AblationResult {
 		rng := newRand(mix(seed, 100+i))
 		row := AblationRow{
 			ViewSize:   c,
-			Clustering: snap.Graph.EstimateClustering(maxInt(sc.ClusteringSample, 1), rng),
-			PathLen:    snap.Graph.EstimatePathLength(maxInt(sc.PathSources, 1), rng),
+			Clustering: snap.Graph.EstimateClustering(max(sc.ClusteringSample, 1), rng),
+			PathLen:    snap.Graph.EstimatePathLength(max(sc.PathSources, 1), rng),
 			Connected:  snap.Graph.Components().Connected(),
-		}
-
-		// Removal robustness on the converged overlay.
-		checkpoints := make([]int, 0, 7)
-		percents := figure6Percents()
-		for _, p := range percents {
-			checkpoints = append(checkpoints, snap.Graph.NumNodes()*p/100)
-		}
-		for rep := 0; rep < sc.Reps; rep++ {
-			sweep := graph.RemovalSweep(snap.Graph, checkpoints, newRand(mix(seed, 1000+i*100+rep)))
-			for j, pt := range sweep {
-				if pt.Components > 1 && (row.PartitionAt == 0 || percents[j] < row.PartitionAt) {
-					row.PartitionAt = percents[j]
-				}
-			}
+			// Removal robustness on the converged overlay.
+			PartitionAt: firstPartition(removalProfile(snap.Graph, sc.Reps, seed, 1000+i*100)),
 		}
 
 		// Healing speed after a 50% failure.

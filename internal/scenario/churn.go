@@ -40,9 +40,6 @@ type ChurnResult struct {
 	Rows      []ChurnRow
 }
 
-// ID implements Result.
-func (*ChurnResult) ID() string { return "churn" }
-
 // Render implements Result.
 func (r *ChurnResult) Render() string {
 	var b strings.Builder
@@ -63,26 +60,12 @@ func (r *ChurnResult) Render() string {
 // RunChurn measures steady-state overlay health under continuous churn
 // for all studied protocols.
 func RunChurn(sc Scale, seed uint64) *ChurnResult {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	const churnRate = 0.01
 	cycles := sc.Cycles
 	protos := core.StudiedProtocols()
-	res := &ChurnResult{
-		Scale:     sc,
-		ChurnRate: churnRate,
-		Cycles:    cycles,
-		Rows:      make([]ChurnRow, len(protos)),
-	}
-	forEachPar(len(protos), func(pi int) {
-		cfg := sim.Config{Protocol: protos[pi], ViewSize: sc.ViewSize, Seed: mix(seed, pi)}
-		w := BuildRandom(cfg, sc.N)
+	perCycle := max(1, int(float64(sc.N)*churnRate))
+	rows := perProtocol(sc, seed, protos, func(pi int, w *sim.Network) ChurnRow {
 		rng := newRand(mix(seed, 0xC4B2+pi))
-		perCycle := int(float64(sc.N) * churnRate)
-		if perCycle < 1 {
-			perCycle = 1
-		}
 		deadSum, deadSamples := 0.0, 0
 		for cyc := 0; cyc < cycles; cyc++ {
 			// Fail perCycle random live nodes.
@@ -104,7 +87,7 @@ func RunChurn(sc Scale, seed uint64) *ChurnResult {
 			}
 		}
 		comp := w.TakeSnapshot().Graph.Components()
-		res.Rows[pi] = ChurnRow{
+		return ChurnRow{
 			Protocol:          protos[pi],
 			Connected:         comp.Connected(),
 			OutsideLargest:    float64(comp.OutsideLargest()) / float64(w.LiveCount()),
@@ -112,5 +95,5 @@ func RunChurn(sc Scale, seed uint64) *ChurnResult {
 			InvisibleFraction: invisibleFraction(w),
 		}
 	})
-	return res
+	return &ChurnResult{Scale: sc, ChurnRate: churnRate, Cycles: cycles, Rows: rows}
 }

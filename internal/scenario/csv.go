@@ -23,10 +23,9 @@ func dynamicsRows(dyn []Dynamics) []metrics.LongRow {
 	var rows []metrics.LongRow
 	for _, d := range dyn {
 		proto := d.Protocol.String()
-		for _, metric := range []string{"clustering", "avgdegree", "pathlen"} {
-			s := d.SeriesOf(metric)
-			for i, cyc := range s.Cycles {
-				rows = append(rows, metrics.LongRow{Key: proto, Cycle: cyc, Metric: metric, Value: s.Values[i]})
+		for _, m := range dynamicsMetrics {
+			for _, o := range d.Observations {
+				rows = append(rows, metrics.LongRow{Key: proto, Cycle: o.Cycle, Metric: m.name, Value: m.obs(o)})
 			}
 		}
 	}

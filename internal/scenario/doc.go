@@ -13,6 +13,14 @@
 // Repetitions run in parallel (forEachPar) with each index writing only
 // its own result slot, which keeps parallelism invisible to the output.
 //
+// The simulations share one harness: simDef validates the Scale, so
+// Def.Run returns an invalid one as an error and the drivers assume a
+// valid one; perProtocol builds each protocol's random start and runs
+// the driver's body on it in parallel; removalProfile is the Figure 6
+// removal sweep, reused by the ablation. A Result only
+// renders; the Def that produced it carries its ID. testdata/ pins every
+// simulated table and CSV at the tiny test scale.
+//
 // Most experiments run on the cycle-based simulator (internal/sim). The
 // exceptions are the live drills, which boot a real cluster on a fleet
 // driver (internal/fleet, selected through LiveEnv — daemons in this

@@ -16,26 +16,39 @@ type Dynamics struct {
 	Observations []sim.Observation
 }
 
-// SeriesOf extracts one metric as a stats.Series. Supported metrics:
-// "clustering", "avgdegree", "pathlen", "deadlinks". It panics on an
-// unknown metric name.
-func (d *Dynamics) SeriesOf(metric string) *stats.Series {
-	var extract func(o sim.Observation) float64
-	switch metric {
-	case "clustering":
-		extract = func(o sim.Observation) float64 { return o.Clustering }
-	case "avgdegree":
-		extract = func(o sim.Observation) float64 { return o.AvgDegree }
-	case "pathlen":
-		extract = func(o sim.Observation) float64 { return o.PathLen }
-	case "deadlinks":
-		extract = func(o sim.Observation) float64 { return float64(o.DeadLinks) }
-	default:
-		panic(fmt.Sprintf("scenario: unknown metric %q", metric))
+// overlayMetric is one plotted overlay property: its reading in an
+// observation and in the baseline.
+type overlayMetric struct {
+	name string
+	obs  func(sim.Observation) float64
+	base func(Baseline) float64
+}
+
+// dynamicsMetrics names each plotted property once, in CSV order.
+var dynamicsMetrics = []overlayMetric{
+	{"clustering", func(o sim.Observation) float64 { return o.Clustering }, func(b Baseline) float64 { return b.Clustering }},
+	{"avgdegree", func(o sim.Observation) float64 { return o.AvgDegree }, func(b Baseline) float64 { return b.AvgDegree }},
+	{"pathlen", func(o sim.Observation) float64 { return o.PathLen }, func(b Baseline) float64 { return b.PathLen }},
+}
+
+// metricNamed returns the dynamicsMetrics entry called name. It panics on
+// an unknown name.
+func metricNamed(name string) overlayMetric {
+	for _, m := range dynamicsMetrics {
+		if m.name == name {
+			return m
+		}
 	}
+	panic(fmt.Sprintf("scenario: unknown metric %q", name))
+}
+
+// SeriesOf extracts one metric of dynamicsMetrics as a stats.Series. It
+// panics on an unknown metric name.
+func (d *Dynamics) SeriesOf(metric string) *stats.Series {
+	m := metricNamed(metric)
 	s := stats.NewSeries(fmt.Sprintf("%s %s", d.Protocol, metric))
 	for _, o := range d.Observations {
-		s.Append(o.Cycle, extract(o))
+		s.Append(o.Cycle, m.obs(o))
 	}
 	return s
 }
@@ -74,7 +87,7 @@ func ComputeBaseline(sc Scale, seed uint64) Baseline {
 // baseline.
 func renderDynamics(title string, dyn []Dynamics, base Baseline, metric string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s (baseline %s)\n", title, metric, f4(baselineValue(base, metric)))
+	fmt.Fprintf(&b, "%s — %s (baseline %s)\n", title, metric, f4(metricNamed(metric).base(base)))
 	tb := newTable("protocol", "early", "mid", "late", "converged")
 	for _, d := range dyn {
 		s := d.SeriesOf(metric)
@@ -90,19 +103,6 @@ func renderDynamics(title string, dyn []Dynamics, base Baseline, metric string) 
 	}
 	b.WriteString(tb.String())
 	return b.String()
-}
-
-func baselineValue(base Baseline, metric string) float64 {
-	switch metric {
-	case "clustering":
-		return base.Clustering
-	case "avgdegree":
-		return base.AvgDegree
-	case "pathlen":
-		return base.PathLen
-	default:
-		return 0
-	}
 }
 
 // collectDynamics runs `cycles` cycles of w, observing every

@@ -41,9 +41,6 @@ type ExclusionResult struct {
 	PushPullMaxDegreeFraction float64
 }
 
-// ID implements Result.
-func (*ExclusionResult) ID() string { return "exclusion" }
-
 // Render implements Result.
 func (r *ExclusionResult) Render() string {
 	var b strings.Builder
@@ -72,80 +69,59 @@ func (r *ExclusionResult) Render() string {
 }
 
 // RunExclusion reproduces the Section 4.3 observations with targeted
-// mini-experiments.
+// mini-experiments: each excluded variant against a Newscast control.
 func RunExclusion(sc Scale, seed uint64) *ExclusionResult {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	res := &ExclusionResult{Scale: sc}
 
 	// Use a reduced population: the pathologies show at any size and two
 	// of the variants are quadratically slow to analyse when degenerate.
-	n := sc.N
-	if n > 1000 {
-		n = 1000
+	n := min(sc.N, 1000)
+	cycles := min(sc.Cycles, 100)
+	growSc := sc
+	growSc.N, growSc.Cycles, growSc.GrowthPerCycle = n, cycles, max(1, n/50)
+
+	cfg := func(p core.Protocol, k int) sim.Config {
+		return sim.Config{Protocol: p, ViewSize: sc.ViewSize, Seed: mix(seed, k)}
 	}
-	cycles := sc.Cycles
-	if cycles > 100 {
-		cycles = 100
+	converged := func(p core.Protocol, k int) *sim.Network {
+		w := BuildRandom(cfg(p, k), n)
+		w.Run(cycles)
+		return w
+	}
+	maxDegree := func(p core.Protocol, k int) float64 {
+		_, d := converged(p, k).TakeSnapshot().Graph.MinMaxDegree()
+		return float64(d) / float64(n)
 	}
 
-	type job func()
-	jobs := []job{
-		func() { // (head,*,*) frozen-pair degeneration, measured as churn.
-			head := sim.Config{Protocol: core.Protocol{PeerSel: core.PeerHead, ViewSel: core.ViewHead, Prop: core.PushPull}, ViewSize: sc.ViewSize, Seed: mix(seed, 1)}
-			w := BuildRandom(head, n)
-			w.Run(cycles)
-			res.HeadPeerChurn = viewChurn(w, 10)
-		},
-		func() {
-			control := sim.Config{Protocol: core.Newscast, ViewSize: sc.ViewSize, Seed: mix(seed, 2)}
-			w := BuildRandom(control, n)
-			w.Run(cycles)
-			res.RandPeerChurn = viewChurn(w, 10)
-		},
-		func() { // (*,tail,*) joining nodes in the growing scenario.
-			tailSc := sc
-			tailSc.N = n
-			tailSc.Cycles = cycles
-			tailSc.GrowthPerCycle = maxInt(1, n/50)
-			cfg := sim.Config{Protocol: core.Protocol{PeerSel: core.PeerRand, ViewSel: core.ViewTail, Prop: core.PushPull}, ViewSize: sc.ViewSize, Seed: mix(seed, 3)}
-			w := RunGrowing(cfg, tailSc, nil)
-			res.TailInvisibleFraction = invisibleFraction(w)
-		},
-		func() {
-			tailSc := sc
-			tailSc.N = n
-			tailSc.Cycles = cycles
-			tailSc.GrowthPerCycle = maxInt(1, n/50)
-			cfg := sim.Config{Protocol: core.Newscast, ViewSize: sc.ViewSize, Seed: mix(seed, 4)}
-			w := RunGrowing(cfg, tailSc, nil)
-			res.HeadInvisibleFraction = invisibleFraction(w)
-		},
-		func() { // (*,*,pull) star formation.
-			cfg := sim.Config{Protocol: core.Protocol{PeerSel: core.PeerRand, ViewSel: core.ViewHead, Prop: core.Pull}, ViewSize: sc.ViewSize, Seed: mix(seed, 5)}
-			w := BuildRandom(cfg, n)
-			w.Run(cycles)
-			_, maxDeg := w.TakeSnapshot().Graph.MinMaxDegree()
-			res.PullMaxDegreeFraction = float64(maxDeg) / float64(n)
-		},
-		func() {
-			cfg := sim.Config{Protocol: core.Newscast, ViewSize: sc.ViewSize, Seed: mix(seed, 6)}
-			w := BuildRandom(cfg, n)
-			w.Run(cycles)
-			_, maxDeg := w.TakeSnapshot().Graph.MinMaxDegree()
-			res.PushPullMaxDegreeFraction = float64(maxDeg) / float64(n)
-		},
+	pairs := []struct {
+		excluded             core.Protocol
+		measure              func(p core.Protocol, k int) float64
+		excludedOut, ctrlOut *float64
+	}{
+		// (head,*,*) frozen-pair degeneration, measured as churn.
+		{core.Protocol{PeerSel: core.PeerHead, ViewSel: core.ViewHead, Prop: core.PushPull},
+			func(p core.Protocol, k int) float64 { return viewChurn(converged(p, k), 10) },
+			&res.HeadPeerChurn, &res.RandPeerChurn},
+		// (*,tail,*) joining nodes in the growing scenario.
+		{core.Protocol{PeerSel: core.PeerRand, ViewSel: core.ViewTail, Prop: core.PushPull},
+			func(p core.Protocol, k int) float64 { return invisibleFraction(RunGrowing(cfg(p, k), growSc, nil)) },
+			&res.TailInvisibleFraction, &res.HeadInvisibleFraction},
+		// (*,*,pull) star formation.
+		{core.Protocol{PeerSel: core.PeerRand, ViewSel: core.ViewHead, Prop: core.Pull},
+			maxDegree,
+			&res.PullMaxDegreeFraction, &res.PushPullMaxDegreeFraction},
 	}
-	forEachPar(len(jobs), func(i int) { jobs[i]() })
+	// Job 2i runs pair i's excluded variant, job 2i+1 its control; job j
+	// draws from mix(seed, j+1).
+	forEachPar(2*len(pairs), func(job int) {
+		pair := pairs[job/2]
+		proto, out := pair.excluded, pair.excludedOut
+		if job%2 == 1 {
+			proto, out = core.Newscast, pair.ctrlOut
+		}
+		*out = pair.measure(proto, job+1)
+	})
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // viewChurn runs `window` extra cycles and returns the average fraction

@@ -14,10 +14,9 @@ func newRand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, 0x5A11AD))
 }
 
-// Result is a rendered experiment outcome. Every driver returns one.
+// Result is an experiment outcome, named by the Def that produced it.
+// Every driver returns one.
 type Result interface {
-	// ID is the paper artefact this reproduces ("table1", "figure2", ...).
-	ID() string
 	// Render returns a human-readable text table shaped like the paper's.
 	Render() string
 }
@@ -32,15 +31,19 @@ type Def struct {
 	Live bool
 	// Run executes the experiment. The environment selects a live
 	// experiment's fleet driver and optionally a collector observing
-	// every member. The error reports a live cluster's real failure
-	// modes (a missing psnode binary is not a panic-grade programmer
-	// error); simulations never return one.
+	// every member. The error reports an invalid Scale, or a live
+	// cluster's real failure modes (a missing psnode binary is not a
+	// panic-grade programmer error).
 	Run func(sc Scale, seed uint64, env LiveEnv) (Result, error)
 }
 
-// simDef registers a seeded cycle simulation.
+// simDef registers a seeded cycle simulation. It validates the Scale, so
+// the drivers themselves assume a valid one.
 func simDef[R Result](id, title string, run func(Scale, uint64) R) Def {
 	return Def{ID: id, Title: title, Run: func(sc Scale, seed uint64, _ LiveEnv) (Result, error) {
+		if err := sc.validate(); err != nil {
+			return nil, err
+		}
 		return run(sc, seed), nil
 	}}
 }
@@ -142,10 +145,7 @@ func metricsConfig(sc Scale, seed uint64) sim.MetricsConfig {
 // all of them. Each index must write only its own result slot, which keeps
 // parallel experiment repetitions deterministic.
 func forEachPar(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -168,6 +168,18 @@ func forEachPar(n int, fn func(i int)) {
 	}
 	close(next)
 	wg.Wait()
+}
+
+// perProtocol builds the paper's random start (Section 5.3) for every
+// protocol — N nodes, view size c, seeded mix(seed, pi) — and runs fn on
+// each in parallel, returning the results in protocol order.
+func perProtocol[T any](sc Scale, seed uint64, protos []core.Protocol, fn func(pi int, w *sim.Network) T) []T {
+	out := make([]T, len(protos))
+	forEachPar(len(protos), func(pi int) {
+		cfg := sim.Config{Protocol: protos[pi], ViewSize: sc.ViewSize, Seed: mix(seed, pi)}
+		out[pi] = fn(pi, BuildRandom(cfg, sc.N))
+	})
+	return out
 }
 
 // mix folds a small integer into a seed, giving unrelated deterministic

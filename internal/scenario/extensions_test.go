@@ -9,9 +9,6 @@ import (
 
 func TestRunUniformityShape(t *testing.T) {
 	res := RunUniformity(tiny, 10)
-	if res.ID() != "uniformity" {
-		t.Error("wrong ID")
-	}
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d want 8", len(res.Rows))
 	}
@@ -56,9 +53,6 @@ func TestRunUniformityShape(t *testing.T) {
 
 func TestRunChurnShape(t *testing.T) {
 	res := RunChurn(tiny, 11)
-	if res.ID() != "churn" {
-		t.Error("wrong ID")
-	}
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d want 8", len(res.Rows))
 	}
@@ -119,9 +113,6 @@ func TestRegistryIncludesExtensions(t *testing.T) {
 
 func TestRunAblationShape(t *testing.T) {
 	res := RunAblation(tiny, 12)
-	if res.ID() != "ablation" {
-		t.Error("wrong ID")
-	}
 	if len(res.Rows) == 0 {
 		t.Fatal("no ablation rows (N too small for every candidate c)")
 	}

@@ -19,9 +19,6 @@ type Figure2Result struct {
 	Connected []bool
 }
 
-// ID implements Result.
-func (*Figure2Result) ID() string { return "figure2" }
-
 // Render implements Result.
 func (r *Figure2Result) Render() string {
 	var b strings.Builder
@@ -44,9 +41,6 @@ func (r *Figure2Result) Render() string {
 // run); pushpull protocols use the first run, which the paper reports is
 // always connected.
 func RunFigure2(sc Scale, seed uint64) *Figure2Result {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	protos := figure2Protocols()
 	res := &Figure2Result{
 		Scale:     sc,

@@ -21,16 +21,8 @@ type Figure3Result struct {
 	Random  []Dynamics
 }
 
-// ID implements Result.
-func (*Figure3Result) ID() string { return "figure3" }
-
 // figure3Cycles returns the plotted horizon: the paper shows 100 cycles.
-func figure3Cycles(sc Scale) int {
-	if sc.Cycles < 100 {
-		return sc.Cycles
-	}
-	return 100
-}
+func figure3Cycles(sc Scale) int { return min(sc.Cycles, 100) }
 
 // Render implements Result.
 func (r *Figure3Result) Render() string {
@@ -50,9 +42,6 @@ func (r *Figure3Result) Render() string {
 
 // RunFigure3 reproduces Figure 3 for both initialisation scenarios.
 func RunFigure3(sc Scale, seed uint64) *Figure3Result {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	protos := core.StudiedProtocols()
 	res := &Figure3Result{
 		Scale:    sc,
@@ -65,14 +54,12 @@ func RunFigure3(sc Scale, seed uint64) *Figure3Result {
 	forEachPar(2*len(protos), func(job int) {
 		pi := job / 2
 		cfg := sim.Config{Protocol: protos[pi], ViewSize: sc.ViewSize, Seed: mix(seed, job)}
-		mc := metricsConfig(sc, mix(seed, job))
-		if job%2 == 0 {
-			w := BuildLattice(cfg, sc.N)
-			res.Lattice[pi] = Dynamics{Protocol: protos[pi], Observations: collectDynamics(w, cycles, sc.MeasureEvery, mc)}
-		} else {
-			w := BuildRandom(cfg, sc.N)
-			res.Random[pi] = Dynamics{Protocol: protos[pi], Observations: collectDynamics(w, cycles, sc.MeasureEvery, mc)}
+		build, out := BuildLattice, res.Lattice
+		if job%2 == 1 {
+			build, out = BuildRandom, res.Random
 		}
+		obs := collectDynamics(build(cfg, sc.N), cycles, sc.MeasureEvery, metricsConfig(sc, mix(seed, job)))
+		out[pi] = Dynamics{Protocol: protos[pi], Observations: obs}
 	})
 	return res
 }

@@ -27,9 +27,6 @@ type Figure4Result struct {
 	Snapshots [][]DegreeSnapshot
 }
 
-// ID implements Result.
-func (*Figure4Result) ID() string { return "figure4" }
-
 // Render implements Result.
 func (r *Figure4Result) Render() string {
 	var b strings.Builder
@@ -74,31 +71,24 @@ func figure4Cycles(sc Scale) []int {
 
 // RunFigure4 reproduces Figure 4.
 func RunFigure4(sc Scale, seed uint64) *Figure4Result {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	protos := core.StudiedProtocols()
 	cycles := figure4Cycles(sc)
-	res := &Figure4Result{
+	return &Figure4Result{
 		Scale:     sc,
 		Cycles:    cycles,
 		Protocols: protos,
-		Snapshots: make([][]DegreeSnapshot, len(protos)),
+		Snapshots: perProtocol(sc, seed, protos, func(_ int, w *sim.Network) []DegreeSnapshot {
+			snaps := make([]DegreeSnapshot, 0, len(cycles))
+			for _, target := range cycles {
+				w.Run(target - w.Cycle())
+				snaps = append(snaps, DegreeSnapshot{
+					Cycle: target,
+					Table: stats.NewFreqTable(degreeList(w)),
+				})
+			}
+			return snaps
+		}),
 	}
-	forEachPar(len(protos), func(pi int) {
-		cfg := sim.Config{Protocol: protos[pi], ViewSize: sc.ViewSize, Seed: mix(seed, pi)}
-		w := BuildRandom(cfg, sc.N)
-		snaps := make([]DegreeSnapshot, 0, len(cycles))
-		for _, target := range cycles {
-			w.Run(target - w.Cycle())
-			snaps = append(snaps, DegreeSnapshot{
-				Cycle: target,
-				Table: stats.NewFreqTable(degreeList(w)),
-			})
-		}
-		res.Snapshots[pi] = snaps
-	})
-	return res
 }
 
 // degreeList returns the degrees of all live nodes.

@@ -29,9 +29,6 @@ type Figure5Result struct {
 	Results []AutocorrResult
 }
 
-// ID implements Result.
-func (*Figure5Result) ID() string { return "figure5" }
-
 // Render implements Result.
 func (r *Figure5Result) Render() string {
 	var b strings.Builder
@@ -64,14 +61,8 @@ func (r *Figure5Result) Render() string {
 // node; to keep the scaled-down reproduction stable we trace a handful of
 // nodes and average their autocorrelation functions.
 func RunFigure5(sc Scale, seed uint64) *Figure5Result {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	protos := figure5Protocols()
-	maxLag := sc.Cycles / 2
-	if maxLag > 150 {
-		maxLag = 150 // the paper's x axis
-	}
+	maxLag := min(sc.Cycles/2, 150) // the paper's x axis ends at 150
 	res := &Figure5Result{
 		Scale:   sc,
 		MaxLag:  maxLag,

@@ -38,9 +38,6 @@ type Figure6Result struct {
 	Protocols []Figure6Protocol
 }
 
-// ID implements Result.
-func (*Figure6Result) ID() string { return "figure6" }
-
 // Render implements Result.
 func (r *Figure6Result) Render() string {
 	var b strings.Builder
@@ -84,49 +81,50 @@ func figure6Percents() []int {
 // The reverse-incremental union-find sweep makes each repetition linear in
 // the graph size.
 func RunFigure6(sc Scale, seed uint64) *Figure6Result {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	protos := core.StudiedProtocols()
-	percents := figure6Percents()
-	res := &Figure6Result{
-		Scale:     sc,
-		Percents:  percents,
-		Protocols: make([]Figure6Protocol, len(protos)),
+	return &Figure6Result{
+		Scale:    sc,
+		Percents: figure6Percents(),
+		Protocols: perProtocol(sc, seed, protos, func(pi int, w *sim.Network) Figure6Protocol {
+			w.Run(sc.Cycles)
+			points := removalProfile(w.TakeSnapshot().Graph, sc.Reps, seed, pi*1000)
+			return Figure6Protocol{Protocol: protos[pi], Points: points, MinPartitionPercent: firstPartition(points)}
+		}),
 	}
-	forEachPar(len(protos), func(pi int) {
-		cfg := sim.Config{Protocol: protos[pi], ViewSize: sc.ViewSize, Seed: mix(seed, pi)}
-		w := BuildRandom(cfg, sc.N)
-		w.Run(sc.Cycles)
-		g := w.TakeSnapshot().Graph
+}
 
-		checkpoints := make([]int, len(percents))
-		for i, p := range percents {
-			checkpoints[i] = g.NumNodes() * p / 100
-		}
-		sumOutside := make([]float64, len(percents))
-		partitioned := make([]int, len(percents))
-		for rep := 0; rep < sc.Reps; rep++ {
-			sweep := graph.RemovalSweep(g, checkpoints, newRand(mix(seed, pi*1000+rep)))
-			for i, pt := range sweep {
-				sumOutside[i] += float64(pt.OutsideLargest)
-				if pt.Components > 1 {
-					partitioned[i]++
-				}
+// removalProfile is one line of Figure 6: reps times it removes random
+// node sets of every figure6Percents share from g, drawing repetition rep
+// from mix(seed, salt+rep), and averages the damage per share.
+func removalProfile(g *graph.Graph, reps int, seed uint64, salt int) []Figure6Point {
+	percents := figure6Percents()
+	checkpoints := make([]int, len(percents))
+	points := make([]Figure6Point, len(percents))
+	for i, p := range percents {
+		checkpoints[i] = g.NumNodes() * p / 100
+		points[i].RemovedPercent = p
+	}
+	for rep := 0; rep < reps; rep++ {
+		for i, pt := range graph.RemovalSweep(g, checkpoints, newRand(mix(seed, salt+rep))) {
+			points[i].AvgOutsideLargest += float64(pt.OutsideLargest)
+			if pt.Components > 1 {
+				points[i].PartitionedRuns++
 			}
 		}
-		pr := Figure6Protocol{Protocol: protos[pi], Points: make([]Figure6Point, len(percents))}
-		for i, p := range percents {
-			pr.Points[i] = Figure6Point{
-				RemovedPercent:    p,
-				AvgOutsideLargest: sumOutside[i] / float64(sc.Reps),
-				PartitionedRuns:   partitioned[i],
-			}
-			if pr.MinPartitionPercent == 0 && partitioned[i] > 0 {
-				pr.MinPartitionPercent = p
-			}
+	}
+	for i := range points {
+		points[i].AvgOutsideLargest /= float64(reps)
+	}
+	return points
+}
+
+// firstPartition returns the smallest removal percentage at which any
+// repetition partitioned the survivors, or 0 if none did.
+func firstPartition(points []Figure6Point) int {
+	for _, pt := range points {
+		if pt.PartitionedRuns > 0 {
+			return pt.RemovedPercent
 		}
-		res.Protocols[pi] = pr
-	})
-	return res
+	}
+	return 0
 }

@@ -6,7 +6,6 @@ import (
 
 	"peersampling/internal/core"
 	"peersampling/internal/sim"
-	"peersampling/internal/stats"
 )
 
 // Figure7Protocol is the dead-link healing trace of one protocol.
@@ -32,9 +31,6 @@ type Figure7Result struct {
 	KilledNodes int
 	Protocols   []Figure7Protocol
 }
-
-// ID implements Result.
-func (*Figure7Result) ID() string { return "figure7" }
 
 // Render implements Result.
 func (r *Figure7Result) Render() string {
@@ -70,36 +66,20 @@ func (r *Figure7Result) Render() string {
 	return b.String()
 }
 
-// DeadLinkSeries exposes the healing trace as a stats.Series, cycle-
-// indexed from the failure event.
-func (p Figure7Protocol) DeadLinkSeries() *stats.Series {
-	s := stats.NewSeries(p.Protocol.String() + " dead links")
-	for i, v := range p.DeadLinks {
-		s.Append(i, float64(v))
-	}
-	return s
-}
-
 // RunFigure7 reproduces Figure 7: each studied protocol converges from a
 // random topology for Cycles cycles, then 50% of the nodes fail at once
 // and the simulation continues for another 2/3 Cycles (the paper runs to
 // cycle 500 after failing at 300), tracking the total number of dead
 // links in live views each cycle.
 func RunFigure7(sc Scale, seed uint64) *Figure7Result {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	protos := core.StudiedProtocols()
 	horizon := sc.Cycles * 2 / 3
 	res := &Figure7Result{
 		Scale:     sc,
 		FailureAt: sc.Cycles,
 		Horizon:   horizon,
-		Protocols: make([]Figure7Protocol, len(protos)),
 	}
-	forEachPar(len(protos), func(pi int) {
-		cfg := sim.Config{Protocol: protos[pi], ViewSize: sc.ViewSize, Seed: mix(seed, pi)}
-		w := BuildRandom(cfg, sc.N)
+	res.Protocols = perProtocol(sc, seed, protos, func(pi int, w *sim.Network) Figure7Protocol {
 		w.Run(sc.Cycles)
 		killed := w.KillFraction(0.5)
 		if pi == 0 {
@@ -121,7 +101,7 @@ func RunFigure7(sc Scale, seed uint64) *Figure7Result {
 				break
 			}
 		}
-		res.Protocols[pi] = pr
+		return pr
 	})
 	return res
 }

@@ -53,3 +53,25 @@ func TestSimulatedGoldens(t *testing.T) {
 		})
 	}
 }
+
+// TestSimulatedDefsRejectInvalidScale checks that every simulated Def
+// reports an invalid Scale as an error from Run instead of panicking.
+func TestSimulatedDefsRejectInvalidScale(t *testing.T) {
+	bad := tiny
+	bad.ViewSize = bad.N // a view as large as the network
+	for _, def := range All() {
+		if def.Live {
+			continue
+		}
+		t.Run(def.ID, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Run panicked: %v", r)
+				}
+			}()
+			if _, err := def.Run(bad, goldenSeed, LiveEnv{}); err == nil {
+				t.Fatal("Run accepted an invalid Scale")
+			}
+		})
+	}
+}

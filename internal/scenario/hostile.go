@@ -72,9 +72,6 @@ type HostileResult struct {
 	StrayDescriptors int
 }
 
-// ID implements Result.
-func (r *HostileResult) ID() string { return "hostile" }
-
 // Converged reports whether every node's view survived the attack
 // complete and uncontaminated.
 func (r *HostileResult) Converged() bool {

@@ -62,9 +62,6 @@ type LiveAggregateResult struct {
 	rows []metrics.LongRow
 }
 
-// ID implements Result.
-func (r *LiveAggregateResult) ID() string { return "liveaggregate" }
-
 // Converged reports whether the variance decayed by well over an order
 // of magnitude and the size estimate landed within 25% of the truth.
 func (r *LiveAggregateResult) Converged() bool {

@@ -40,9 +40,6 @@ type LiveBootstrapResult struct {
 	Latency transport.LatencySnapshot
 }
 
-// ID implements Result.
-func (r *LiveBootstrapResult) ID() string { return "bootstrap" }
-
 // Converged reports whether every node's view reached every other member.
 func (r *LiveBootstrapResult) Converged() bool {
 	return r.BootstrapComplete == r.Params.Nodes

@@ -58,9 +58,6 @@ type LiveBroadcastResult struct {
 	rows []metrics.LongRow
 }
 
-// ID implements Result.
-func (r *LiveBroadcastResult) ID() string { return "livebroadcast" }
-
 // Converged reports whether the fleet bootstrapped fully and the rumor
 // reached at least 99% of the survivors.
 func (r *LiveBroadcastResult) Converged() bool {

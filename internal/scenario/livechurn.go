@@ -74,9 +74,6 @@ type LiveChurnResult struct {
 	StrayDescriptors int
 }
 
-// ID implements Result.
-func (r *LiveChurnResult) ID() string { return "livechurn" }
-
 // Converged reports whether the fleet re-converged after every wave and
 // ended at full, uncontaminated membership.
 func (r *LiveChurnResult) Converged() bool {

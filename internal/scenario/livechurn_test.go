@@ -27,9 +27,6 @@ func TestLiveChurnReconverges(t *testing.T) {
 	if !res.Converged() {
 		t.Fatalf("fleet did not re-converge through churn:\n%s", res.Render())
 	}
-	if res.ID() != "livechurn" {
-		t.Fatalf("ID() = %q", res.ID())
-	}
 	if len(res.Rounds) != res.Params.Rounds {
 		t.Fatalf("rounds reported = %d want %d", len(res.Rounds), res.Params.Rounds)
 	}

@@ -107,9 +107,6 @@ type LiveGatewayResult struct {
 	FinalLive int
 }
 
-// ID implements Result.
-func (r *LiveGatewayResult) ID() string { return "livegateway" }
-
 // Converged reports whether the serving story held: full bootstrap, and
 // in every stage the surviving gateways answered (OK > 0, no transport
 // errors against live targets) with tail latency and sample freshness

@@ -26,9 +26,6 @@ func TestLiveGatewayServesThroughKillWave(t *testing.T) {
 	if !res.Converged() {
 		t.Fatalf("gateways did not serve through the kill wave:\n%s", res.Render())
 	}
-	if res.ID() != "livegateway" {
-		t.Fatalf("ID() = %q", res.ID())
-	}
 	if len(res.Stages) != len(res.Params.Stages) {
 		t.Fatalf("stages reported = %d want %d", len(res.Stages), len(res.Params.Stages))
 	}

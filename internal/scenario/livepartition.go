@@ -87,9 +87,6 @@ type LivePartitionResult struct {
 	StartUnixMillis int64
 }
 
-// ID implements Result.
-func (r *LivePartitionResult) ID() string { return "partitionheal" }
-
 // Converged reports whether the fleet demonstrably lost fresh
 // cross-island knowledge under the cut and regained it after the rules
 // expired, with the failure noise absorbed.

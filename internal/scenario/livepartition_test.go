@@ -24,9 +24,6 @@ func TestLivePartitionHealsAfterRuleExpiry(t *testing.T) {
 	if !res.Converged() {
 		t.Fatalf("fleet did not partition and re-converge:\n%s", res.Render())
 	}
-	if res.ID() != "partitionheal" {
-		t.Fatalf("ID() = %q", res.ID())
-	}
 	// The plan compiled to latency, partition and their two expiries — and
 	// every step fired.
 	if res.StepsCompiled != 4 || res.StepsApplied != 4 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"peersampling/internal/core"
+	"peersampling/internal/graph"
 	"peersampling/internal/sim"
 )
 
@@ -31,9 +32,6 @@ type Table1Result struct {
 	Rows  []Table1Row
 }
 
-// ID implements Result.
-func (*Table1Result) ID() string { return "table1" }
-
 // Render implements Result.
 func (t *Table1Result) Render() string {
 	tb := newTable("protocol", "partitioned runs", "avg clusters", "avg largest cluster")
@@ -54,41 +52,26 @@ func (t *Table1Result) Render() string {
 // scenario Reps times and report how often the overlay is partitioned at
 // the final cycle, with cluster statistics over the partitioned runs.
 func RunTable1(sc Scale, seed uint64) *Table1Result {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	protos := table1Protocols()
 	res := &Table1Result{Scale: sc, Rows: make([]Table1Row, len(protos))}
 
-	type runOutcome struct {
-		partitioned bool
-		clusters    int
-		largest     int
-	}
 	for pi, proto := range protos {
-		outcomes := make([]runOutcome, sc.Reps)
+		comps := make([]graph.ComponentStats, sc.Reps)
 		forEachPar(sc.Reps, func(rep int) {
 			cfg := sim.Config{Protocol: proto, ViewSize: sc.ViewSize, Seed: mix(seed, pi*10_000+rep)}
-			w := RunGrowing(cfg, sc, nil)
-			comp := w.TakeSnapshot().Graph.Components()
-			outcomes[rep] = runOutcome{
-				partitioned: !comp.Connected(),
-				clusters:    comp.Count,
-				largest:     comp.Largest,
-			}
+			comps[rep] = RunGrowing(cfg, sc, nil).TakeSnapshot().Graph.Components()
 		})
 		row := Table1Row{Protocol: proto, Runs: sc.Reps}
-		var sumClusters, sumLargest float64
-		for _, o := range outcomes {
-			if o.partitioned {
+		for _, c := range comps {
+			if !c.Connected() {
 				row.PartitionedRuns++
-				sumClusters += float64(o.clusters)
-				sumLargest += float64(o.largest)
+				row.AvgClusters += float64(c.Count)
+				row.AvgLargest += float64(c.Largest)
 			}
 		}
 		if row.PartitionedRuns > 0 {
-			row.AvgClusters = sumClusters / float64(row.PartitionedRuns)
-			row.AvgLargest = sumLargest / float64(row.PartitionedRuns)
+			row.AvgClusters /= float64(row.PartitionedRuns)
+			row.AvgLargest /= float64(row.PartitionedRuns)
 		}
 		res.Rows[pi] = row
 	}

@@ -19,9 +19,7 @@ func degreeTrace(proto core.Protocol, sc Scale, seed uint64, traced, cycles int)
 
 	// Fixed random sample of live nodes to trace. IDs are 0..N-1 here, so
 	// sampling IDs is sampling nodes.
-	if traced > sc.N {
-		traced = sc.N
-	}
+	traced = min(traced, sc.N)
 	ids := pickIDs(sc.N, traced, mix(seed, 0x5EED))
 
 	series = make([][]float64, traced)
@@ -75,9 +73,6 @@ type Table2Result struct {
 	Rows   []Table2Row
 }
 
-// ID implements Result.
-func (*Table2Result) ID() string { return "table2" }
-
 // Render implements Result.
 func (t *Table2Result) Render() string {
 	tb := newTable("protocol", "D_K", "dbar", "sqrt(sigma)")
@@ -91,9 +86,6 @@ func (t *Table2Result) Render() string {
 // RunTable2 reproduces Table 2: statistics of the degree dynamics of
 // individual nodes for all eight studied protocols.
 func RunTable2(sc Scale, seed uint64) *Table2Result {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	protos := core.StudiedProtocols()
 	res := &Table2Result{Scale: sc, Traced: sc.TracedNodes, Rows: make([]Table2Row, len(protos))}
 	forEachPar(len(protos), func(pi int) {

@@ -42,9 +42,6 @@ type UniformityResult struct {
 	Rows           []UniformityRow
 }
 
-// ID implements Result.
-func (*UniformityResult) ID() string { return "uniformity" }
-
 // Render implements Result.
 func (r *UniformityResult) Render() string {
 	var b strings.Builder
@@ -67,20 +64,13 @@ func (r *UniformityResult) Render() string {
 // cycle per node), so temporal view dynamics are reflected, exactly as an
 // application calling getPeer() periodically would see them.
 func RunUniformity(sc Scale, seed uint64) *UniformityResult {
-	if err := sc.validate(); err != nil {
-		panic(err)
-	}
 	const samplesPerNodePerCycle = 2
-	cycles := sc.Cycles / 3
-	if cycles < 10 {
-		cycles = 10
-	}
+	cycles := max(10, sc.Cycles/3)
 	protos := core.StudiedProtocols()
 	res := &UniformityResult{
 		Scale:          sc,
 		SamplesPerNode: samplesPerNodePerCycle,
 		Cycles:         cycles,
-		Rows:           make([]UniformityRow, len(protos)),
 	}
 
 	// Control: a true uniform sampler with the same total budget.
@@ -91,9 +81,7 @@ func RunUniformity(sc Scale, seed uint64) *UniformityResult {
 	}
 	res.Control = uniformityRow(core.Protocol{}, ctrlCounts)
 
-	forEachPar(len(protos), func(pi int) {
-		cfg := sim.Config{Protocol: protos[pi], ViewSize: sc.ViewSize, Seed: mix(seed, pi)}
-		w := BuildRandom(cfg, sc.N)
+	res.Rows = perProtocol(sc, seed, protos, func(pi int, w *sim.Network) UniformityRow {
 		w.Run(sc.Cycles) // converge first
 		counts := make([]int, sc.N)
 		for cyc := 0; cyc < cycles; cyc++ {
@@ -107,7 +95,7 @@ func RunUniformity(sc Scale, seed uint64) *UniformityResult {
 				}
 			}
 		}
-		res.Rows[pi] = uniformityRow(protos[pi], counts)
+		return uniformityRow(protos[pi], counts)
 	})
 	return res
 }

@@ -37,10 +37,12 @@ import (
 // The schedule is deliberately not the sequential loop's: RunCycle
 // interleaves exchanges (a node may be served, then age and initiate,
 // within one cycle), while the staged driver ages and initiates
-// everybody against the cycle-start state. Both are valid executions of
-// the paper's asynchronous gossip model; they produce different —
-// equally distributed — trajectories, so a given experiment should pick
-// one driver and stay with it.
+// everybody against the cycle-start state. The staged engine is
+// therefore a synchronous-rounds model, not the paper's asynchronous
+// one, and its overlays differ in distribution, not just in trajectory:
+// clustering is lower for every rand-view protocol, and (tail,head,*)
+// fragments far more often than under RunCycle. The paper's artefacts
+// (internal/scenario) use RunCycle.
 
 // shardedEngine is the reusable cross-cycle state of RunCycleSharded.
 // All slices are grown once and recycled, so a steady-state cycle's
