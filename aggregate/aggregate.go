@@ -15,10 +15,10 @@
 //
 // The workload is an address-generic app.Engine: the same engine runs on
 // the cycle simulator (Run), over a live runtime node's transport
-// (app.Runner), and inside the daemon's workload plugin. On the wire one
-// payload carries an op byte and a float64; the push-pull op exchanges
-// estimates, the set op (re)initialises a node's value so experiments
-// can seed a live fleet remotely.
+// (workload.Attachment), and inside the daemon's workload plugin. On the
+// wire one payload carries an op byte and a float64; the push-pull op
+// exchanges estimates, the set op (re)initialises a node's value so
+// experiments can seed a live fleet remotely.
 package aggregate
 
 import (

@@ -7,7 +7,7 @@
 // infected node draws `fanout` peers from its peer source and pushes the
 // rumor to them through its endpoint. The same engine runs against the
 // cycle simulator (Run, with app.Uniform or app.Overlay as the source),
-// against a live runtime node (app.Runner over the transport's
+// against a live runtime node (workload.Attachment over the transport's
 // app-payload frames), and inside the daemon's workload plugin — so the
 // effect of non-uniform sampling on dissemination can be measured both
 // in simulation and across real processes.

@@ -12,7 +12,8 @@
 //     synchronous call; see Uniform and Overlay),
 //   - a live runtime node (addresses are "host:port" strings, GetPeer is
 //     the source and the transport's app-payload frames the endpoint; see
-//     SamplerSource, NodeEndpoint and Runner),
+//     SamplerSource, NodeEndpoint and Handler; internal/workload drives
+//     the rounds),
 //   - the daemon (a workload plugin wiring the above from config).
 //
 // Engines are round-driven: each Tick draws partners and delivers
@@ -43,7 +44,7 @@ type Endpoint[A comparable] interface {
 // node Tick (the round driver) and OnMessage (the transport's delivery
 // path) run on different goroutines.
 type Engine[A comparable] interface {
-	// Topic names the engine's payload stream; the live mux routes
+	// Topic names the engine's payload stream; the live Handler routes
 	// incoming messages by it.
 	Topic() string
 	// Tick runs one round: draw partners from src, deliver payloads via

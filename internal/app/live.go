@@ -2,60 +2,28 @@ package app
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"peersampling/internal/transport"
 )
 
-// Mux routes incoming application messages to workload engines by topic
-// and implements the transport.AppHandler shape — the passive side of
-// the live backend. Messages on unregistered topics are dropped (a pull
-// initiator sees ok=false or a timeout, matching the transports'
-// no-handler behaviour).
-type Mux struct {
-	self string
-
-	mu      sync.RWMutex
-	engines map[string]Engine[string]
-}
-
-// NewMux returns an empty mux stamping replies with the node's address.
-func NewMux(self string) *Mux {
-	return &Mux{self: self, engines: make(map[string]Engine[string])}
-}
-
-// Register adds an engine under its topic, replacing any previous one.
-func (m *Mux) Register(e Engine[string]) {
-	m.mu.Lock()
-	m.engines[e.Topic()] = e
-	m.mu.Unlock()
-}
-
-// Engines returns the registered engines (metrics walks them).
-func (m *Mux) Engines() []Engine[string] {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]Engine[string], 0, len(m.engines))
-	for _, e := range m.engines {
-		out = append(out, e)
+// Handler returns the transport.AppHandler that serves e on a live
+// node — the passive side of the live backend. Messages on e's topic
+// reach OnMessage and the reply is stamped with self; messages on any
+// other topic are dropped (a pull initiator sees ok=false or a timeout,
+// matching the transports' no-handler behaviour).
+func Handler(self string, e Engine[string]) transport.AppHandler {
+	topic := e.Topic()
+	return func(msg transport.AppMessage) (transport.AppMessage, bool) {
+		if msg.Topic != topic {
+			return transport.AppMessage{}, false
+		}
+		reply, hasReply := e.OnMessage(msg.From, msg.Payload)
+		if !hasReply {
+			return transport.AppMessage{}, false
+		}
+		return transport.AppMessage{From: self, Topic: topic, Payload: reply}, true
 	}
-	return out
-}
-
-// Handle implements the transport.AppHandler contract.
-func (m *Mux) Handle(msg transport.AppMessage) (transport.AppMessage, bool) {
-	m.mu.RLock()
-	e, ok := m.engines[msg.Topic]
-	m.mu.RUnlock()
-	if !ok {
-		return transport.AppMessage{}, false
-	}
-	reply, hasReply := e.OnMessage(msg.From, msg.Payload)
-	if !hasReply {
-		return transport.AppMessage{}, false
-	}
-	return transport.AppMessage{From: m.self, Topic: msg.Topic, Payload: reply}, true
 }
 
 // SamplerSource adapts the peer sampling service's getPeer() to
@@ -103,76 +71,4 @@ func (e *NodeEndpoint) Deliver(peer string, payload []byte, wantReply bool) ([]b
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	return e.Send(ctx, peer, e.Topic, payload, wantReply)
-}
-
-// Runner drives one engine's rounds on a period ticker against a live
-// source and endpoint — the workload analogue of the runtime node's
-// active thread.
-type Runner struct {
-	engine Engine[string]
-	src    PeerSource[string]
-	ep     Endpoint[string]
-	period time.Duration
-
-	mu      sync.Mutex
-	stop    chan struct{}
-	done    chan struct{}
-	started bool
-	closed  bool
-}
-
-// NewRunner wires an engine to its live source and endpoint. period is
-// the round length; zero selects a second.
-func NewRunner(e Engine[string], src PeerSource[string], ep Endpoint[string], period time.Duration) *Runner {
-	if period <= 0 {
-		period = time.Second
-	}
-	return &Runner{engine: e, src: src, ep: ep, period: period}
-}
-
-// Engine returns the engine the runner drives.
-func (r *Runner) Engine() Engine[string] { return r.engine }
-
-// Start launches the round loop. Start is idempotent until Close.
-func (r *Runner) Start() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.started || r.closed {
-		return
-	}
-	r.started = true
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	go r.loop(r.stop, r.done)
-}
-
-// Close stops the round loop. Close is idempotent.
-func (r *Runner) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	started := r.started
-	stop, done := r.stop, r.done
-	r.mu.Unlock()
-	if started {
-		close(stop)
-		<-done
-	}
-}
-
-func (r *Runner) loop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(r.period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			r.engine.Tick(r.src, r.ep)
-		}
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"peersampling/internal/fleet"
+	"peersampling/internal/loop"
 	"peersampling/internal/metrics"
 	"peersampling/internal/transport"
 )
@@ -516,25 +517,16 @@ func (e *Executor) applyFlood(ap *Applied, ev *Event, members []fleet.Member) er
 	ap.ActiveRules = e.activeRules
 	e.mu.Unlock()
 	var dials atomic.Uint64
-	stop := make(chan struct{})
-	go func() {
-		// Publish the climbing dial counter while the flood blocks, so a
-		// concurrent collector snapshot watches the attack in flight.
-		ticker := time.NewTicker(50 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				e.mu.Lock()
-				e.floodDials = before + dials.Load()
-				e.mu.Unlock()
-			}
-		}
-	}()
+	// Publish the climbing dial counter while the flood blocks, so a
+	// concurrent collector snapshot watches the attack in flight.
+	publisher := loop.Every(func() time.Duration { return 50 * time.Millisecond }, func() bool {
+		e.mu.Lock()
+		e.floodDials = before + dials.Load()
+		e.mu.Unlock()
+		return true
+	})
 	runFlood(targets, ev.Flooders, ev.For, &dials)
-	close(stop)
+	publisher.Stop()
 	e.mu.Lock()
 	e.floodDials = before + dials.Load()
 	e.mu.Unlock()

@@ -227,9 +227,10 @@ func (m *Manager) Info() AgentInfo {
 }
 
 // Reload diffs next against the running config and applies the hot
-// fields live: transport hardening limits onto the listener, report
-// pacing onto the dumper and reporter, tuning onto the gateway, and the
-// new contact list into the view. Restart-classified changes are NOT
+// fields live: transport hardening limits onto the listener, tuning onto
+// the gateway, and the new contact list into the view; the dumper and
+// reporter loops read the report interval themselves each round, so it
+// applies from their next round. Restart-classified changes are NOT
 // applied — they come back in the diff for the caller to report. The
 // running config becomes config.MergeHot(current, next), so a second
 // identical Reload is a no-op.
@@ -262,15 +263,6 @@ func (m *Manager) Reload(next config.Config) (config.ReloadDiff, error) {
 			if path == firstLimitsPath(diff.Hot) {
 				if _, err := m.node.SetTransportLimits(merged.Transport.Limits()); err != nil {
 					errs = append(errs, fmt.Errorf("transport limits: %w", err))
-				}
-			}
-		case "metrics.report_interval":
-			for _, p := range plugins {
-				switch p := p.(type) {
-				case *dumperPlugin:
-					p.pace.SetInterval(merged.Metrics.ReportInterval)
-				case *reporterPlugin:
-					p.pace.SetInterval(merged.Metrics.ReportInterval)
 				}
 			}
 		case "gateway.batch_size", "gateway.refresh", "gateway.rate_rps", "gateway.burst", "gateway.trust_proxy_header":

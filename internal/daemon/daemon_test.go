@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	goruntime "runtime"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -210,7 +212,7 @@ func TestSIGHUPReloadsTransportLimitsLive(t *testing.T) {
 }
 
 // TestReloadClassification checks restart-only changes apply nothing and
-// hot changes reach the pacers and the gateway.
+// hot changes reach the report loops and the gateway.
 func TestReloadClassification(t *testing.T) {
 	cfg := testConfig(t)
 	m := startManager(t, cfg)
@@ -229,18 +231,15 @@ func TestReloadClassification(t *testing.T) {
 		t.Error("restart-required field was applied")
 	}
 
-	// Hot change: report interval lands on the reporter's pacer.
+	// Hot change: the report interval is what the dumper's and the
+	// reporter's loops read each round.
 	next = cfg
 	next.Metrics.ReportInterval = 123 * time.Second
 	if _, err := m.Reload(next); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range m.pluginsSnapshot() {
-		if rp, ok := p.(*reporterPlugin); ok {
-			if got := rp.pace.Interval(); got != 123*time.Second {
-				t.Errorf("reporter interval = %v", got)
-			}
-		}
+	if got := m.reportInterval(); got != 123*time.Second {
+		t.Errorf("reporter interval = %v", got)
 	}
 
 	// Identical reload is a clean no-op.
@@ -337,5 +336,100 @@ func TestStatusReportCountsFaultRules(t *testing.T) {
 	post(`[]`)
 	if got := m.StatusReport().FaultRules; got != 0 {
 		t.Fatalf("fault_rules = %d after healing POST", got)
+	}
+}
+
+// TestCloseAfterReloadLeaksNoGoroutines boots two daemons on tcp-pooled
+// with every plugin, lets them gossip and run their workload, reloads
+// the intervals each background loop reads, and closes both: every
+// goroutine they started — active threads, workload rounds, dumper,
+// reporter, gateway refresh, pool sweepers, servers — must be gone.
+func TestCloseAfterReloadLeaksNoGoroutines(t *testing.T) {
+	before := goruntime.NumGoroutine()
+
+	leakConfig := func() config.Config {
+		cfg := testConfig(t)
+		cfg.Node.Period = 10 * time.Millisecond
+		cfg.Transport.Backend = "tcp-pooled"
+		cfg.Metrics.Addr = "127.0.0.1:0"
+		cfg.Metrics.Dump = filepath.Join(t.TempDir(), "dump.csv")
+		cfg.Metrics.ReportInterval = 10 * time.Millisecond
+		cfg.Workload.Kind = config.WorkloadBroadcast
+		return cfg
+	}
+	boot := func(cfg config.Config) *Manager {
+		m, err := New(cfg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Start(); err != nil {
+			_ = m.Close()
+			t.Fatal(err)
+		}
+		return m
+	}
+	cfg := leakConfig()
+	first := boot(cfg)
+	cfg2 := leakConfig()
+	cfg2.Node.Contacts = []string{first.Addr()}
+	second := boot(cfg2)
+	closed := false
+	defer func() {
+		if !closed {
+			_ = second.Close()
+			_ = first.Close()
+		}
+	}()
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s did not happen within 10s", what)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitFor("a completed exchange", func() bool {
+		_, exchanges, _, _ := second.Node().Stats()
+		return exchanges > 0
+	})
+
+	next := cfg
+	next.Metrics.ReportInterval = 7 * time.Millisecond
+	next.Gateway.Refresh = 5 * time.Millisecond
+	diff, err := first.Reload(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(diff.Hot, "metrics.report_interval") || !slices.Contains(diff.Hot, "gateway.refresh") {
+		t.Fatalf("reload diff = %+v", diff)
+	}
+	refreshes := func() uint64 {
+		for _, s := range first.Collector().Snapshot() {
+			if s.Gateway != nil {
+				return s.Gateway.Refreshes
+			}
+		}
+		return 0
+	}
+	base := refreshes()
+	waitFor("three refreshes at the reloaded interval", func() bool { return refreshes() >= base+3 })
+
+	closed = true
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := goruntime.NumGoroutine(); got > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("goroutines leaked: %d -> %d\n%s", before, got, buf[:goruntime.Stack(buf, true)])
 	}
 }

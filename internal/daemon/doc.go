@@ -11,10 +11,12 @@
 // The manager is built from an internal/config Config and supports live
 // reload: Reload diffs the running config against a freshly loaded one
 // (config.Diff), applies the hot-classified fields in place — transport
-// hardening limits onto the live listener, report pacing onto the
-// dumper and reporter, tuning onto the gateway, added contacts into the
-// view — and reports the restart-required remainder for the operator to
-// act on. cmd/psnode triggers Reload from SIGHUP.
+// hardening limits onto the live listener, tuning onto the gateway,
+// added contacts into the view — and reports the restart-required
+// remainder for the operator to act on. The dumper and reporter run on
+// internal/loop and read the report interval each round, so a reloaded
+// interval applies from their next round. cmd/psnode triggers Reload
+// from SIGHUP.
 //
 // # Agent endpoint contract
 //

@@ -5,9 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"peersampling/internal/gateway"
+	"peersampling/internal/loop"
 	"peersampling/internal/metrics"
 )
 
@@ -52,63 +52,6 @@ func (h *statusHolder) Status() Status {
 	return h.s
 }
 
-// pacer runs fn every interval on its own goroutine. The interval is
-// swappable live (SetInterval), taking effect from the next round — the
-// mechanism behind hot-reloading metrics.report_interval.
-type pacer struct {
-	mu       sync.Mutex
-	interval time.Duration
-	fn       func()
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-func newPacer(interval time.Duration, fn func()) *pacer {
-	return &pacer{interval: interval, fn: fn}
-}
-
-func (p *pacer) Start() {
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	go func() {
-		defer close(p.done)
-		for {
-			p.mu.Lock()
-			interval := p.interval
-			p.mu.Unlock()
-			timer := time.NewTimer(interval)
-			select {
-			case <-p.stop:
-				timer.Stop()
-				return
-			case <-timer.C:
-				p.fn()
-			}
-		}
-	}()
-}
-
-func (p *pacer) Stop() {
-	if p.stop == nil {
-		return
-	}
-	close(p.stop)
-	<-p.done
-	p.stop = nil
-}
-
-func (p *pacer) SetInterval(interval time.Duration) {
-	p.mu.Lock()
-	p.interval = interval
-	p.mu.Unlock()
-}
-
-func (p *pacer) Interval() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.interval
-}
-
 // metricsServerPlugin serves the collector's Prometheus exposition.
 type metricsServerPlugin struct {
 	statusHolder
@@ -141,14 +84,15 @@ func (p *metricsServerPlugin) Stop() error {
 }
 
 // dumperPlugin appends periodic snapshot rounds to the configured dump
-// file, paced by its own hot-swappable interval (the shared Dumper's
-// Start/Stop ticker is single-shot, so the plugin owns the pacing).
+// file. Its loop reads metrics.report_interval each round, so a reload
+// applies from the next round, and it logs write errors instead of
+// stopping, which is why it does not use the Dumper's own Start.
 type dumperPlugin struct {
 	statusHolder
 	m      *Manager
 	path   string
 	dumper *metrics.Dumper
-	pace   *pacer
+	rounds *loop.Loop
 }
 
 func (p *dumperPlugin) Name() string { return "metrics-dumper" }
@@ -160,14 +104,14 @@ func (p *dumperPlugin) Start() error {
 		return err
 	}
 	p.dumper = d
-	p.pace = newPacer(p.m.reportInterval(), func() {
+	p.rounds = loop.Every(p.m.reportInterval, func() bool {
 		if err := p.dumper.Dump(); err != nil {
 			p.m.logf("metrics: dump: %v", err)
 		}
+		return true
 	})
-	p.pace.Start()
 	p.set("running", p.path)
-	p.m.logf("metrics: dumping to %s every %v", p.path, p.pace.Interval())
+	p.m.logf("metrics: dumping to %s every %v", p.path, p.m.reportInterval())
 	return nil
 }
 
@@ -175,7 +119,7 @@ func (p *dumperPlugin) Stop() error {
 	if p.dumper == nil {
 		return nil
 	}
-	p.pace.Stop()
+	p.rounds.Stop()
 	// One final round so short runs are never empty.
 	err := p.dumper.Dump()
 	if cerr := p.dumper.Close(); err == nil {
@@ -187,25 +131,25 @@ func (p *dumperPlugin) Stop() error {
 
 // reporterPlugin logs the periodic report: the node's view, then one
 // line per registered source holding the same long-form rows the dump
-// file gets.
+// file gets. Like the dumper, its loop reads metrics.report_interval
+// each round.
 type reporterPlugin struct {
 	statusHolder
-	m    *Manager
-	pace *pacer
+	m      *Manager
+	rounds *loop.Loop
 }
 
 func (p *reporterPlugin) Name() string { return "reporter" }
 
 func (p *reporterPlugin) Start() error {
-	p.pace = newPacer(p.m.reportInterval(), p.report)
-	p.pace.Start()
+	p.rounds = loop.Every(p.m.reportInterval, func() bool { p.report(); return true })
 	p.set("running", "")
 	return nil
 }
 
 func (p *reporterPlugin) Stop() error {
-	if p.pace != nil {
-		p.pace.Stop()
+	if p.rounds != nil {
+		p.rounds.Stop()
 	}
 	p.set("stopped", "")
 	return nil
@@ -275,7 +219,7 @@ func (p *workloadPlugin) Name() string { return "workload" }
 
 func (p *workloadPlugin) Start() error {
 	cfg := p.m.cfgSnapshot().Workload
-	p.m.wl.Runner.Start()
+	p.m.wl.Start()
 	p.set("running", cfg.Kind)
 	p.m.logf("workload: %s engine ticking", cfg.Kind)
 	return nil

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"peersampling/internal/loop"
 	"peersampling/internal/metrics"
 	"peersampling/internal/transport"
 )
@@ -107,9 +108,7 @@ type Gateway struct {
 	unavailable atomic.Uint64
 	refreshes   atomic.Uint64
 
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	refresher *loop.Loop
 }
 
 // New starts a gateway on addr (e.g. "127.0.0.1:8080", or ":0" for an
@@ -132,8 +131,6 @@ func New(addr string, sampler Sampler, cfg Config) (*Gateway, error) {
 		ln:      ln,
 		cfg:     cfg,
 		now:     time.Now,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	g.trustProxy.Store(cfg.TrustProxyHeader)
 	g.limiter = newRateLimiter(cfg.RateRPS, cfg.Burst, func() time.Time { return g.now() })
@@ -151,7 +148,7 @@ func New(addr string, sampler Sampler, cfg Config) (*Gateway, error) {
 		IdleTimeout:       time.Minute,
 	}
 	go func() { _ = g.srv.Serve(ln) }()
-	go g.refreshLoop()
+	g.refresher = loop.Every(g.refreshInterval, func() bool { g.refresh(); return true })
 	return g, nil
 }
 
@@ -185,29 +182,16 @@ func (g *Gateway) SetTuning(cfg Config) error {
 // Close stops the server and the refresh loop. In-flight requests are
 // aborted; sample responses have nothing worth draining.
 func (g *Gateway) Close() error {
-	g.stopOnce.Do(func() { close(g.stop) })
-	<-g.done
+	g.refresher.Stop()
 	return g.srv.Close()
 }
 
-// refreshLoop re-fills the cache every Config.Refresh until Close. A
-// timer re-armed per round (rather than a ticker) picks up a hot-swapped
-// interval within one old interval.
-func (g *Gateway) refreshLoop() {
-	defer close(g.done)
-	for {
-		g.mu.Lock()
-		interval := g.cfg.Refresh
-		g.mu.Unlock()
-		timer := time.NewTimer(interval)
-		select {
-		case <-g.stop:
-			timer.Stop()
-			return
-		case <-timer.C:
-			g.refresh()
-		}
-	}
+// refreshInterval is the refresher's period, read each round so a
+// SetTuning refresh interval applies from the next round.
+func (g *Gateway) refreshInterval() time.Duration {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.cfg.Refresh
 }
 
 // refresh draws a fresh batch of distinct peers through GetPeer and

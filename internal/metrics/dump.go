@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"peersampling/internal/app"
+	"peersampling/internal/loop"
 )
 
 // Dumper appends periodic snapshot rounds of a Collector to a writer as
@@ -26,10 +27,7 @@ type Dumper struct {
 	wroteHeader bool
 	closer      io.Closer               // set when the dumper owns its file
 	last        map[string]NodeSnapshot // previous round, for change detection
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	rounds      *loop.Loop              // the Start loop; nil when stopped
 }
 
 // NewDumper returns a dumper appending to w. The CSV header is written
@@ -165,37 +163,30 @@ func gatewayUnchanged(prev, cur *GatewaySnapshot) bool {
 // Start dumps one round every interval on a background goroutine until
 // Stop. A non-positive interval is clamped to one second rather than
 // panicking the ticker. Write errors stop the loop; a broken dump file
-// is not worth stalling a daemon over.
+// is not worth stalling a daemon over. Start on a running dumper does
+// nothing; after Stop it starts a new loop.
 func (d *Dumper) Start(interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	d.stop = make(chan struct{})
-	d.done = make(chan struct{})
-	go func() {
-		defer close(d.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-d.stop:
-				return
-			case <-ticker.C:
-				if err := d.Dump(); err != nil {
-					return
-				}
-			}
-		}
-	}()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.rounds == nil {
+		d.rounds = loop.Every(func() time.Duration { return interval },
+			func() bool { return d.Dump() == nil })
+	}
 }
 
 // Stop halts a Started dumper, appends one final round so short runs are
 // never empty, and returns the final round's error. Stop on a dumper that
-// was never Started just writes the final round.
+// is not running just writes the final round.
 func (d *Dumper) Stop() error {
-	if d.stop != nil {
-		d.stopOnce.Do(func() { close(d.stop) })
-		<-d.done
+	d.mu.Lock()
+	rounds := d.rounds
+	d.rounds = nil
+	d.mu.Unlock()
+	if rounds != nil {
+		rounds.Stop()
 	}
 	return d.Dump()
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	goruntime "runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -572,6 +573,41 @@ func TestDumperStartStop(t *testing.T) {
 	// lands several more.
 	if len(rows) < 2 {
 		t.Errorf("only %d rows after Start/Stop", len(rows))
+	}
+}
+
+// TestDumperRestart runs Start, Stop, then Start, Start, Stop: Stop after
+// a restart must return rather than wait on a loop it never stops, and a
+// second Start on a running dumper must not leak the first loop.
+func TestDumperRestart(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	d := NewDumper(fixedCollector(), &syncBuffer{})
+	done := make(chan error, 1)
+	go func() {
+		d.Start(time.Millisecond)
+		err := d.Stop()
+		if err == nil {
+			d.Start(time.Millisecond)
+			d.Start(time.Millisecond)
+			err = d.Stop()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Start/Stop/Start/Stop did not return within 5s")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := goruntime.NumGoroutine(); got > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("goroutines leaked: %d -> %d\n%s", before, got, buf[:goruntime.Stack(buf, true)])
 	}
 }
 

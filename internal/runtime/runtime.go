@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"peersampling/internal/core"
+	"peersampling/internal/loop"
 	"peersampling/internal/transport"
 )
 
@@ -86,11 +87,9 @@ type Node struct {
 	rng   *rand.Rand // seeded sampling RNG for Diverse mode (guarded by mu)
 	queue []string   // shuffled sampling queue for Diverse mode
 
-	runMu   sync.Mutex
-	stop    chan struct{}
-	done    chan struct{}
-	started bool
-	closed  bool
+	runMu  sync.Mutex
+	active *loop.Loop // the active thread; nil until Start
+	closed bool
 
 	exchanges  uint64 // completed active exchanges
 	failures   uint64 // failed active exchanges
@@ -255,13 +254,10 @@ func (n *Node) Start() error {
 	if n.closed {
 		return errors.New("runtime: node closed")
 	}
-	if n.started {
-		return nil
+	if n.active == nil {
+		n.active = loop.Every(func() time.Duration { return n.cfg.Period },
+			func() bool { n.Tick(); return true })
 	}
-	n.started = true
-	n.stop = make(chan struct{})
-	n.done = make(chan struct{})
-	go n.activeLoop(n.stop, n.done)
 	return nil
 }
 
@@ -273,28 +269,12 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	started := n.started
-	stop, done := n.stop, n.done
+	active := n.active
 	n.runMu.Unlock()
-	if started {
-		close(stop)
-		<-done
+	if active != nil {
+		active.Stop()
 	}
 	return n.transport.Close()
-}
-
-func (n *Node) activeLoop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(n.cfg.Period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			n.Tick()
-		}
-	}
 }
 
 // Tick runs one active cycle synchronously: age the view, select a peer,

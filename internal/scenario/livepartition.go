@@ -8,6 +8,7 @@ import (
 
 	"peersampling/internal/chaos"
 	"peersampling/internal/fleet"
+	"peersampling/internal/loop"
 	"peersampling/internal/metrics"
 )
 
@@ -214,28 +215,16 @@ func RunLivePartition(sc Scale, seed uint64, env LiveEnv) (*LivePartitionResult,
 	start := time.Now()
 	res.StartUnixMillis = start.UnixMilli()
 
-	stopSampler := make(chan struct{})
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		ticker := time.NewTicker(p.SampleEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stopSampler:
-				return
-			case <-ticker.C:
-				res.Trace = append(res.Trace, PartitionSample{
-					ElapsedMillis: time.Since(start).Milliseconds(),
-					FreshPairs:    freshPairs(members, p.FreshHop),
-					ActiveRules:   ex.ActiveRules(),
-				})
-			}
-		}
-	}()
+	sampler := loop.Every(func() time.Duration { return p.SampleEvery }, func() bool {
+		res.Trace = append(res.Trace, PartitionSample{
+			ElapsedMillis: time.Since(start).Milliseconds(),
+			FreshPairs:    freshPairs(members, p.FreshHop),
+			ActiveRules:   ex.ActiveRules(),
+		})
+		return true
+	})
 	runErr := ex.Run(context.Background())
-	close(stopSampler)
-	<-samplerDone
+	sampler.Stop()
 	if runErr != nil {
 		return nil, fmt.Errorf("scenario: partitionheal: %w", runErr)
 	}

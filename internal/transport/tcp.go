@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"peersampling/internal/loop"
 )
 
 // tcpDefaultTimeout bounds a whole exchange (dial + write + read) when the
@@ -94,6 +96,8 @@ type TCP struct {
 	reg    *connRegistry            // accepted connections currently being served
 	wg     sync.WaitGroup
 	stop   chan struct{}
+
+	sweeper *loop.Loop // idle-pool eviction; nil for "tcp"
 }
 
 var (
@@ -159,8 +163,8 @@ func listenStream(addr string, h Handler, cfg PoolConfig, pooled bool) (*TCP, er
 	go t.serve()
 	if pooled {
 		t.maxIdle = DefaultMaxIdlePerPeer
-		t.wg.Add(1)
-		go t.sweepLoop()
+		t.sweeper = loop.Every(func() time.Duration { return t.idleTimeout / poolSweepDivisor },
+			func() bool { t.sweep(time.Now()); return true })
 	}
 	return t, nil
 }
@@ -365,21 +369,6 @@ func (t *TCP) release(addr string, pc *pooledConn) {
 	pc.conn.Close()
 }
 
-// sweepLoop periodically evicts connections idle past the timeout.
-func (t *TCP) sweepLoop() {
-	defer t.wg.Done()
-	ticker := time.NewTicker(t.idleTimeout / poolSweepDivisor)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-ticker.C:
-			t.sweep(time.Now())
-		}
-	}
-}
-
 // sweep closes and forgets idle connections older than the idle timeout.
 func (t *TCP) sweep(now time.Time) {
 	cutoff := now.Add(-t.idleTimeout)
@@ -423,6 +412,9 @@ func (t *TCP) Close() error {
 	t.idle = make(map[string][]*pooledConn)
 	t.mu.Unlock()
 	close(t.stop)
+	if t.sweeper != nil {
+		t.sweeper.Stop()
+	}
 	for _, conns := range pools {
 		for _, pc := range conns {
 			pc.conn.Close()

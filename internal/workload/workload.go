@@ -9,13 +9,16 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"peersampling/aggregate"
 	"peersampling/broadcast"
 	"peersampling/internal/app"
 	"peersampling/internal/config"
+	"peersampling/internal/loop"
 	"peersampling/internal/runtime"
+	"peersampling/internal/transport"
 )
 
 // New builds the engine ws describes. The section must already have
@@ -40,33 +43,62 @@ func New(ws config.WorkloadSection) (app.Engine[string], error) {
 	}
 }
 
-// Attachment is one engine running against one live node: the mux
-// serving the node's incoming app payloads and the runner driving the
-// engine's rounds. Close stops the rounds; the mux stays installed (a
-// closed engine simply stops initiating, matching a node that keeps
+// Attachment is one engine running against one live node: the handler
+// serving the node's incoming app payloads and the loop driving the
+// engine's rounds. Close stops the rounds; the handler stays installed
+// (a closed engine simply stops initiating, matching a node that keeps
 // answering passive exchanges after its active thread stops).
 type Attachment struct {
-	Mux    *app.Mux
-	Runner *app.Runner
+	// Handle is the handler Attach installed on the node's transport.
+	Handle transport.AppHandler
+
+	round  func() bool // one engine round against the node
+	period time.Duration
+
+	mu     sync.Mutex
+	rounds *loop.Loop // nil until Start
+	closed bool
 }
 
-// Close stops the attachment's round loop.
-func (a *Attachment) Close() { a.Runner.Close() }
-
 // Attach installs e on node: incoming payloads on the engine's topic
-// route to it through a mux, and a runner (not yet started — call
-// Runner.Start) ticks its rounds every period against the node's
-// sampling service and transport. It fails when the node's transport
-// cannot carry app payloads.
+// reach it through Handle, and the attachment (not yet started — call
+// Start) ticks its rounds every period against the node's sampling
+// service and transport; a non-positive period selects a second. It
+// fails when the node's transport cannot carry app payloads.
 func Attach(node *runtime.Node, e app.Engine[string], period time.Duration) (*Attachment, error) {
-	mux := app.NewMux(node.Addr())
-	mux.Register(e)
-	if !node.SetAppHandler(mux.Handle) {
+	h := app.Handler(node.Addr(), e)
+	if !node.SetAppHandler(h) {
 		return nil, fmt.Errorf("workload: transport cannot carry app payloads")
+	}
+	if period <= 0 {
+		period = time.Second
 	}
 	src := app.SamplerSource{GetPeer: node.GetPeer}
 	ep := &app.NodeEndpoint{Addr: node.Addr(), Topic: e.Topic(), Send: node.SendApp}
-	return &Attachment{Mux: mux, Runner: app.NewRunner(e, src, ep, period)}, nil
+	round := func() bool { e.Tick(src, ep); return true }
+	return &Attachment{Handle: h, round: round, period: period}, nil
+}
+
+// Start launches the round loop. Start is idempotent until Close, and
+// does nothing after it.
+func (a *Attachment) Start() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.rounds != nil || a.closed {
+		return
+	}
+	a.rounds = loop.Every(func() time.Duration { return a.period }, a.round)
+}
+
+// Close stops the round loop. Close is idempotent.
+func (a *Attachment) Close() {
+	a.mu.Lock()
+	a.closed = true
+	rounds := a.rounds
+	a.mu.Unlock()
+	if rounds != nil {
+		rounds.Stop()
+	}
 }
 
 // NodeSource pairs a runtime node with its workload engine as one

@@ -143,12 +143,12 @@ func TestAttachSpreadsOverTCP(t *testing.T) {
 		if err := m.node.Start(); err != nil {
 			t.Fatal(err)
 		}
-		m.att.Runner.Start()
+		m.att.Start()
 	}
 
 	// Seed a's engine the way a remote seeder would: one payload on the
 	// broadcast topic.
-	a.att.Mux.Handle(transport.AppMessage{
+	a.att.Handle(transport.AppMessage{
 		From: "seeder", Topic: broadcast.Topic, Payload: []byte("the-rumor"),
 	})
 
