@@ -2,23 +2,36 @@ package graph
 
 import "math/rand/v2"
 
-// ClusteringOf returns the local clustering coefficient of node v: the
-// number of edges among v's neighbours divided by the number of possible
-// such edges. Nodes with fewer than two neighbours have coefficient 0 (the
-// Watts-Strogatz convention, under which trees score 0 as in the paper).
-func (g *Graph) ClusteringOf(v int32) float64 {
+// clusteringOf stamps v's neighbours with gen, then counts the stamped
+// entries of each neighbour's row, which counts every edge among the
+// neighbours twice. A fresh gen per node clears the previous node's marks,
+// so one stamp array serves a whole call.
+func (g *Graph) clusteringOf(v int32, stamp []uint32, gen uint32) float64 {
 	nb := g.adj[v]
 	d := len(nb)
 	if d < 2 {
 		return 0
 	}
+	for _, u := range nb {
+		stamp[u] = gen
+	}
 	links := 0
 	for _, u := range nb {
-		links += sortedIntersectionSize(g.adj[u], nb)
+		for _, w := range g.adj[u] {
+			if stamp[w] == gen {
+				links++
+			}
+		}
 	}
-	// Every neighbour-neighbour edge was counted twice (once from each
-	// endpoint's membership test).
 	return float64(links) / float64(d*(d-1))
+}
+
+// ClusteringOf returns the local clustering coefficient of node v: the
+// number of edges among v's neighbours divided by the number of possible
+// such edges. Nodes with fewer than two neighbours have coefficient 0 (the
+// Watts-Strogatz convention, under which trees score 0 as in the paper).
+func (g *Graph) ClusteringOf(v int32) float64 {
+	return g.clusteringOf(v, make([]uint32, len(g.adj)), 1)
 }
 
 // Clustering returns the clustering coefficient of the graph: the average
@@ -28,9 +41,10 @@ func (g *Graph) Clustering() float64 {
 	if len(g.adj) == 0 {
 		return 0
 	}
+	stamp := make([]uint32, len(g.adj))
 	sum := 0.0
 	for v := range g.adj {
-		sum += g.ClusteringOf(int32(v))
+		sum += g.clusteringOf(int32(v), stamp, uint32(v)+1)
 	}
 	return sum / float64(len(g.adj))
 }
@@ -46,27 +60,10 @@ func (g *Graph) EstimateClustering(sample int, rng *rand.Rand) float64 {
 	if sample >= n {
 		return g.Clustering()
 	}
+	stamp := make([]uint32, n)
 	sum := 0.0
 	for i := 0; i < sample; i++ {
-		sum += g.ClusteringOf(int32(rng.IntN(n)))
+		sum += g.clusteringOf(int32(rng.IntN(n)), stamp, uint32(i)+1)
 	}
 	return sum / float64(sample)
-}
-
-// sortedIntersectionSize counts the common elements of two sorted slices.
-func sortedIntersectionSize(a, b []int32) int {
-	i, j, count := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			count++
-			i++
-			j++
-		}
-	}
-	return count
 }

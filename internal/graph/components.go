@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"cmp"
+	"slices"
+)
+
 // DSU is a disjoint-set union (union-find) structure with union by size
 // and path halving. It underlies both component analysis and the
 // reverse-incremental catastrophic-failure sweep.
@@ -85,24 +90,16 @@ func (g *Graph) Components() ComponentStats {
 			}
 		}
 	}
-	sizes := make(map[int32]int, d.count)
-	for v := int32(0); int(v) < n; v++ {
-		sizes[d.Find(v)]++
-	}
-	stats := ComponentStats{Count: len(sizes)}
-	stats.Sizes = make([]int, 0, len(sizes))
-	for _, sz := range sizes {
-		stats.Sizes = append(stats.Sizes, sz)
-		if sz > stats.Largest {
-			stats.Largest = sz
+	// After every union, a root's DSU size is its component's size.
+	stats := ComponentStats{Count: d.count, Sizes: make([]int, 0, d.count)}
+	for v, p := range d.parent {
+		if p == int32(v) {
+			stats.Sizes = append(stats.Sizes, int(d.size[v]))
 		}
 	}
-	// Descending order, insertion sort (component counts are tiny in
-	// practice, but correctness does not depend on that).
-	for i := 1; i < len(stats.Sizes); i++ {
-		for j := i; j > 0 && stats.Sizes[j] > stats.Sizes[j-1]; j-- {
-			stats.Sizes[j], stats.Sizes[j-1] = stats.Sizes[j-1], stats.Sizes[j]
-		}
+	slices.SortFunc(stats.Sizes, func(a, b int) int { return cmp.Compare(b, a) })
+	if len(stats.Sizes) > 0 {
+		stats.Largest = stats.Sizes[0]
 	}
 	return stats
 }

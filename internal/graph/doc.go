@@ -8,6 +8,10 @@
 // if node a holds a descriptor of node b, the undirected edge {a,b} is
 // present.
 //
+// A Graph keeps its sorted rows in one array. FromRows builds it from a
+// row callback with two counting sorts, and every analysis keeps its
+// scratch per call, never on the Graph.
+//
 // The expensive metrics scale with explicit estimator knobs rather than
 // silently sampling: path lengths BFS from a configurable number of
 // sources and clustering coefficients average over a configurable node

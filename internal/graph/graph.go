@@ -5,62 +5,111 @@ import (
 	"slices"
 )
 
-// Graph is a simple undirected graph over nodes 0..n-1 with sorted
-// adjacency lists. Build one with FromAdjacency or NewUndirected; the zero
-// value is an empty graph.
+// Graph is a simple undirected graph over nodes 0..n-1 whose sorted
+// adjacency rows are sub-slices of one backing array. Build one with
+// FromRows or its adapters; the zero value is an empty graph. A Graph is
+// immutable, and its analyses keep their scratch per call.
 type Graph struct {
 	adj   [][]int32
 	edges int
+}
+
+// FromRows builds the undirected communication graph of n nodes:
+// row(i, dst) appends node i's directed out-neighbours to dst and returns
+// it, and is called once per node in ascending order. Link directions are
+// dropped and duplicates merged, per Section 4.2 of the paper; targets
+// equal to i or outside 0..n-1 are ignored (the simulator skips dead peers
+// this way). Two counting sorts replace any comparison sort: pass 1
+// scatters every link into both endpoints' rows, pass 2 transposes that
+// symmetric relation in ascending row order, so every row comes out
+// sorted, and one linear pass drops duplicates in place.
+func FromRows(n int, row func(i int, dst []int32) []int32) *Graph {
+	out := make([]int32, 0, n) // the directed links, row after row
+	outEnd := make([]int, n)   // out[outEnd[i-1]:outEnd[i]] is row i
+	deg := make([]int, n)      // undirected row lengths, duplicates included
+	widest := 0                // the longest unfiltered row so far
+	for i := range n {
+		// Double ahead of the callback: append grows by 1.25x.
+		if cap(out)-len(out) < widest {
+			out = slices.Grow(out, cap(out))
+		}
+		kept := len(out)
+		out = row(i, out)
+		widest = max(widest, len(out)-kept)
+		for _, t := range out[kept:] {
+			if t >= 0 && int(t) < n && int(t) != i {
+				out[kept] = t
+				kept++
+				deg[i]++
+				deg[t]++
+			}
+		}
+		out = out[:kept]
+		outEnd[i] = kept
+	}
+
+	start := make([]int, n+1)
+	for v, d := range deg {
+		start[v+1] = start[v] + d
+	}
+	pos := deg // reused as the per-row write cursor
+	copy(pos, start)
+	mixed := make([]int32, start[n]) // pass 1: out- and in-neighbours, unsorted
+	lo := 0
+	for a, hi := range outEnd {
+		for _, b := range out[lo:hi] {
+			mixed[pos[a]] = b
+			pos[a]++
+			mixed[pos[b]] = int32(a)
+			pos[b]++
+		}
+		lo = hi
+	}
+	copy(pos, start)
+	sorted := make([]int32, start[n]) // pass 2: the same rows, ascending
+	for u := range n {
+		for _, v := range mixed[start[u]:start[u+1]] {
+			sorted[pos[v]] = int32(u)
+			pos[v]++
+		}
+	}
+
+	adj := make([][]int32, n)
+	w := 0
+	for v := range n {
+		first := w
+		for _, u := range sorted[start[v]:start[v+1]] {
+			if w == first || sorted[w-1] != u {
+				sorted[w] = u
+				w++
+			}
+		}
+		adj[v] = sorted[first:w:w]
+	}
+	return &Graph{adj: adj, edges: w / 2}
+}
+
+// FromAdjacency builds the undirected communication graph from directed
+// out-neighbour lists, one per node, as FromRows does.
+func FromAdjacency(out [][]int32) *Graph {
+	return FromRows(len(out), func(i int, dst []int32) []int32 {
+		return append(dst, out[i]...)
+	})
 }
 
 // NewUndirected builds a graph with n nodes from an edge list. Self-loops
 // and duplicate edges are dropped. It panics if an endpoint is out of
 // range, since that always indicates a bug in the caller.
 func NewUndirected(n int, edges [][2]int32) *Graph {
-	adj := make([][]int32, n)
+	out := make([][]int32, n)
 	for _, e := range edges {
 		a, b := e[0], e[1]
 		if int(a) >= n || int(b) >= n || a < 0 || b < 0 {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", a, b, n))
 		}
-		if a == b {
-			continue
-		}
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
+		out[a] = append(out[a], b)
 	}
-	return finish(adj)
-}
-
-// FromAdjacency builds the undirected communication graph from directed
-// out-neighbour lists (one per node, holding node indices). The direction
-// of each link is dropped and duplicates are merged, per Section 4.2 of
-// the paper. Out-entries pointing at the node itself or outside 0..n-1
-// are ignored (the simulator uses this to skip dead peers).
-func FromAdjacency(out [][]int32) *Graph {
-	n := len(out)
-	adj := make([][]int32, n)
-	for a, targets := range out {
-		for _, b := range targets {
-			if int(b) >= n || b < 0 || int(b) == a {
-				continue
-			}
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], int32(a))
-		}
-	}
-	return finish(adj)
-}
-
-// finish sorts and deduplicates adjacency lists and counts edges.
-func finish(adj [][]int32) *Graph {
-	edges := 0
-	for i := range adj {
-		slices.Sort(adj[i])
-		adj[i] = slices.Compact(adj[i])
-		edges += len(adj[i])
-	}
-	return &Graph{adj: adj, edges: edges / 2}
+	return FromAdjacency(out)
 }
 
 // NumNodes returns the number of nodes.

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -248,6 +249,40 @@ func TestComponents(t *testing.T) {
 	}
 	if !triangle().Components().Connected() {
 		t.Error("triangle reported disconnected")
+	}
+}
+
+func TestComponentSizesDescending(t *testing.T) {
+	// A forest of paths with sizes 7, 1, 4, 9, 4 and 2, in that order.
+	var edges [][2]int32
+	n := 0
+	for _, size := range []int{7, 1, 4, 9, 4, 2} {
+		for i := 1; i < size; i++ {
+			edges = append(edges, [2]int32{int32(n + i - 1), int32(n + i)})
+		}
+		n += size
+	}
+	cases := []struct {
+		name  string
+		g     *Graph
+		sizes []int
+	}{
+		{"isolated", NewUndirected(500, nil), slices.Repeat([]int{1}, 500)},
+		{"forest", NewUndirected(n, edges), []int{9, 7, 4, 4, 2, 1}},
+	}
+	for _, c := range cases {
+		stats := c.g.Components()
+		if !slices.Equal(stats.Sizes, c.sizes) {
+			t.Errorf("%s: sizes = %v want %v", c.name, stats.Sizes, c.sizes)
+		}
+		sum := 0
+		for _, s := range stats.Sizes {
+			sum += s
+		}
+		if sum != c.g.NumNodes() || stats.Count != len(c.sizes) || stats.Largest != c.sizes[0] {
+			t.Errorf("%s: sizes sum to %d of %d nodes, count %d, largest %d",
+				c.name, sum, c.g.NumNodes(), stats.Count, stats.Largest)
+		}
 	}
 }
 

@@ -1,0 +1,327 @@
+package graph_test
+
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"peersampling/internal/core"
+	"peersampling/internal/graph"
+	"peersampling/internal/sim"
+)
+
+// refGraph is the adjacency-list graph the flat builder replaced: one
+// appended slice per node, then a comparison sort and a compaction of
+// every row. It and its analyses below are kept as the reference the
+// optimised package must match bit for bit.
+type refGraph [][]int32
+
+func refFromAdjacency(out [][]int32) refGraph {
+	n := len(out)
+	adj := make(refGraph, n)
+	for a, targets := range out {
+		for _, b := range targets {
+			if int(b) >= n || b < 0 || int(b) == a {
+				continue
+			}
+			adj[a] = append(adj[a], b)
+			adj[b] = append(adj[b], int32(a))
+		}
+	}
+	for i := range adj {
+		slices.Sort(adj[i])
+		adj[i] = slices.Compact(adj[i])
+	}
+	return adj
+}
+
+func (r refGraph) edges() int {
+	m := 0
+	for _, row := range r {
+		m += len(row)
+	}
+	return m / 2
+}
+
+func (r refGraph) bfs(src int32) []int32 {
+	dist := make([]int32, len(r))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int32{src}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, u := range r[v] {
+			if dist[u] < 0 {
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
+			}
+		}
+	}
+	return dist
+}
+
+// pathSums adds up the finite distances from each source.
+func (r refGraph) pathSums(sources []int) (sum, pairs int64) {
+	for _, src := range sources {
+		for _, d := range r.bfs(int32(src)) {
+			if d > 0 {
+				sum += int64(d)
+				pairs++
+			}
+		}
+	}
+	return sum, pairs
+}
+
+func (r refGraph) averagePathLength() (float64, int) {
+	sum, pairs := r.pathSums(refSampleIndices(len(r), len(r), nil))
+	if pairs == 0 {
+		return 0, 0
+	}
+	return float64(sum) / float64(pairs), int(pairs)
+}
+
+func (r refGraph) estimatePathLength(sources int, rng *rand.Rand) float64 {
+	n := len(r)
+	if n < 2 {
+		return 0
+	}
+	if sources >= n {
+		l, _ := r.averagePathLength()
+		return l
+	}
+	sum, pairs := r.pathSums(refSampleIndices(n, sources, rng))
+	if pairs == 0 {
+		return 0
+	}
+	return float64(sum) / float64(pairs)
+}
+
+func (r refGraph) diameter() int {
+	var max int32
+	for v := range r {
+		for _, d := range r.bfs(int32(v)) {
+			if d > max {
+				max = d
+			}
+		}
+	}
+	return int(max)
+}
+
+// refSampleIndices is the partial Fisher-Yates the estimators draw their
+// sources with; a nil rng returns every index in order.
+func refSampleIndices(n, k int, rng *rand.Rand) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 0; rng != nil && i < k; i++ {
+		j := i + rng.IntN(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	return idx[:k]
+}
+
+func (r refGraph) clusteringOf(v int32) float64 {
+	nb := r[v]
+	d := len(nb)
+	if d < 2 {
+		return 0
+	}
+	links := 0
+	for _, u := range nb {
+		for _, w := range r[u] {
+			if _, found := slices.BinarySearch(nb, w); found {
+				links++
+			}
+		}
+	}
+	return float64(links) / float64(d*(d-1))
+}
+
+func (r refGraph) estimateClustering(sample int, rng *rand.Rand) float64 {
+	n := len(r)
+	if n == 0 {
+		return 0
+	}
+	sum := 0.0
+	if sample >= n {
+		for v := range r {
+			sum += r.clusteringOf(int32(v))
+		}
+		return sum / float64(n)
+	}
+	for i := 0; i < sample; i++ {
+		sum += r.clusteringOf(int32(rng.IntN(n)))
+	}
+	return sum / float64(sample)
+}
+
+func (r refGraph) components() graph.ComponentStats {
+	d := graph.NewDSU(len(r))
+	for v, row := range r {
+		for _, u := range row {
+			d.Union(int32(v), u)
+		}
+	}
+	sizes := make(map[int32]int)
+	for v := range r {
+		sizes[d.Find(int32(v))]++
+	}
+	stats := graph.ComponentStats{Count: len(sizes), Sizes: []int{}}
+	for _, sz := range sizes {
+		stats.Sizes = append(stats.Sizes, sz)
+		stats.Largest = max(stats.Largest, sz)
+	}
+	slices.Sort(stats.Sizes)
+	slices.Reverse(stats.Sizes)
+	return stats
+}
+
+// matchReference fails t unless g and the reference built from the same
+// out-lists agree on every row and every analysis, bit for bit.
+func matchReference(t *testing.T, g *graph.Graph, out [][]int32) {
+	t.Helper()
+	ref := refFromAdjacency(out)
+	n := len(ref)
+	if g.NumNodes() != n || g.NumEdges() != ref.edges() {
+		t.Fatalf("n, m = %d, %d; reference %d, %d", g.NumNodes(), g.NumEdges(), n, ref.edges())
+	}
+	for v := range ref {
+		if !slices.Equal(g.Neighbors(int32(v)), ref[v]) {
+			t.Fatalf("row %d = %v; reference %v", v, g.Neighbors(int32(v)), ref[v])
+		}
+		if !slices.Equal(g.BFS(int32(v)), ref.bfs(int32(v))) {
+			t.Fatalf("BFS(%d) = %v; reference %v", v, g.BFS(int32(v)), ref.bfs(int32(v)))
+		}
+		if got, want := g.ClusteringOf(int32(v)), ref.clusteringOf(int32(v)); got != want {
+			t.Fatalf("ClusteringOf(%d) = %v; reference %v", v, got, want)
+		}
+	}
+	gotL, gotP := g.AveragePathLength()
+	wantL, wantP := ref.averagePathLength()
+	if gotL != wantL || gotP != wantP {
+		t.Fatalf("AveragePathLength = %v over %d; reference %v over %d", gotL, gotP, wantL, wantP)
+	}
+	if got, want := g.Diameter(), ref.diameter(); got != want {
+		t.Fatalf("Diameter = %d; reference %d", got, want)
+	}
+	for _, k := range []int{1, max(n/2, 1), n} {
+		if got, want := g.EstimatePathLength(k, rand.New(rand.NewPCG(uint64(k), 1))),
+			ref.estimatePathLength(k, rand.New(rand.NewPCG(uint64(k), 1))); got != want {
+			t.Fatalf("EstimatePathLength(%d) = %v; reference %v", k, got, want)
+		}
+		if got, want := g.EstimateClustering(k, rand.New(rand.NewPCG(uint64(k), 2))),
+			ref.estimateClustering(k, rand.New(rand.NewPCG(uint64(k), 2))); got != want {
+			t.Fatalf("EstimateClustering(%d) = %v; reference %v", k, got, want)
+		}
+	}
+	got, want := g.Components(), ref.components()
+	if got.Count != want.Count || got.Largest != want.Largest || !slices.Equal(got.Sizes, want.Sizes) {
+		t.Fatalf("Components = %+v; reference %+v", got, want)
+	}
+}
+
+func TestObservationMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 1))
+
+	t.Run("random", func(t *testing.T) {
+		out := graph.RandomOutViews(300, 8, rng)
+		matchReference(t, graph.FromAdjacency(out), out)
+	})
+
+	t.Run("disconnected", func(t *testing.T) {
+		// Three random blocks and five isolated nodes: eight components.
+		var out [][]int32
+		for _, size := range []int{60, 30, 12} {
+			base := int32(len(out))
+			for _, row := range graph.RandomOutViews(size, 4, rng) {
+				for i := range row {
+					row[i] += base
+				}
+				out = append(out, row)
+			}
+		}
+		out = append(out, make([][]int32, 5)...)
+		g := graph.FromAdjacency(out)
+		if c := g.Components().Count; c != 8 {
+			t.Fatalf("%d components, want 8", c)
+		}
+		matchReference(t, g, out)
+	})
+
+	t.Run("self_loops_and_duplicates", func(t *testing.T) {
+		const n = 80
+		out := make([][]int32, n)
+		for v := range out {
+			for range 12 {
+				// Targets in [-5, n+5): self-loops, repeats, reverse
+				// links and out-of-range entries all occur.
+				out[v] = append(out[v], int32(rng.IntN(n+10)-5), int32(v))
+			}
+		}
+		matchReference(t, graph.FromAdjacency(out), out)
+	})
+
+	t.Run("churned", func(t *testing.T) {
+		w := sim.MustNew(sim.Config{Protocol: core.Newscast, ViewSize: 10, Seed: 41})
+		w.Add(nil)
+		for i := 1; i < 400; i++ {
+			w.Add([]core.Descriptor[sim.NodeID]{{Addr: sim.NodeID(rng.IntN(i))}})
+		}
+		w.Run(15)
+		w.KillFraction(0.3)
+		w.Run(2)
+		snap := w.TakeSnapshot()
+		index := make(map[sim.NodeID]int32, len(snap.IDs))
+		for i, id := range snap.IDs {
+			index[id] = int32(i)
+		}
+		out := make([][]int32, len(snap.IDs))
+		for i, id := range snap.IDs {
+			for _, d := range w.Node(id).View().Descriptors() {
+				if t, live := index[d.Addr]; live {
+					out[i] = append(out[i], t)
+				}
+			}
+		}
+		matchReference(t, snap.Graph, out)
+	})
+}
+
+// FuzzFromRows checks the row builder and every analysis against the
+// reference on arbitrary rows: each pair of input bytes is a node and a
+// signed target, so self-references, duplicates and out-of-range targets
+// (negative or past n) all occur.
+func FuzzFromRows(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4})
+	f.Add([]byte{6, 0, 0, 1, 1, 0, 1, 1, 0, 2, 200, 3, 7, 4, 5})
+	f.Add([]byte{1})
+	f.Add([]byte{0, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 48
+		out := make([][]int32, n)
+		for i := 1; n > 0 && i+1 < len(data); i += 2 {
+			v := int(data[i]) % n
+			out[v] = append(out[v], int32(int8(data[i+1])))
+		}
+		calls := 0
+		g := graph.FromRows(n, func(i int, dst []int32) []int32 {
+			if i != calls {
+				t.Fatalf("row %d requested, want %d", i, calls)
+			}
+			calls++
+			return append(dst, out[i]...)
+		})
+		if calls != n {
+			t.Fatalf("%d rows requested, want %d", calls, n)
+		}
+		matchReference(t, g, out)
+	})
+}

@@ -47,7 +47,7 @@ func (w *Network) Observe(mc MetricsConfig) Observation {
 		LiveNodes: w.live,
 		Edges:     g.NumEdges(),
 		AvgDegree: g.AverageDegree(),
-		DeadLinks: w.DeadLinks(),
+		DeadLinks: snap.deadLinks,
 	}
 	o.MinDegree, o.MaxDegree = g.MinMaxDegree()
 

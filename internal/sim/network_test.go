@@ -78,6 +78,16 @@ func TestRunCycleSpreadsMembership(t *testing.T) {
 	}
 }
 
+func TestObserveCountsDeadLinks(t *testing.T) {
+	w := MustNew(Config{Protocol: core.Newscast, ViewSize: 8, Seed: 3})
+	seedRing(t, w, 200)
+	w.Run(10)
+	w.KillFraction(0.3)
+	if got, want := w.Observe(MetricsConfig{PathSources: 5, ClusteringSample: 5}).DeadLinks, w.DeadLinks(); got != want || want == 0 {
+		t.Errorf("Observe DeadLinks = %d, DeadLinks() = %d, want equal and nonzero", got, want)
+	}
+}
+
 func TestKillAndDeadLinks(t *testing.T) {
 	w := MustNew(testConfig(core.Newscast))
 	seedRing(t, w, 10)

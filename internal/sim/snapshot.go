@@ -15,10 +15,14 @@ type Snapshot struct {
 	IDs []NodeID
 	// index maps original node ID -> compact graph index, -1 if dead.
 	index []int32
+	// deadLinks counts the descriptors in live views that name a dead
+	// node, the links the graph excludes.
+	deadLinks int
 }
 
 // TakeSnapshot captures the current communication topology of the live
-// nodes, dropping dead links (Section 4.2's undirected conversion).
+// nodes, dropping dead links (Section 4.2's undirected conversion). Each
+// view is read once, straight into the graph builder.
 func (w *Network) TakeSnapshot() *Snapshot {
 	s := &Snapshot{
 		IDs:   make([]NodeID, 0, w.live),
@@ -33,19 +37,17 @@ func (w *Network) TakeSnapshot() *Snapshot {
 			s.IDs = append(s.IDs, NodeID(id))
 		}
 	}
-	out := make([][]int32, len(s.IDs))
-	for compact, id := range s.IDs {
-		v := w.nodes[id].View()
-		targets := make([]int32, 0, v.Len())
-		for i := 0; i < v.Len(); i++ {
-			t := s.index[v.At(i).Addr]
-			if t >= 0 {
-				targets = append(targets, t)
+	s.Graph = graph.FromRows(len(s.IDs), func(i int, dst []int32) []int32 {
+		v := w.nodes[s.IDs[i]].View()
+		for j := 0; j < v.Len(); j++ {
+			if t := s.index[v.At(j).Addr]; t >= 0 {
+				dst = append(dst, t)
+			} else {
+				s.deadLinks++
 			}
 		}
-		out[compact] = targets
-	}
-	s.Graph = graph.FromAdjacency(out)
+		return dst
+	})
 	return s
 }
 
