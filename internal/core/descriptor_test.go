@@ -329,7 +329,7 @@ func TestSampleOrderedProperties(t *testing.T) {
 			return true
 		}
 		k := int(kRaw)%len(buf) + 1
-		got := sampleOrdered(buf, k, rng)
+		got := sampleOrderedInto(nil, make([]int, len(buf)), buf, k, rng)
 		if len(got) != k {
 			return false
 		}
@@ -363,7 +363,7 @@ func TestSampleOrderedUniform(t *testing.T) {
 	counts := make([]int, 4)
 	const trials = 40000
 	for i := 0; i < trials; i++ {
-		got := sampleOrdered(buf, 1, rng)
+		got := sampleOrderedInto(nil, make([]int, len(buf)), buf, 1, rng)
 		counts[got[0].Addr]++
 	}
 	for a, c := range counts {

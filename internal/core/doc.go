@@ -26,4 +26,10 @@
 // The cycle-based simulator (internal/sim) instantiates it with dense
 // integer indices, while the asynchronous runtime (internal/runtime)
 // instantiates it with network addresses.
+//
+// A Node holds only its state: address, protocol, view and RNG. Callers
+// own the exchange buffers: request and response buffers through the Into
+// forms, and merge buffers through the Scratch lent by ShareScratch. The
+// simulator lends one to all its nodes (one per worker when staged); a
+// runtime node, never lent one, makes its own on its first merge.
 package core

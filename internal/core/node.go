@@ -41,15 +41,16 @@ type Node[A comparable] struct {
 	view  *View[A]
 	rng   *rand.Rand
 
-	// failedExchanges counts initiations whose peer never answered (only
-	// meaningful when the environment reports failures via OnExchangeFailed).
-	failedExchanges uint64
+	scratch *Scratch[A] // lent by ShareScratch, or made on the first merge
+}
 
-	// mergeScratch is the reusable buffer applyBuffer merges into: the
-	// merged result is consumed synchronously by view selection (which
-	// copies the survivors into the view), so a single per-node scratch
-	// makes every view merge allocation-free at steady state.
-	mergeScratch []Descriptor[A]
+// Scratch is the working memory of one view merge: the merged buffer (up
+// to 2c+1 descriptors) and the index permutation of random view selection.
+// Nothing in it outlives the merge, so nodes whose merges never overlap
+// in time can share one Scratch and hold only their state.
+type Scratch[A comparable] struct {
+	merged []Descriptor[A]
+	idx    []int
 }
 
 // NewNode returns a node with an empty view of the given capacity,
@@ -69,6 +70,11 @@ func NewNode[A comparable](self A, proto Protocol, capacity int, rng *rand.Rand)
 		rng:   rng,
 	}, nil
 }
+
+// ShareScratch makes the node merge in s from now on. The caller must
+// ensure that no two nodes lent the same Scratch merge concurrently: the
+// merging calls are HandleRequest, HandleRequestInto and HandleResponse.
+func (n *Node[A]) ShareScratch(s *Scratch[A]) { n.scratch = s }
 
 // Self returns the node's own address.
 func (n *Node[A]) Self() A { return n.self }
@@ -189,16 +195,6 @@ func (n *Node[A]) HandleResponse(resp Response[A]) {
 	n.applyBuffer(resp.Buffer)
 }
 
-// OnExchangeFailed records that the selected peer never answered. The
-// paper's protocols perform no explicit failure handling — state is left
-// untouched and healing happens through view selection only — but the
-// count is useful for diagnostics.
-func (n *Node[A]) OnExchangeFailed(A) { n.failedExchanges++ }
-
-// FailedExchanges returns the number of initiated exchanges for which the
-// environment reported a failure.
-func (n *Node[A]) FailedExchanges() uint64 { return n.failedExchanges }
-
 // outgoingInto writes merge(view, {(self, 0)}) into buf (truncated
 // first) and returns it: the node's view with its own zero-hop descriptor
 // in front. The view never contains its owner and the self-descriptor's
@@ -215,13 +211,15 @@ func (n *Node[A]) outgoingInto(buf []Descriptor[A]) []Descriptor[A] {
 // the view selection policy, dropping any descriptor of the node itself.
 // Following Figure 1 the received buffer is the first merge operand, so on
 // equal hop counts received descriptors precede resident ones. The merge
-// lands in the node's reusable scratch (view selection copies the
-// survivors out), keeping steady-state exchanges allocation-free.
+// lands in the node's Scratch (view selection copies the survivors out),
+// keeping steady-state exchanges allocation-free.
 func (n *Node[A]) applyBuffer(received []Descriptor[A]) {
-	merged := MergeInto(n.mergeScratch, received, n.view.items)
-	merged = dropAddr(merged, n.self)
-	n.mergeScratch = merged[:0]
-	n.view.selectInto(n.proto.ViewSel, merged, n.rng)
+	if n.scratch == nil {
+		n.scratch = new(Scratch[A])
+	}
+	s := n.scratch
+	s.merged = dropAddr(MergeInto(s.merged, received, n.view.items), n.self)
+	n.view.selectInto(n.proto.ViewSel, s.merged, s, n.rng)
 }
 
 // RandomPeer returns a uniform random element of the view, implementing

@@ -242,20 +242,6 @@ func TestHopCountsGrowAlongChains(t *testing.T) {
 	}
 }
 
-func TestFailedExchangeCounter(t *testing.T) {
-	n := newTestNode(t, 1, Newscast, 4)
-	n.Bootstrap(descs(2, 1))
-	before := n.View().Descriptors()
-	n.OnExchangeFailed(2)
-	if n.FailedExchanges() != 1 {
-		t.Errorf("failed count = %d want 1", n.FailedExchanges())
-	}
-	after := n.View().Descriptors()
-	if len(before) != len(after) || before[0] != after[0] {
-		t.Error("failure handling mutated the view")
-	}
-}
-
 func TestViewNeverExceedsCapacityNorContainsSelf(t *testing.T) {
 	// Property: random exchange sequences preserve the node invariants.
 	f := func(seed uint64, steps uint8, protoIdx uint8) bool {

@@ -20,10 +20,6 @@ import (
 type View[A comparable] struct {
 	items    []Descriptor[A]
 	capacity int
-
-	// idxScratch is the reusable index permutation for random view
-	// selection, so steady-state truncation does not allocate.
-	idxScratch []int
 }
 
 // NewView returns an empty view that holds at most capacity descriptors.
@@ -117,13 +113,6 @@ func (v *View[A]) Age() {
 	IncreaseHop(v.items)
 }
 
-// Clone returns an independent deep copy of the view.
-func (v *View[A]) Clone() *View[A] {
-	c := NewView[A](v.capacity)
-	c.items = append(c.items, v.items...)
-	return c
-}
-
 // String renders the view as "[a@0 b@2 ...]".
 func (v *View[A]) String() string {
 	parts := make([]string, len(v.items))
@@ -134,10 +123,10 @@ func (v *View[A]) String() string {
 }
 
 // selectInto truncates buffer to at most capacity entries according to the
-// view selection policy and installs the result as the view contents. The
-// buffer must be hop-ordered and duplicate-free; it is consumed (the view
-// may alias its backing array afterwards).
-func (v *View[A]) selectInto(policy ViewSelection, buffer []Descriptor[A], rng *rand.Rand) {
+// view selection policy and copies the result into the view, whose own
+// array never aliases buffer; random selection permutes indices in
+// s.idx. The buffer must be hop-ordered and duplicate-free.
+func (v *View[A]) selectInto(policy ViewSelection, buffer []Descriptor[A], s *Scratch[A], rng *rand.Rand) {
 	if len(buffer) > v.capacity {
 		switch policy {
 		case ViewHead:
@@ -145,10 +134,10 @@ func (v *View[A]) selectInto(policy ViewSelection, buffer []Descriptor[A], rng *
 		case ViewTail:
 			buffer = buffer[len(buffer)-v.capacity:]
 		case ViewRand:
-			if cap(v.idxScratch) < len(buffer) {
-				v.idxScratch = make([]int, len(buffer))
+			if cap(s.idx) < len(buffer) {
+				s.idx = make([]int, len(buffer))
 			}
-			v.items = sampleOrderedInto(v.items[:0], v.idxScratch[:len(buffer)], buffer, v.capacity, rng)
+			v.items = sampleOrderedInto(v.items[:0], s.idx[:len(buffer)], buffer, v.capacity, rng)
 			return
 		default:
 			panic(fmt.Sprintf("core: invalid view selection policy %d", policy))
@@ -157,18 +146,10 @@ func (v *View[A]) selectInto(policy ViewSelection, buffer []Descriptor[A], rng *
 	v.items = append(v.items[:0], buffer...)
 }
 
-// sampleOrdered returns k elements of buf chosen uniformly at random
-// without replacement, preserving their original (hop) order. It uses a
-// partial Fisher-Yates over an index permutation so the input slice is
-// left untouched.
-func sampleOrdered[A comparable](buf []Descriptor[A], k int, rng *rand.Rand) []Descriptor[A] {
-	return sampleOrderedInto(make([]Descriptor[A], 0, k), make([]int, len(buf)), buf, k, rng)
-}
-
-// sampleOrderedInto is sampleOrdered appending the chosen descriptors to
-// dst, using idx (len(buf) entries) as the permutation scratch; neither
-// may alias buf. Factoring the scratch out lets the view's steady-state
-// random truncation run without allocating.
+// sampleOrderedInto appends to dst k elements of buf chosen uniformly at
+// random without replacement, preserving their original (hop) order. It
+// runs a partial Fisher-Yates over idx (len(buf) entries), so buf is left
+// untouched; neither dst nor idx may alias buf.
 func sampleOrderedInto[A comparable](dst []Descriptor[A], idx []int, buf []Descriptor[A], k int, rng *rand.Rand) []Descriptor[A] {
 	n := len(buf)
 	for i := range idx {

@@ -94,16 +94,6 @@ func TestViewRemove(t *testing.T) {
 	}
 }
 
-func TestViewClone(t *testing.T) {
-	v := NewView[int32](4)
-	v.SetAll(descs(1, 1))
-	c := v.Clone()
-	c.Remove(1)
-	if v.Len() != 1 {
-		t.Fatal("clone shares state with original")
-	}
-}
-
 func TestViewString(t *testing.T) {
 	v := NewView[int32](4)
 	v.SetAll(descs(1, 0, 2, 3))
@@ -117,19 +107,19 @@ func TestSelectIntoHeadTail(t *testing.T) {
 	buffer := descs(1, 0, 2, 1, 3, 2, 4, 3, 5, 4)
 
 	v := NewView[int32](3)
-	v.selectInto(ViewHead, append([]Descriptor[int32](nil), buffer...), rng)
+	v.selectInto(ViewHead, append([]Descriptor[int32](nil), buffer...), new(Scratch[int32]), rng)
 	if v.Len() != 3 || v.At(0).Addr != 1 || v.At(2).Addr != 3 {
 		t.Errorf("head selection got %v", v)
 	}
 
 	v = NewView[int32](3)
-	v.selectInto(ViewTail, append([]Descriptor[int32](nil), buffer...), rng)
+	v.selectInto(ViewTail, append([]Descriptor[int32](nil), buffer...), new(Scratch[int32]), rng)
 	if v.Len() != 3 || v.At(0).Addr != 3 || v.At(2).Addr != 5 {
 		t.Errorf("tail selection got %v", v)
 	}
 
 	v = NewView[int32](3)
-	v.selectInto(ViewRand, append([]Descriptor[int32](nil), buffer...), rng)
+	v.selectInto(ViewRand, append([]Descriptor[int32](nil), buffer...), new(Scratch[int32]), rng)
 	if v.Len() != 3 {
 		t.Errorf("rand selection kept %d items", v.Len())
 	}
@@ -144,7 +134,7 @@ func TestSelectIntoNoTruncationNeeded(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	for _, pol := range []ViewSelection{ViewRand, ViewHead, ViewTail} {
 		v := NewView[int32](5)
-		v.selectInto(pol, descs(1, 0, 2, 1), rng)
+		v.selectInto(pol, descs(1, 0, 2, 1), new(Scratch[int32]), rng)
 		if v.Len() != 2 || v.At(0).Addr != 1 || v.At(1).Addr != 2 {
 			t.Errorf("%v: got %v", pol, v)
 		}
@@ -158,7 +148,7 @@ func TestSelectIntoInvalidPolicyPanics(t *testing.T) {
 		}
 	}()
 	v := NewView[int32](1)
-	v.selectInto(ViewSelection(0), descs(1, 0, 2, 1), rand.New(rand.NewPCG(1, 1)))
+	v.selectInto(ViewSelection(0), descs(1, 0, 2, 1), new(Scratch[int32]), rand.New(rand.NewPCG(1, 1)))
 }
 
 func TestViewInvariantsProperty(t *testing.T) {
@@ -168,7 +158,7 @@ func TestViewInvariantsProperty(t *testing.T) {
 		pol := []ViewSelection{ViewRand, ViewHead, ViewTail}[int(polRaw)%3]
 		buffer := randomSortedView(addrs, hops)
 		v := NewView[int32](capacity)
-		v.selectInto(pol, buffer, rng)
+		v.selectInto(pol, buffer, new(Scratch[int32]), rng)
 		if v.Len() > capacity {
 			return false
 		}

@@ -6,8 +6,8 @@ import (
 )
 
 // DSU is a disjoint-set union (union-find) structure with union by size
-// and path halving. It underlies both component analysis and the
-// reverse-incremental catastrophic-failure sweep.
+// and path halving. It underlies the reverse-incremental
+// catastrophic-failure sweep, which adds nodes back one at a time.
 type DSU struct {
 	parent []int32
 	size   []int32
@@ -79,24 +79,32 @@ func (s ComponentStats) OutsideLargest() int {
 	return total - s.Largest
 }
 
-// Components computes the connected components of g.
+// Components computes the connected components of g by flood fill: one
+// queue holds every node once, each component a contiguous run of it, so
+// a component's size is the length of its run.
 func (g *Graph) Components() ComponentStats {
 	n := len(g.adj)
-	d := NewDSU(n)
-	for v := range g.adj {
-		for _, u := range g.adj[v] {
-			if u > int32(v) { // each edge once
-				d.Union(int32(v), u)
+	seen := make([]bool, n)
+	queue := make([]int32, 0, n)
+	var stats ComponentStats
+	for s := range n {
+		if seen[s] {
+			continue
+		}
+		start := len(queue)
+		seen[s] = true
+		queue = append(queue, int32(s))
+		for head := start; head < len(queue); head++ {
+			for _, u := range g.adj[queue[head]] {
+				if !seen[u] {
+					seen[u] = true
+					queue = append(queue, u)
+				}
 			}
 		}
+		stats.Sizes = append(stats.Sizes, len(queue)-start)
 	}
-	// After every union, a root's DSU size is its component's size.
-	stats := ComponentStats{Count: d.count, Sizes: make([]int, 0, d.count)}
-	for v, p := range d.parent {
-		if p == int32(v) {
-			stats.Sizes = append(stats.Sizes, int(d.size[v]))
-		}
-	}
+	stats.Count = len(stats.Sizes)
 	slices.SortFunc(stats.Sizes, func(a, b int) int { return cmp.Compare(b, a) })
 	if len(stats.Sizes) > 0 {
 		stats.Largest = stats.Sizes[0]

@@ -303,7 +303,6 @@ func (n *Node) Tick() {
 	n.mu.Lock()
 	if err != nil {
 		n.failures++
-		n.state.OnExchangeFailed(peer)
 		n.mu.Unlock()
 		// Invoked outside the node lock so the callback may call back into
 		// the node; see the Config.OnError contract.

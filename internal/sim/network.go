@@ -44,12 +44,13 @@ type Network struct {
 	// scratch holds the per-cycle initiator order to avoid reallocation.
 	scratch []NodeID
 
-	// reqScratch and respScratch are the reusable exchange buffers of the
-	// sequential cycle driver: a request is consumed by its peer and a
-	// response by its initiator before the next exchange starts, so one
-	// buffer of each suffices and steady-state cycles do not allocate.
+	// reqScratch, respScratch and merge (lent to every node) are the
+	// sequential driver's exchange buffers: each is consumed before the
+	// next exchange starts, so one of each suffices and steady-state
+	// cycles do not allocate.
 	reqScratch  []core.Descriptor[NodeID]
 	respScratch []core.Descriptor[NodeID]
+	merge       core.Scratch[NodeID]
 
 	// sharded is the reusable state of the staged parallel cycle driver
 	// (see sharded.go); nil until RunCycleSharded is first called.
@@ -109,6 +110,7 @@ func (w *Network) Add(bootstrap []core.Descriptor[NodeID]) NodeID {
 		// Config was validated in New; an error here is a programmer bug.
 		panic(err)
 	}
+	n.ShareScratch(&w.merge)
 	n.Bootstrap(bootstrap)
 	w.nodes = append(w.nodes, n)
 	w.alive = append(w.alive, true)
@@ -201,7 +203,6 @@ func (w *Network) exchange(id NodeID) {
 	req, reqBuf := node.MakeRequestInto(w.reqScratch)
 	w.reqScratch = reqBuf
 	if !w.alive[peer] {
-		node.OnExchangeFailed(peer)
 		return
 	}
 	resp, respBuf, ok := w.nodes[peer].HandleRequestInto(req, w.respScratch)

@@ -57,6 +57,10 @@ type shardedEngine struct {
 	inbox   []int32
 	offsets []int32
 	cursor  []int32
+	// merge holds one core.Scratch per worker, lent to each node just
+	// before it merges in stage 2 or 3 on that worker; the stage barriers
+	// order one worker's use of a Scratch before the next's.
+	merge []core.Scratch[NodeID]
 }
 
 // exchangeSlot carries one initiator's exchange through the stages of a
@@ -98,9 +102,12 @@ func (w *Network) RunCycleSharded(workers int) {
 		eng.slots = append(eng.slots, exchangeSlot{})
 	}
 	slots := eng.slots[:n]
+	for len(eng.merge) < workers {
+		eng.merge = append(eng.merge, core.Scratch[NodeID]{})
+	}
 
 	// Stage 1: age, select, build requests — node-local work only.
-	parallelRanges(n, workers, func(lo, hi int) {
+	parallelRanges(n, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			id := live[i]
 			node := w.nodes[id]
@@ -115,11 +122,7 @@ func (w *Network) RunCycleSharded(workers int) {
 			}
 			s.peer = peer
 			s.req, s.reqBuf = node.MakeRequestInto(s.reqBuf)
-			if !w.alive[peer] {
-				node.OnExchangeFailed(peer)
-				continue
-			}
-			s.ok = true
+			s.ok = w.alive[peer]
 		}
 	})
 
@@ -161,11 +164,12 @@ func (w *Network) RunCycleSharded(workers int) {
 	// Stage 2: serve inboxes. Workers split the peer ID space so that
 	// each gets a contiguous peer range carrying roughly equal inbox
 	// entries; a peer's whole inbox stays with one worker.
-	parallelRanges(workers, workers, func(k, _ int) {
+	parallelRanges(workers, workers, func(k, _, _ int) {
 		pLo := peerCut(offsets, k, workers, entries)
 		pHi := peerCut(offsets, k+1, workers, entries)
 		for p := pLo; p < pHi; p++ {
 			node := w.nodes[p]
+			node.ShareScratch(&eng.merge[k])
 			for j := offsets[p]; j < offsets[p+1]; j++ {
 				s := &slots[inbox[j]]
 				s.resp, s.respBuf, s.hasResp = node.HandleRequestInto(s.req, s.respBuf)
@@ -174,11 +178,13 @@ func (w *Network) RunCycleSharded(workers int) {
 	})
 
 	// Stage 3: absorb responses — initiator-local work only.
-	parallelRanges(n, workers, func(lo, hi int) {
+	parallelRanges(n, workers, func(k, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := &slots[i]
 			if s.ok && s.hasResp {
-				w.nodes[s.initiator].HandleResponse(s.resp)
+				node := w.nodes[s.initiator]
+				node.ShareScratch(&eng.merge[k])
+				node.HandleResponse(s.resp)
 			}
 		}
 	})
@@ -209,9 +215,9 @@ func peerCut(offsets []int32, k, workers, entries int) int32 {
 }
 
 // parallelRanges partitions [0, n) into up to workers contiguous chunks
-// and runs fn on each concurrently, returning when all are done. With one
-// worker (or one item) it runs inline.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
+// and runs fn(k, lo, hi) on the k-th concurrently, returning when all are
+// done. With one worker (or one item) it runs inline.
+func parallelRanges(n, workers int, fn func(k, lo, hi int)) {
 	if n == 0 {
 		return
 	}
@@ -219,21 +225,21 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 		workers = n
 	}
 	if workers <= 1 {
-		fn(0, n)
+		fn(0, 0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
+	for k, lo := 0, 0; lo < n; k, lo = k+1, lo+chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(k, lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(k, lo, hi)
+		}(k, lo, hi)
 	}
 	wg.Wait()
 }

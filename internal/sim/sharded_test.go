@@ -22,9 +22,9 @@ type shardedResult struct {
 
 // runShardedExperiment runs a fixed experiment — grow, gossip, a 20%
 // catastrophe, gossip again — entirely on the staged driver with the
-// given worker count.
-func runShardedExperiment(workers int) shardedResult {
-	w := MustNew(Config{Protocol: core.Newscast, ViewSize: 8, Seed: 99})
+// given protocol and worker count.
+func runShardedExperiment(proto core.Protocol, workers int) shardedResult {
+	w := MustNew(Config{Protocol: proto, ViewSize: 8, Seed: 99})
 	const n = 300
 	for i := 0; i < n; i++ {
 		w.Add(nil)
@@ -57,28 +57,32 @@ func runShardedExperiment(workers int) shardedResult {
 // snapshots, same uniformity statistics — at every worker count and every
 // GOMAXPROCS. Workers=1 serves as the reference execution (a plain
 // sequential staged cycle); every parallel execution must match it.
+// Lpbcast's rand view selection also draws on the workers' shared merge
+// scratch for its index permutation.
 func TestShardedDeterminismAcrossWorkers(t *testing.T) {
-	want := runShardedExperiment(1)
-	if len(want.views) != 240 {
-		t.Fatalf("reference run has %d live views, want 240", len(want.views))
-	}
 	gomaxprocs := []int{1, 4, runtime.NumCPU()}
 	workerCounts := []int{0, 1, 2, 3, 7, 16} // 0 = GOMAXPROCS default
-	for _, procs := range gomaxprocs {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, workers := range workerCounts {
-			got := runShardedExperiment(workers)
-			if !reflect.DeepEqual(got.views, want.views) {
-				runtime.GOMAXPROCS(prev)
-				t.Fatalf("GOMAXPROCS=%d workers=%d: view snapshots diverge from the sequential reference", procs, workers)
-			}
-			if got.chi != want.chi || got.entropy != want.entropy || got.deadLink != want.deadLink {
-				runtime.GOMAXPROCS(prev)
-				t.Fatalf("GOMAXPROCS=%d workers=%d: statistics diverge: chi %v vs %v, entropy %v vs %v, dead links %d vs %d",
-					procs, workers, got.chi, want.chi, got.entropy, want.entropy, got.deadLink, want.deadLink)
-			}
+	for _, proto := range []core.Protocol{core.Newscast, core.Lpbcast} {
+		want := runShardedExperiment(proto, 1)
+		if len(want.views) != 240 {
+			t.Fatalf("%v: reference run has %d live views, want 240", proto, len(want.views))
 		}
-		runtime.GOMAXPROCS(prev)
+		for _, procs := range gomaxprocs {
+			prev := runtime.GOMAXPROCS(procs)
+			for _, workers := range workerCounts {
+				got := runShardedExperiment(proto, workers)
+				if !reflect.DeepEqual(got.views, want.views) {
+					runtime.GOMAXPROCS(prev)
+					t.Fatalf("%v GOMAXPROCS=%d workers=%d: view snapshots diverge from the sequential reference", proto, procs, workers)
+				}
+				if got.chi != want.chi || got.entropy != want.entropy || got.deadLink != want.deadLink {
+					runtime.GOMAXPROCS(prev)
+					t.Fatalf("%v GOMAXPROCS=%d workers=%d: statistics diverge: chi %v vs %v, entropy %v vs %v, dead links %d vs %d",
+						proto, procs, workers, got.chi, want.chi, got.entropy, want.entropy, got.deadLink, want.deadLink)
+				}
+			}
+			runtime.GOMAXPROCS(prev)
+		}
 	}
 }
 
@@ -118,12 +122,17 @@ func TestShardedCycleSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	w := MustNew(Config{Protocol: core.Newscast, ViewSize: 8, Seed: 5})
-	seedRing(t, w, 200)
-	w.RunSharded(5, 1) // grow all scratch to steady state
-	got := testing.AllocsPerRun(10, func() { w.RunCycleSharded(1) })
-	if got > 3 {
-		t.Errorf("steady-state staged cycle allocates %.1f times, want <= 3", got)
+	for _, proto := range []core.Protocol{core.Newscast, core.Lpbcast} {
+		w := MustNew(Config{Protocol: proto, ViewSize: 8, Seed: 5})
+		seedRing(t, w, 200)
+		// Grow all scratch to steady state: Lpbcast's push-only views need
+		// about 15 staged cycles to fill from the ring, and each slot's
+		// request buffer grows with its initiator's view until then.
+		w.RunSharded(20, 1)
+		got := testing.AllocsPerRun(10, func() { w.RunCycleSharded(1) })
+		if got > 3 {
+			t.Errorf("%v: steady-state staged cycle allocates %.1f times, want <= 3", proto, got)
+		}
 	}
 }
 
@@ -165,11 +174,13 @@ func TestSequentialCycleSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	w := MustNew(Config{Protocol: core.Newscast, ViewSize: 8, Seed: 5})
-	seedRing(t, w, 200)
-	w.Run(5)
-	got := testing.AllocsPerRun(10, func() { w.RunCycle() })
-	if got > 0 {
-		t.Errorf("steady-state sequential cycle allocates %.1f times, want 0", got)
+	for _, proto := range []core.Protocol{core.Newscast, core.Lpbcast} {
+		w := MustNew(Config{Protocol: proto, ViewSize: 8, Seed: 5})
+		seedRing(t, w, 200)
+		w.Run(5)
+		got := testing.AllocsPerRun(10, func() { w.RunCycle() })
+		if got > 0 {
+			t.Errorf("%v: steady-state sequential cycle allocates %.1f times, want 0", proto, got)
+		}
 	}
 }
