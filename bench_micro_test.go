@@ -105,13 +105,13 @@ func benchWireRequest(from string) transport.Request {
 // with an explicit (tight) connection cap on the server, so every accept
 // passes through the hardening gate of the Limits layer.
 func BenchmarkTCPExchangeDialHardened(b *testing.B) {
-	server, err := transport.ListenTCPLimits("127.0.0.1:0", benchEchoHandler,
+	server, err := transport.ListenTCP("127.0.0.1:0", benchEchoHandler,
 		transport.Limits{MaxConns: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer server.Close()
-	client, err := transport.ListenTCP("127.0.0.1:0", benchEchoHandler)
+	client, err := transport.ListenTCP("127.0.0.1:0", benchEchoHandler, transport.Limits{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"peersampling/internal/config"
 	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 	"peersampling/internal/metrics"
@@ -42,11 +43,12 @@ func (r *recorder) Rules() []transport.FaultRule {
 func newTestCluster(t *testing.T, n int) (*recorder, []fleet.Member) {
 	t.Helper()
 	t.Parallel()
-	c, err := fleet.New(fleet.DriverInproc, fleet.Config{
-		Protocol: core.Newscast,
-		ViewSize: 5,
-		Period:   15 * time.Millisecond,
-	})
+	tmpl := config.Default()
+	tmpl.Node.Protocol = core.Newscast.String()
+	tmpl.Node.ViewSize = 5
+	tmpl.Node.Period = 15 * time.Millisecond
+	tmpl.Transport.Backend = "tcp"
+	c, err := fleet.New(fleet.DriverInproc, fleet.Config{Template: tmpl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"peersampling/internal/core"
+	"peersampling/internal/gateway"
 	"peersampling/internal/transport"
 )
 
@@ -21,10 +22,12 @@ const Version = 1
 // every unset field carries its documented default.
 //
 // Each field declares its document key once, in a cfg tag; decoding,
-// WriteFile, Diff and MergeHot all walk these tags. A leaf tagged
-// reload:"hot" is one the daemon applies live on reload; every other
-// leaf needs a restart. Leaves are string, []string, int, float64, bool
-// or time.Duration.
+// WriteFile, Diff and MergeHot all walk these tags. A section may embed
+// a component's own settings struct untagged (transport.Limits,
+// gateway.Config): its tagged fields are leaves of that section. A leaf
+// tagged reload:"hot" is one the daemon applies live on reload; every
+// other leaf needs a restart. Leaves are string, []string, int, float64,
+// bool or time.Duration.
 type Config struct {
 	// Version is the config schema version; Default sets it to Version.
 	Version int `cfg:"version"`
@@ -63,32 +66,13 @@ type NodeSection struct {
 }
 
 // TransportSection selects the wire backend and its hardening limits
-// (config keys under "transport:").
+// (config keys under "transport:"). The limits are transport.Limits
+// itself: its fields carry their own keys, zero-value defaults and
+// validation rules.
 type TransportSection struct {
 	// Backend names the registered transport ("tcp", "tcp-pooled", "udp").
 	Backend string `cfg:"backend"`
-	// MaxConns caps concurrently served connections (0 = library
-	// default, negative = unlimited).
-	MaxConns int `cfg:"max_conns" reload:"hot"`
-	// KeepAlive is the read budget for served connections that pull
-	// (0 = library default).
-	KeepAlive time.Duration `cfg:"keepalive" reload:"hot"`
-	// PushOnlyKeepAlive is the shrunken budget for push-only peers
-	// (0 derives 3/4 of KeepAlive).
-	PushOnlyKeepAlive time.Duration `cfg:"push_only_keepalive" reload:"hot"`
-	// FirstFrameTimeout is the slowloris window before a connection's
-	// opening frame (0 = library default).
-	FirstFrameTimeout time.Duration `cfg:"first_frame_timeout" reload:"hot"`
-}
-
-// Limits converts the section into the transport layer's Limits shape.
-func (t TransportSection) Limits() transport.Limits {
-	return transport.Limits{
-		MaxConns:          t.MaxConns,
-		KeepAlive:         t.KeepAlive,
-		PushOnlyKeepAlive: t.PushOnlyKeepAlive,
-		FirstFrameTimeout: t.FirstFrameTimeout,
-	}
+	transport.Limits
 }
 
 // MetricsSection configures the observability plugins (config keys
@@ -116,24 +100,12 @@ type ControlSection struct {
 }
 
 // GatewaySection configures the light-client sampling API (config keys
-// under "gateway:"). The gateway is enabled when Addr is non-empty.
+// under "gateway:"). The gateway is enabled when Addr is non-empty; its
+// tuning is gateway.Config itself, whose fields carry their own keys.
 type GatewaySection struct {
 	// Addr serves GET /v1/sample and GET /healthz when non-empty.
 	Addr string `cfg:"addr"`
-	// BatchSize is how many distinct peers the sample cache targets per
-	// refresh.
-	BatchSize int `cfg:"batch_size" reload:"hot"`
-	// Refresh is the cache refresh interval.
-	Refresh time.Duration `cfg:"refresh" reload:"hot"`
-	// RateRPS is the per-client token refill rate (requests/second).
-	RateRPS float64 `cfg:"rate_rps" reload:"hot"`
-	// Burst is the per-client token bucket capacity.
-	Burst int `cfg:"burst" reload:"hot"`
-	// TrustProxyHeader rate-limits by the first X-Forwarded-For address
-	// instead of the socket address. Enable only behind a trusted reverse
-	// proxy (or for load harnesses emulating distinct clients) — the
-	// header is client-controlled.
-	TrustProxyHeader bool `cfg:"trust_proxy_header" reload:"hot"`
+	gateway.Config
 }
 
 // Workload kinds accepted by WorkloadSection.Kind.
@@ -186,10 +158,7 @@ func Default() Config {
 			ReportInterval: 5 * time.Second,
 		},
 		Gateway: GatewaySection{
-			BatchSize: 64,
-			Refresh:   time.Second,
-			RateRPS:   5,
-			Burst:     10,
+			Config: gateway.DefaultConfig(),
 		},
 		Workload: WorkloadSection{
 			Fanout: 2,
@@ -240,8 +209,8 @@ func (c Config) Validate() error {
 	if !backendKnown(c.Transport.Backend) {
 		return fmt.Errorf("transport.backend: unknown backend %q (available: %v)", c.Transport.Backend, transport.Backends())
 	}
-	if err := validateLimits(c.Transport); err != nil {
-		return err
+	if err := c.Transport.Limits.Validate(); err != nil {
+		return fmt.Errorf("transport.%w", err)
 	}
 	if err := validateHostPort("metrics.addr", c.Metrics.Addr, false); err != nil {
 		return err
@@ -304,30 +273,6 @@ func validateWorkload(w WorkloadSection) error {
 	}
 	if w.Period < 0 {
 		return fmt.Errorf("workload.period: must not be negative, got %v", w.Period)
-	}
-	return nil
-}
-
-// validateLimits mirrors the transport layer's Limits rules so a config
-// rejects at load time with a field path, not at listen time with a
-// transport error.
-func validateLimits(t TransportSection) error {
-	switch {
-	case t.KeepAlive < 0:
-		return fmt.Errorf("transport.keepalive: must not be negative, got %v", t.KeepAlive)
-	case t.KeepAlive > 0 && t.KeepAlive < time.Millisecond:
-		return fmt.Errorf("transport.keepalive: %v is below the 1ms minimum", t.KeepAlive)
-	case t.PushOnlyKeepAlive < 0:
-		return fmt.Errorf("transport.push_only_keepalive: must not be negative, got %v", t.PushOnlyKeepAlive)
-	case t.FirstFrameTimeout < 0:
-		return fmt.Errorf("transport.first_frame_timeout: must not be negative, got %v", t.FirstFrameTimeout)
-	}
-	keepAlive := t.KeepAlive
-	if keepAlive == 0 {
-		keepAlive = transport.DefaultKeepAlive
-	}
-	if t.PushOnlyKeepAlive > keepAlive {
-		return fmt.Errorf("transport.push_only_keepalive: %v exceeds the keep-alive budget %v", t.PushOnlyKeepAlive, keepAlive)
 	}
 	return nil
 }

@@ -60,16 +60,20 @@ func (l leaf) path() string { return joinKey(l.section, l.key) }
 var leaves = walk(reflect.TypeOf(Config{}), "", nil)
 
 // walk collects the cfg-tagged leaves of the struct type t; a tagged
-// struct-typed field is a section whose fields are walked in turn.
+// struct-typed field is a section whose fields are walked in turn, and an
+// untagged embedded struct lends its leaves to the enclosing section.
 func walk(t reflect.Type, section string, index []int) []leaf {
 	var out []leaf
 	for i := range t.NumField() {
 		f := t.Field(i)
 		key, ok := f.Tag.Lookup("cfg")
+		idx := append(slices.Clone(index), i)
 		if !ok {
+			if f.Anonymous {
+				out = append(out, walk(f.Type, section, idx)...)
+			}
 			continue
 		}
-		idx := append(slices.Clone(index), i)
 		if f.Type.Kind() == reflect.Struct {
 			out = append(out, walk(f.Type, joinKey(section, key), idx)...)
 			continue

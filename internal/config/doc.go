@@ -12,6 +12,13 @@
 // hot field of Config; see Diff, and internal/daemon for the runtime that
 // applies it.
 //
+// A setting a component owns is declared once, in that component: the
+// transport and gateway sections embed transport.Limits and
+// gateway.Config, whose fields carry their own cfg keys, zero-value
+// defaults and validation rules. Config adds only document policy on top
+// (a field path on every error; no zero gateway tuning while the gateway
+// is enabled).
+//
 // Documents parse through encoding/json's token stream into a strict
 // reader (Document) that internal/chaos shares for its plan files: a
 // duplicate key, trailing data, an unknown key or a mistyped value fails

@@ -6,12 +6,12 @@ import (
 	"math/rand/v2"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"peersampling/internal/config"
-	"peersampling/internal/gateway"
 	"peersampling/internal/metrics"
 	"peersampling/internal/runtime"
 	"peersampling/internal/transport"
@@ -71,7 +71,7 @@ func New(cfg config.Config, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	factory, err := transport.NewFactoryLimits(cfg.Transport.Backend, cfg.Node.Listen, cfg.Transport.Limits())
+	factory, err := transport.NewFactoryLimits(cfg.Transport.Backend, cfg.Node.Listen, cfg.Transport.Limits)
 	if err != nil {
 		return nil, err
 	}
@@ -226,14 +226,16 @@ func (m *Manager) Info() AgentInfo {
 	return info
 }
 
-// Reload diffs next against the running config and applies the hot
-// fields live: transport hardening limits onto the listener, tuning onto
-// the gateway, and the new contact list into the view; the dumper and
-// reporter loops read the report interval themselves each round, so it
-// applies from their next round. Restart-classified changes are NOT
-// applied — they come back in the diff for the caller to report. The
-// running config becomes config.MergeHot(current, next), so a second
-// identical Reload is a no-op.
+// Reload diffs next against the running config and hands each changed
+// hot section, once, to the component that runs it: the contact list
+// into the view, transport limits onto the listener, tuning onto the
+// gateway; the dumper and reporter loops read the report interval
+// themselves each round. A change no running component took (no gateway
+// serving, say) is recorded for the next start, and logged as such.
+// Restart-classified changes are NOT applied — they come back in the
+// diff for the caller to report. The running config becomes
+// config.MergeHot(current, next), so a second identical Reload is a
+// no-op.
 func (m *Manager) Reload(next config.Config) (config.ReloadDiff, error) {
 	if err := next.Validate(); err != nil {
 		return config.ReloadDiff{}, err
@@ -246,37 +248,27 @@ func (m *Manager) Reload(next config.Config) (config.ReloadDiff, error) {
 	}
 	m.cfg = config.MergeHot(m.cfg, next)
 	merged := m.cfg
-	plugins := m.plugins
+	running := m.started && !m.closed
 	m.mu.Unlock()
 
 	var errs []error
+	took := map[string]bool{} // hot section -> a running component took it
 	for _, path := range diff.Hot {
-		switch path {
-		case "node.contacts":
-			if len(merged.Node.Contacts) > 0 {
-				if err := m.node.Init(merged.Node.Contacts); err != nil {
-					errs = append(errs, fmt.Errorf("contacts: %w", err))
-				}
+		section, _, _ := strings.Cut(path, ".")
+		applied, done := took[section]
+		if !done {
+			ok, err := m.applyHot(section, merged, running)
+			if err != nil {
+				errs = append(errs, fmt.Errorf("%s: %w", section, err))
 			}
-		case "transport.max_conns", "transport.keepalive", "transport.push_only_keepalive", "transport.first_frame_timeout":
-			// One SetTransportLimits covers all four; apply on the first.
-			if path == firstLimitsPath(diff.Hot) {
-				if _, err := m.node.SetTransportLimits(merged.Transport.Limits()); err != nil {
-					errs = append(errs, fmt.Errorf("transport limits: %w", err))
-				}
-			}
-		case "gateway.batch_size", "gateway.refresh", "gateway.rate_rps", "gateway.burst", "gateway.trust_proxy_header":
-			if path == firstGatewayPath(diff.Hot) {
-				for _, p := range plugins {
-					if gp, ok := p.(*gatewayPlugin); ok && gp.gw != nil {
-						if err := gp.gw.SetTuning(m.gatewayConfig()); err != nil {
-							errs = append(errs, fmt.Errorf("gateway tuning: %w", err))
-						}
-					}
-				}
-			}
+			applied = ok && err == nil
+			took[section] = applied
 		}
-		m.logf("reload: applied %s", path)
+		if applied {
+			m.logf("reload: applied %s", path)
+		} else {
+			m.logf("reload: recorded %s for the next start", path)
+		}
 	}
 	for _, path := range diff.Restart {
 		m.logf("reload: %s requires a restart; keeping the running value", path)
@@ -284,27 +276,27 @@ func (m *Manager) Reload(next config.Config) (config.ReloadDiff, error) {
 	return diff, errors.Join(errs...)
 }
 
-// firstLimitsPath returns the first transport-limits path in hot, so the
-// single SetTransportLimits call is made exactly once per reload.
-func firstLimitsPath(hot []string) string {
-	for _, p := range hot {
-		switch p {
-		case "transport.max_conns", "transport.keepalive", "transport.push_only_keepalive", "transport.first_frame_timeout":
-			return p
+// applyHot hands one section of a reloaded config to the running
+// component that owns it, reporting whether one took it.
+func (m *Manager) applyHot(section string, cfg config.Config, running bool) (bool, error) {
+	switch section {
+	case "node": // the contact list is the section's one hot field
+		if len(cfg.Node.Contacts) == 0 {
+			return false, nil
+		}
+		return true, m.node.Init(cfg.Node.Contacts)
+	case "transport":
+		return m.node.SetTransportLimits(cfg.Transport.Limits)
+	case "metrics": // the report loops re-read the interval each round
+		return running, nil
+	case "gateway":
+		for _, p := range m.pluginsSnapshot() {
+			if gp, ok := p.(*gatewayPlugin); ok && running && gp.gw != nil {
+				return true, gp.gw.SetTuning(cfg.Gateway.Config)
+			}
 		}
 	}
-	return ""
-}
-
-// firstGatewayPath is firstLimitsPath for the gateway tuning fields.
-func firstGatewayPath(hot []string) string {
-	for _, p := range hot {
-		switch p {
-		case "gateway.batch_size", "gateway.refresh", "gateway.rate_rps", "gateway.burst", "gateway.trust_proxy_header":
-			return p
-		}
-	}
-	return ""
+	return false, nil
 }
 
 // Config returns the config the daemon is currently running — after
@@ -315,22 +307,11 @@ func (m *Manager) Config() config.Config {
 	return m.cfg
 }
 
-// cfgSnapshot, reportInterval and gatewayConfig give plugins a coherent
-// read of the current config.
+// cfgSnapshot and reportInterval give plugins a coherent read of the
+// current config.
 func (m *Manager) cfgSnapshot() config.Config { return m.Config() }
 
 func (m *Manager) reportInterval() time.Duration { return m.Config().Metrics.ReportInterval }
-
-func (m *Manager) gatewayConfig() gateway.Config {
-	gw := m.Config().Gateway
-	return gateway.Config{
-		BatchSize:        gw.BatchSize,
-		Refresh:          gw.Refresh,
-		RateRPS:          gw.RateRPS,
-		Burst:            gw.Burst,
-		TrustProxyHeader: gw.TrustProxyHeader,
-	}
-}
 
 func (m *Manager) pluginsSnapshot() []Plugin {
 	m.mu.Lock()

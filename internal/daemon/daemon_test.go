@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -252,6 +253,100 @@ func TestReloadClassification(t *testing.T) {
 	bad.Node.ViewSize = 0
 	if _, err := m.Reload(bad); err == nil || !strings.Contains(err.Error(), "node.view_size") {
 		t.Errorf("invalid reload error = %v", err)
+	}
+}
+
+// TestReloadMovesGatewayRateLimit lowers gateway.burst on a running
+// gateway: the number of requests a fresh client gets before its first
+// 429 follows the reloaded burst.
+func TestReloadMovesGatewayRateLimit(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Gateway.RateRPS = 0.001 // no refill within the test
+	cfg.Gateway.Burst = 5
+	cfg.Gateway.TrustProxyHeader = true // one client per X-Forwarded-For address
+	m := startManager(t, cfg)
+	gw := pluginAddr(t, m, "gateway")
+
+	// admitted counts the requests client gets answered (a sample or a
+	// 503 from an empty view) before its first 429.
+	admitted := func(client string) int {
+		t.Helper()
+		for n := 0; n <= 10; n++ {
+			req, err := http.NewRequest(http.MethodGet, "http://"+gw+"/v1/sample", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("X-Forwarded-For", client)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusTooManyRequests {
+				return n
+			}
+		}
+		t.Fatalf("client %s never rate-limited", client)
+		return 0
+	}
+	if got := admitted("192.0.2.1"); got != 5 {
+		t.Fatalf("booted burst 5 admitted %d requests", got)
+	}
+
+	next := cfg
+	next.Gateway.Burst = 2
+	diff, err := m.Reload(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(diff.Hot, []string{"gateway.burst"}) || len(diff.Restart) != 0 {
+		t.Fatalf("diff = %+v", diff)
+	}
+	if got := admitted("192.0.2.2"); got != 2 {
+		t.Fatalf("reloaded burst 2 admitted %d requests", got)
+	}
+}
+
+// TestReloadLogsWhatRunningComponentsTook checks the reload log: a hot
+// change is "applied" only when a running component took it, and
+// otherwise recorded for the next start.
+func TestReloadLogsWhatRunningComponentsTook(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	cfg := testConfig(t)
+	cfg.Gateway.Addr = "" // no gateway runs to take gateway tuning
+	m, err := New(cfg, Options{Logf: func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(); err != nil {
+		_ = m.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+
+	next := cfg
+	next.Gateway.Burst = 2
+	next.Transport.MaxConns = 7
+	if _, err := m.Reload(next); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, want := range []string{
+		"reload: recorded gateway.burst for the next start",
+		"reload: applied transport.max_conns",
+	} {
+		if !slices.Contains(lines, want) {
+			t.Errorf("log lacks %q:\n%s", want, strings.Join(lines, "\n"))
+		}
+	}
+	if slices.Contains(lines, "reload: applied gateway.burst") {
+		t.Error("log claims a gateway that is not running applied gateway.burst")
 	}
 }
 

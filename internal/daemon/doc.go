@@ -10,10 +10,12 @@
 //
 // The manager is built from an internal/config Config and supports live
 // reload: Reload diffs the running config against a freshly loaded one
-// (config.Diff), applies the hot-classified fields in place — transport
-// hardening limits onto the live listener, tuning onto the gateway,
-// added contacts into the view — and reports the restart-required
-// remainder for the operator to act on. The dumper and reporter run on
+// (config.Diff) and hands each changed hot section once to the component
+// that owns it — the transport section's Limits onto the live listener,
+// the gateway section's gateway.Config onto the gateway, added contacts
+// into the view — logging a change as applied only when a running
+// component took it. It reports the restart-required remainder for the
+// operator to act on. The dumper and reporter run on
 // internal/loop and read the report interval each round, so a reloaded
 // interval applies from their next round. cmd/psnode triggers Reload
 // from SIGHUP.

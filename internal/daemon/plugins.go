@@ -244,8 +244,8 @@ type gatewayPlugin struct {
 func (p *gatewayPlugin) Name() string { return "gateway" }
 
 func (p *gatewayPlugin) Start() error {
-	cfg := p.m.gatewayConfig()
-	gw, err := gateway.New(p.m.cfgSnapshot().Gateway.Addr, p.m.node, cfg)
+	cfg := p.m.cfgSnapshot().Gateway
+	gw, err := gateway.New(cfg.Addr, p.m.node, cfg.Config)
 	if err != nil {
 		p.set("failed", err.Error())
 		return err

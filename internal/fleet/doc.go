@@ -9,8 +9,10 @@
 //	inproc       a daemon.Manager     Manager.Close          direct method calls
 //	subprocess   a psnode process     SIGKILL                control-agent HTTP scrapes
 //
-// Both drivers boot every member from the same generated daemon config,
-// so a member is the same daemon either way. The inproc driver runs it in
+// Both drivers boot every member from one config.Config template
+// (Config.Template), with only the member's listen address and contacts
+// replaced, so a member is the same daemon either way and the fleet
+// declares no node setting of its own. The inproc driver runs it in
 // this process: cheap, no real process boundary, and a dead member's
 // final state stays readable. The subprocess driver writes the config to
 // disk and forks the psnode binary per member; churn then kills real

@@ -3,11 +3,11 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
 	"peersampling/internal/config"
-	"peersampling/internal/core"
 	"peersampling/internal/metrics"
 	"peersampling/internal/transport"
 )
@@ -21,30 +21,18 @@ const (
 // Drivers returns the available cluster drivers.
 func Drivers() []string { return []string{DriverInproc, DriverSubprocess} }
 
-// Config is the node template a cluster stamps out: every member runs
-// this protocol tuple, view size and period. The zero value of optional
-// fields selects defaults.
+// Config describes a cluster: the daemon config every member boots
+// from, and how members are named, observed and (subprocess driver)
+// forked.
 type Config struct {
-	// Protocol, ViewSize and Period parameterise every member like
-	// runtime.Config does a single node. Members seed their protocol
-	// randomness from their own addresses, as any psnode does.
-	Protocol core.Protocol
-	ViewSize int
-	Period   time.Duration
-	// Backend names the transport ("tcp", "tcp-pooled", "udp");
-	// empty selects "tcp".
-	Backend string
-	// Limits hardens every member's listener (see transport.Limits).
-	Limits transport.Limits
-	// Workload, when its Kind is set, runs a gossip application engine
-	// on every member (see internal/workload). Zero knobs keep the
-	// daemon defaults.
-	Workload config.WorkloadSection
-	// Gateway, when its Addr is set (usually "127.0.0.1:0"), serves the
-	// light-client sampling API on every member through the daemon's
-	// gateway plugin. Zero knobs keep the daemon defaults; the bound
-	// address is reported by Member.GatewayAddr.
-	Gateway config.GatewaySection
+	// Template is the daemon config every member boots from; the zero
+	// value means config.Default(). Each member replaces its listen
+	// address with an ephemeral loopback one and its contacts with the
+	// ones it is spawned with, and seeds its protocol randomness from that
+	// address, as any psnode does. A template enabling the gateway
+	// (Gateway.Addr, usually "127.0.0.1:0") has every member serve it;
+	// Member.GatewayAddr reports the bound address.
+	Template config.Config
 	// Name labels member i for metrics registration and logs; nil
 	// selects "node00", "node01", ...
 	Name func(i int) string
@@ -68,8 +56,8 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.Backend == "" {
-		cfg.Backend = "tcp"
+	if reflect.ValueOf(cfg.Template).IsZero() {
+		cfg.Template = config.Default()
 	}
 	if cfg.Name == nil {
 		cfg.Name = func(i int) string { return fmt.Sprintf("node%02d", i) }
@@ -80,62 +68,15 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// memberConfig maps the node template onto the full daemon config every
-// member boots from, whichever driver runs it: a loopback ephemeral
-// listener plus the template's protocol, transport, workload and
-// gateway. Zero template fields keep the daemon defaults; invalid ones
-// (a negative view size) are kept too, so the daemon's own validation
-// rejects them exactly like a hand-edited file.
+// memberConfig is the daemon config a member boots from, whichever
+// driver runs it: the template on a loopback ephemeral listener,
+// bootstrapped from contacts. An invalid template is kept as it is, so
+// the daemon's own validation rejects it exactly like a hand-edited
+// file.
 func (cfg Config) memberConfig(contacts []string) config.Config {
-	nc := config.Default()
+	nc := cfg.Template
 	nc.Node.Listen = "127.0.0.1:0"
-	nc.Node.Protocol = cfg.Protocol.String()
 	nc.Node.Contacts = contacts
-	if cfg.ViewSize != 0 {
-		nc.Node.ViewSize = cfg.ViewSize
-	}
-	if cfg.Period > 0 {
-		nc.Node.Period = cfg.Period
-	}
-	nc.Transport.Backend = cfg.Backend
-	nc.Transport.MaxConns = cfg.Limits.MaxConns
-	nc.Transport.KeepAlive = cfg.Limits.KeepAlive
-	nc.Transport.PushOnlyKeepAlive = cfg.Limits.PushOnlyKeepAlive
-	nc.Transport.FirstFrameTimeout = cfg.Limits.FirstFrameTimeout
-	if w := cfg.Workload; w.Kind != "" {
-		ws := &nc.Workload
-		ws.Kind = w.Kind
-		if w.Period > 0 {
-			ws.Period = w.Period
-		}
-		if w.Fanout > 0 {
-			ws.Fanout = w.Fanout
-		}
-		if w.Mode != "" {
-			ws.Mode = w.Mode
-		}
-		if w.TTL > 0 {
-			ws.TTL = w.TTL
-		}
-		ws.Initial = w.Initial
-	}
-	if g := cfg.Gateway; g.Addr != "" {
-		gs := &nc.Gateway
-		gs.Addr = g.Addr
-		if g.BatchSize > 0 {
-			gs.BatchSize = g.BatchSize
-		}
-		if g.Refresh > 0 {
-			gs.Refresh = g.Refresh
-		}
-		if g.RateRPS > 0 {
-			gs.RateRPS = g.RateRPS
-		}
-		if g.Burst > 0 {
-			gs.Burst = g.Burst
-		}
-		gs.TrustProxyHeader = g.TrustProxyHeader
-	}
 	return nc
 }
 

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	goruntime "runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,11 +42,12 @@ func TestMain(m *testing.M) {
 }
 
 func testConfig() Config {
-	return Config{
-		Protocol: core.Newscast,
-		ViewSize: 5,
-		Period:   15 * time.Millisecond,
-	}
+	tmpl := config.Default()
+	tmpl.Node.Protocol = core.Newscast.String()
+	tmpl.Node.ViewSize = 5
+	tmpl.Node.Period = 15 * time.Millisecond
+	tmpl.Transport.Backend = "tcp"
+	return Config{Template: tmpl}
 }
 
 // spawnN boots the first member contactless and the rest against it.
@@ -419,7 +421,7 @@ func TestSubprocessSpawnFailureDiagnosed(t *testing.T) {
 	bin := needPsnode(t)
 	cfg := testConfig()
 	cfg.Psnode = bin
-	cfg.ViewSize = -1 // psnode rejects this before binding anything
+	cfg.Template.Node.ViewSize = -1 // psnode rejects this before binding anything
 	cfg.SpawnTimeout = 10 * time.Second
 	c, err := New(DriverSubprocess, cfg)
 	if err != nil {
@@ -489,44 +491,58 @@ func TestSpawnNWaveInproc(t *testing.T) {
 	}
 }
 
-// The subprocess driver provisions members from generated config files:
-// each member's directory keeps the complete config it booted from, and
-// the file round-trips through the config loader.
+// Both drivers boot every member from the template with only its listen
+// address and contacts replaced. The subprocess driver provisions each
+// member from a generated config file that keeps the control surface the
+// driver needs and round-trips through the config loader.
 func TestSpawnNSubprocessProvisionsConfigFiles(t *testing.T) {
-	bin := needPsnode(t)
-	cfg := testConfig()
-	cfg.Psnode = bin
-	cfg.Dir = t.TempDir()
-	c, err := New(DriverSubprocess, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	for _, driver := range Drivers() {
+		t.Run(driver, func(t *testing.T) {
+			cfg := testConfig()
+			// A listen address and contacts no member may keep.
+			cfg.Template.Node.Listen = "192.0.2.1:7946"
+			cfg.Template.Node.Contacts = []string{"192.0.2.1:7947"}
+			if driver == DriverSubprocess {
+				cfg.Psnode = needPsnode(t)
+				cfg.Dir = t.TempDir()
+			}
+			c, err := New(driver, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	first, err := c.Spawn(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave, err := SpawnN(c, 2, []string{first.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitComplete(t, append([]Member{first}, wave...), 30*time.Second)
+			first, err := c.Spawn(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wave, err := SpawnN(c, 2, []string{first.Addr()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			members := append([]Member{first}, wave...)
+			waitComplete(t, members, 30*time.Second)
 
-	for _, name := range []string{"node00", "node01", "node02"} {
-		path := filepath.Join(cfg.Dir, name, "config.json")
-		mc, err := config.LoadFile(path)
-		if err != nil {
-			t.Fatalf("member %s config does not round-trip: %v", name, err)
-		}
-		if mc.Node.ViewSize != cfg.ViewSize || mc.Transport.Backend != "tcp" {
-			t.Errorf("member %s config = %+v", name, mc.Node)
-		}
-		if mc.Control.Addr == "" || mc.Control.ReadyFile == "" {
-			t.Errorf("member %s config missing control surface: %+v", name, mc.Control)
-		}
-	}
-	if len(first.(*subprocessMember).info.Addr) == 0 {
-		t.Error("first member has no discovered address")
+			for _, m := range members {
+				var mc config.Config
+				switch m := m.(type) {
+				case *inprocMember:
+					mc = m.mgr.Config()
+				case *subprocessMember:
+					mc, err = config.LoadFile(filepath.Join(cfg.Dir, m.name, "config.json"))
+					if err != nil {
+						t.Fatalf("member %s config does not round-trip: %v", m.name, err)
+					}
+					if mc.Control.Addr == "" || mc.Control.ReadyFile == "" {
+						t.Errorf("member %s config missing control surface: %+v", m.name, mc.Control)
+					}
+					mc.Control = cfg.Template.Control // the driver's own addition, checked above
+				}
+				d := config.Diff(cfg.Template, mc)
+				if !slices.Equal(d.Restart, []string{"node.listen"}) || !slices.Equal(d.Hot, []string{"node.contacts"}) {
+					t.Errorf("member %s: Diff(template, member config) = %+v, want only node.listen and node.contacts", m.Name(), d)
+				}
+			}
+		})
 	}
 }

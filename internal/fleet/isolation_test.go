@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"peersampling/internal/chaos"
+	"peersampling/internal/config"
 	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 	"peersampling/internal/metrics"
@@ -16,11 +17,12 @@ import (
 // of its members.
 func TestInprocClustersIsolateFaults(t *testing.T) {
 	boot := func() (fleet.Cluster, []fleet.Member) {
-		c, err := fleet.New(fleet.DriverInproc, fleet.Config{
-			Protocol: core.Newscast,
-			ViewSize: 5,
-			Period:   15 * time.Millisecond,
-		})
+		tmpl := config.Default()
+		tmpl.Node.Protocol = core.Newscast.String()
+		tmpl.Node.ViewSize = 5
+		tmpl.Node.Period = 15 * time.Millisecond
+		tmpl.Transport.Backend = "tcp"
+		c, err := fleet.New(fleet.DriverInproc, fleet.Config{Template: tmpl})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,8 +11,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"peersampling/internal/core"
 )
 
 // A member that starts but never reports ready must not leak: the spawn
@@ -34,7 +32,6 @@ func TestSpawnTimeoutReapsHalfStartedMember(t *testing.T) {
 
 	fleetDir := filepath.Join(dir, "fleet")
 	cluster, err := newSubprocess(Config{
-		Protocol:     core.Newscast,
 		Psnode:       fake,
 		Dir:          fleetDir,
 		SpawnTimeout: 300 * time.Millisecond,

@@ -25,39 +25,48 @@ type Sampler interface {
 	GetPeer() (string, error)
 }
 
-// Config tunes a Gateway. The zero value selects the defaults; every
-// field is hot-swappable on a running gateway via SetTuning.
+// Config tunes a Gateway. A zero field selects its DefaultConfig value;
+// every field is hot-swappable on a running gateway via SetTuning. Each
+// field's cfg tag is its key under the daemon config's "gateway"
+// section.
 type Config struct {
 	// BatchSize is how many distinct peers each cache refresh targets.
-	// Zero selects 64.
-	BatchSize int
-	// Refresh is the cache refresh interval. Zero selects one second.
-	Refresh time.Duration
-	// RateRPS is the per-client token refill rate. Zero selects 5/s.
-	RateRPS float64
-	// Burst is the per-client bucket capacity. Zero selects 10.
-	Burst int
+	BatchSize int `cfg:"batch_size" reload:"hot"`
+	// Refresh is the cache refresh interval; at least a millisecond.
+	Refresh time.Duration `cfg:"refresh" reload:"hot"`
+	// RateRPS is the per-client token refill rate (requests/second).
+	RateRPS float64 `cfg:"rate_rps" reload:"hot"`
+	// Burst is the per-client token bucket capacity.
+	Burst int `cfg:"burst" reload:"hot"`
 	// TrustProxyHeader keys the rate limiter on the first address of a
 	// valid X-Forwarded-For header instead of the socket address. Enable
 	// only behind a trusted proxy — the header is client-controlled
 	// otherwise. (It is also what lets a loopback load generator emulate
 	// distinct clients against one gateway.)
-	TrustProxyHeader bool
+	TrustProxyHeader bool `cfg:"trust_proxy_header" reload:"hot"`
+}
+
+// DefaultConfig is the tuning a zero Config field selects: 64 peers per
+// refresh, refreshed every second, 5 requests/second per client with a
+// burst of 10.
+func DefaultConfig() Config {
+	return Config{BatchSize: 64, Refresh: time.Second, RateRPS: 5, Burst: 10}
 }
 
 // fill validates cfg and resolves zero values to defaults.
 func (c *Config) fill() error {
+	def := DefaultConfig()
 	if c.BatchSize == 0 {
-		c.BatchSize = 64
+		c.BatchSize = def.BatchSize
 	}
 	if c.Refresh == 0 {
-		c.Refresh = time.Second
+		c.Refresh = def.Refresh
 	}
 	if c.RateRPS == 0 {
-		c.RateRPS = 5
+		c.RateRPS = def.RateRPS
 	}
 	if c.Burst == 0 {
-		c.Burst = 10
+		c.Burst = def.Burst
 	}
 	switch {
 	case c.BatchSize < 0:

@@ -389,7 +389,7 @@ func TestStartStopRealTimer(t *testing.T) {
 
 func TestRuntimeOverTCP(t *testing.T) {
 	factory := func(h transport.Handler) (transport.Transport, error) {
-		return transport.ListenTCP("127.0.0.1:0", h)
+		return transport.ListenTCP("127.0.0.1:0", h, transport.Limits{})
 	}
 	var nodes []*Node
 	for i := 0; i < 6; i++ {
@@ -534,7 +534,7 @@ func ExampleNode_GetPeer() {
 
 func TestSetTransportLimits(t *testing.T) {
 	tcpFactory := func(h transport.Handler) (transport.Transport, error) {
-		return transport.ListenTCP("127.0.0.1:0", h)
+		return transport.ListenTCP("127.0.0.1:0", h, transport.Limits{})
 	}
 	n, err := New(memConfig(core.Newscast), tcpFactory)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"peersampling/internal/chaos"
 	"peersampling/internal/fleet"
-	"peersampling/internal/transport"
 )
 
 // The hostile-network experiment runs a LIVE cluster over real loopback
@@ -122,8 +121,11 @@ func RunHostile(sc Scale, seed uint64, env LiveEnv) (*HostileResult, error) {
 		Attack:    flood.For,
 		Flooders:  flood.Flooders,
 	}
+	tmpl := shape.template()
+	tmpl.Transport.MaxConns = p.MaxConns
+	tmpl.Transport.KeepAlive = p.KeepAlive
 	f, err := env.boot(shape, fleet.Config{
-		Limits: transport.Limits{MaxConns: p.MaxConns, KeepAlive: p.KeepAlive},
+		Template: tmpl,
 		Name: func(i int) string {
 			if i == 0 {
 				return "victim"

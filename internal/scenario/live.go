@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"peersampling/internal/config"
 	"peersampling/internal/core"
 	"peersampling/internal/fleet"
 	"peersampling/internal/metrics"
@@ -81,19 +82,27 @@ type liveFleet struct {
 	head    liveHead
 }
 
+// template is the daemon config every member of a live fleet of this
+// shape starts from: Newscast over tcp with the shape's view size and
+// period. Experiments edit it before boot.
+func (s liveShape) template() config.Config {
+	t := config.Default()
+	t.Node.Protocol = core.Newscast.String()
+	t.Node.ViewSize = s.ViewSize
+	t.Node.Period = s.Period
+	t.Transport.Backend = "tcp"
+	return t
+}
+
 // boot is the one boot path of every live experiment. It builds env's
-// fleet from tmpl running Newscast over tcp with the shape's view size
-// and period, spawns shape.Nodes members from a single contact, and
-// waits (bounded) for every view to complete. The clock starts after the
+// fleet from cfg (whose Template is usually the shape's template,
+// edited), spawns shape.Nodes members from a single contact, and waits
+// (bounded) for every view to complete. The clock starts after the
 // spawn: under the subprocess driver forking a dozen daemons costs far
 // more wall time than gossip convergence at T=20ms, and that cost is the
 // driver's, not the protocol's. The caller closes the fleet.
-func (env LiveEnv) boot(s liveShape, tmpl fleet.Config) (*liveFleet, error) {
-	tmpl.Protocol = core.Newscast
-	tmpl.ViewSize = s.ViewSize
-	tmpl.Period = s.Period
-	tmpl.Backend = "tcp"
-	cluster, err := env.cluster(tmpl)
+func (env LiveEnv) boot(s liveShape, cfg fleet.Config) (*liveFleet, error) {
+	cluster, err := env.cluster(cfg)
 	if err != nil {
 		return nil, err
 	}

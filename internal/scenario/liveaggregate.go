@@ -110,12 +110,10 @@ func (r *LiveAggregateResult) CSV() map[string]string {
 // protocol randomness from their own addresses.
 func RunLiveAggregate(sc Scale, seed uint64, env LiveEnv) (*LiveAggregateResult, error) {
 	p := liveAggregateParams{liveShape: deriveShape(sc, 50, 8, 24), Polls: 40}
-	f, err := env.boot(p.liveShape, fleet.Config{
-		Workload: config.WorkloadSection{
-			Kind:   config.WorkloadAggregate,
-			Period: p.Period,
-		},
-	})
+	tmpl := p.template()
+	tmpl.Workload.Kind = config.WorkloadAggregate
+	tmpl.Workload.Period = p.Period
+	f, err := env.boot(p.liveShape, fleet.Config{Template: tmpl})
 	if err != nil {
 		return nil, err
 	}

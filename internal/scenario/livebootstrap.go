@@ -72,7 +72,7 @@ func (r *LiveBootstrapResult) Render() string {
 // from their own addresses, and socket timing is real.
 func RunLiveBootstrap(sc Scale, seed uint64, env LiveEnv) (*LiveBootstrapResult, error) {
 	p := deriveShape(sc, 50, 8, 24)
-	f, err := env.boot(p, fleet.Config{})
+	f, err := env.boot(p, fleet.Config{Template: p.template()})
 	if err != nil {
 		return nil, err
 	}

@@ -111,14 +111,12 @@ func RunLiveBroadcast(sc Scale, seed uint64, env LiveEnv) (*LiveBroadcastResult,
 		Fanout:       2,
 		KillFraction: plan.KillWaves()[0].Fraction,
 	}
-	f, err := env.boot(p.liveShape, fleet.Config{
-		Workload: config.WorkloadSection{
-			Kind:   config.WorkloadBroadcast,
-			Period: p.Period,
-			Fanout: p.Fanout,
-			Mode:   "infect-forever",
-		},
-	})
+	tmpl := p.template()
+	tmpl.Workload.Kind = config.WorkloadBroadcast
+	tmpl.Workload.Period = p.Period
+	tmpl.Workload.Fanout = p.Fanout
+	tmpl.Workload.Mode = "infect-forever"
+	f, err := env.boot(p.liveShape, fleet.Config{Template: tmpl})
 	if err != nil {
 		return nil, err
 	}

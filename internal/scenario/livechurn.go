@@ -130,7 +130,7 @@ func RunLiveChurn(sc Scale, seed uint64, env LiveEnv) (*LiveChurnResult, error) 
 		KillFraction: waves[0].Fraction,
 		Rounds:       len(waves),
 	}
-	f, err := env.boot(p.liveShape, fleet.Config{})
+	f, err := env.boot(p.liveShape, fleet.Config{Template: p.template()})
 	if err != nil {
 		return nil, err
 	}

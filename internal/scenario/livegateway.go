@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"peersampling/internal/chaos"
-	"peersampling/internal/config"
 	"peersampling/internal/fleet"
 	"peersampling/internal/load"
 	"peersampling/internal/metrics"
@@ -178,15 +177,13 @@ func RunLiveGateway(sc Scale, seed uint64, env LiveEnv) (*LiveGatewayResult, err
 		return nil, err
 	}
 	p := liveGatewayDerive(sc, plan)
-	f, err := env.boot(p.liveShape, fleet.Config{
-		Gateway: config.GatewaySection{
-			Addr:             "127.0.0.1:0",
-			Refresh:          p.Refresh,
-			RateRPS:          p.RateRPS,
-			Burst:            p.Burst,
-			TrustProxyHeader: true,
-		},
-	})
+	tmpl := p.template()
+	tmpl.Gateway.Addr = "127.0.0.1:0"
+	tmpl.Gateway.Refresh = p.Refresh
+	tmpl.Gateway.RateRPS = p.RateRPS
+	tmpl.Gateway.Burst = p.Burst
+	tmpl.Gateway.TrustProxyHeader = true
+	f, err := env.boot(p.liveShape, fleet.Config{Template: tmpl})
 	if err != nil {
 		return nil, err
 	}

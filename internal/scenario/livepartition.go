@@ -186,7 +186,7 @@ func RunLivePartition(sc Scale, seed uint64, env LiveEnv) (*LivePartitionResult,
 		FreshHop:    15,
 		SampleEvery: 50 * time.Millisecond,
 	}
-	f, err := env.boot(p.liveShape, fleet.Config{})
+	f, err := env.boot(p.liveShape, fleet.Config{Template: p.template()})
 	if err != nil {
 		return nil, err
 	}

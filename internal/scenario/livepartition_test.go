@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	goruntime "runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"peersampling/internal/metrics"
 )
@@ -11,14 +13,25 @@ import (
 // the scenario layer: the named plan must demonstrably cut fresh
 // cross-island knowledge while the partition rules hold and the fleet
 // must regain it after they expire, with the chaos_event timeline
-// exported next to the freshness trace. Run under -race in CI.
+// exported next to the freshness trace. Every goroutine the fleet, the
+// plan's rules and their expiry started must be gone once the run
+// returns. Run under -race in CI.
 func TestLivePartitionHealsAfterRuleExpiry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-socket partition scenario")
 	}
+	before := goruntime.NumGoroutine()
 	res, err := RunLivePartition(Quick, 17, LiveEnv{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := goruntime.NumGoroutine(); got > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("goroutines leaked: %d -> %d\n%s", before, got, buf[:goruntime.Stack(buf, true)])
 	}
 
 	if !res.Converged() {

@@ -153,7 +153,7 @@ func sinkingEcho(sink *appSink) AppHandler {
 
 func TestTCPAppExchange(t *testing.T) {
 	noop := func(Request) (Response, bool) { return Response{}, false }
-	server, err := ListenTCP("127.0.0.1:0", noop)
+	server, err := ListenTCP("127.0.0.1:0", noop, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTCPAppExchange(t *testing.T) {
 	sink := newAppSink()
 	server.SetAppHandler(sinkingEcho(sink))
 
-	client, err := ListenTCP("127.0.0.1:0", noop)
+	client, err := ListenTCP("127.0.0.1:0", noop, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTCPAppExchange(t *testing.T) {
 
 func TestPooledTCPAppExchange(t *testing.T) {
 	noop := func(Request) (Response, bool) { return Response{}, false }
-	server, err := ListenPooledTCP("127.0.0.1:0", noop, PoolConfig{})
+	server, err := ListenPooledTCP("127.0.0.1:0", noop, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPooledTCPAppExchange(t *testing.T) {
 	sink := newAppSink()
 	server.SetAppHandler(sinkingEcho(sink))
 
-	client, err := ListenPooledTCP("127.0.0.1:0", noop, PoolConfig{})
+	client, err := ListenPooledTCP("127.0.0.1:0", noop, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPooledTCPAppExchange(t *testing.T) {
 
 func TestUDPAppExchange(t *testing.T) {
 	noop := func(Request) (Response, bool) { return Response{}, false }
-	server, err := ListenUDP("127.0.0.1:0", noop)
+	server, err := ListenUDP("127.0.0.1:0", noop, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestUDPAppExchange(t *testing.T) {
 	sink := newAppSink()
 	server.SetAppHandler(sinkingEcho(sink))
 
-	client, err := ListenUDP("127.0.0.1:0", noop)
+	client, err := ListenUDP("127.0.0.1:0", noop, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,12 @@ func TestFabricAppExchange(t *testing.T) {
 
 func TestAppFrameNoHandlerDropped(t *testing.T) {
 	noop := func(Request) (Response, bool) { return Response{}, false }
-	server, err := ListenTCP("127.0.0.1:0", noop)
+	server, err := ListenTCP("127.0.0.1:0", noop, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client, err := ListenTCP("127.0.0.1:0", noop)
+	client, err := ListenTCP("127.0.0.1:0", noop, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

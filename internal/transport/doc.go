@@ -43,7 +43,7 @@
 //     Stats.KeepAliveEvictions.
 //
 // The keep-alive schedule interlocks with the connection pool: pooled
-// initiators abandon idle connections within PoolConfig.IdleTimeout, and
+// initiators abandon idle connections within DefaultIdleTimeout, and
 // the default passive budgets exceed it, so the serving side never closes
 // a connection a well-behaved peer might still write a push into. See
 // Limits.KeepAlive for the exact contract when tuning below the defaults,

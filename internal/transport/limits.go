@@ -33,6 +33,9 @@ const (
 // zero value selects the defaults above. All real backends accept a
 // Limits: the TCP backends apply every field, the UDP backend applies
 // MaxConns to concurrent handler dispatch (datagrams have no keep-alive).
+//
+// Each field's cfg tag is its key under the daemon config's "transport"
+// section, and every field may be reloaded live (see LimitsUpdater).
 type Limits struct {
 	// MaxConns caps how many accepted connections the listener serves
 	// concurrently. A connection arriving at the cap is closed immediately
@@ -43,23 +46,22 @@ type Limits struct {
 	// On the UDP backend MaxConns instead caps concurrent handler
 	// goroutines: a datagram arriving while all slots are busy is dropped
 	// and counted in Stats.AcceptRejects.
-	MaxConns int
+	MaxConns int `cfg:"max_conns" reload:"hot"`
 	// KeepAlive is the read budget between frames for served connections
 	// that have initiated at least one pull (WantReply) exchange. A
 	// connection idle past its budget is closed and counted in
 	// Stats.KeepAliveEvictions.
 	//
 	// Protocol note: pooled initiators evict their own idle connections
-	// within PoolConfig.IdleTimeout (at most DefaultIdleTimeout). Keeping
-	// KeepAlive above that is what guarantees the initiating side always
-	// abandons a connection before this side closes it — closing first
-	// would let a peer write a push into a dead socket and lose it
-	// silently. Setting KeepAlive at or below DefaultIdleTimeout trades
-	// that guarantee for faster fd reclamation; gossip tolerates the
-	// resulting rare push loss (delivery is best-effort by contract), but
-	// prefer lowering PoolConfig.IdleTimeout cluster-wide in step. Zero
-	// selects DefaultKeepAlive.
-	KeepAlive time.Duration
+	// within DefaultIdleTimeout. Keeping KeepAlive above that is what
+	// guarantees the initiating side always abandons a connection before
+	// this side closes it — closing first would let a peer write a push
+	// into a dead socket and lose it silently. Setting KeepAlive at or
+	// below DefaultIdleTimeout trades that guarantee for faster fd
+	// reclamation; gossip tolerates the resulting rare push loss
+	// (delivery is best-effort by contract). Zero selects
+	// DefaultKeepAlive; a non-zero value must be at least a millisecond.
+	KeepAlive time.Duration `cfg:"keepalive" reload:"hot"`
 	// PushOnlyKeepAlive is the shrunken budget for connections that have
 	// never initiated a pull. Peers that only ever push are exactly what a
 	// resource-holding attack looks like from the passive side, so they
@@ -67,13 +69,18 @@ type Limits struct {
 	// full KeepAlive. Zero derives DefaultPushOnlyKeepAlive, scaled
 	// proportionally when KeepAlive is non-default. Must not exceed
 	// KeepAlive.
-	PushOnlyKeepAlive time.Duration
+	PushOnlyKeepAlive time.Duration `cfg:"push_only_keepalive" reload:"hot"`
 	// FirstFrameTimeout bounds how long an accepted connection may sit
 	// silent before its opening frame — the slowloris window. Expiry
 	// counts in Stats.KeepAliveEvictions. Zero selects the smaller of the
 	// dial timeout (5s) and PushOnlyKeepAlive.
-	FirstFrameTimeout time.Duration
+	FirstFrameTimeout time.Duration `cfg:"first_frame_timeout" reload:"hot"`
 }
+
+// Validate reports the first rule lim breaks, naming the field by its
+// cfg key ("keepalive: must not be negative, got -1s"); the zero value
+// is valid. Listeners and SetLimits enforce the same rules.
+func (lim Limits) Validate() error { return lim.fill() }
 
 // fill validates lim and resolves zero values to defaults.
 func (lim *Limits) fill() error {
@@ -81,12 +88,16 @@ func (lim *Limits) fill() error {
 		lim.MaxConns = DefaultMaxConns
 	}
 	switch {
-	case lim.KeepAlive < 0 || lim.PushOnlyKeepAlive < 0 || lim.FirstFrameTimeout < 0:
-		return fmt.Errorf("transport: negative keep-alive limit %+v", *lim)
+	case lim.KeepAlive < 0:
+		return fmt.Errorf("keepalive: must not be negative, got %v", lim.KeepAlive)
+	case lim.PushOnlyKeepAlive < 0:
+		return fmt.Errorf("push_only_keepalive: must not be negative, got %v", lim.PushOnlyKeepAlive)
+	case lim.FirstFrameTimeout < 0:
+		return fmt.Errorf("first_frame_timeout: must not be negative, got %v", lim.FirstFrameTimeout)
 	case lim.KeepAlive == 0:
 		lim.KeepAlive = DefaultKeepAlive
 	case lim.KeepAlive < time.Millisecond:
-		return fmt.Errorf("transport: keep-alive %v is below the 1ms minimum", lim.KeepAlive)
+		return fmt.Errorf("keepalive: %v is below the 1ms minimum", lim.KeepAlive)
 	}
 	if lim.PushOnlyKeepAlive == 0 {
 		// Scale the 3/4 default ratio with a non-default KeepAlive so the
@@ -94,7 +105,7 @@ func (lim *Limits) fill() error {
 		lim.PushOnlyKeepAlive = 3 * lim.KeepAlive / 4
 	}
 	if lim.PushOnlyKeepAlive > lim.KeepAlive {
-		return fmt.Errorf("transport: push-only keep-alive %v exceeds keep-alive %v",
+		return fmt.Errorf("push_only_keepalive: %v exceeds the keep-alive budget %v",
 			lim.PushOnlyKeepAlive, lim.KeepAlive)
 	}
 	if lim.FirstFrameTimeout == 0 {

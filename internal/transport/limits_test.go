@@ -83,7 +83,7 @@ func TestLimitsFirstFrameFollowsShortKeepAlive(t *testing.T) {
 // slots free up.
 func TestTCPConnectionFloodRejected(t *testing.T) {
 	lim := Limits{MaxConns: 4, KeepAlive: 200 * time.Millisecond}
-	server, err := ListenTCPLimits("127.0.0.1:0", echoLimits, lim)
+	server, err := ListenTCP("127.0.0.1:0", echoLimits, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTCPConnectionFloodRejected(t *testing.T) {
 	}
 
 	// With slots reclaimed, a real exchange must succeed.
-	client, err := ListenTCP("127.0.0.1:0", echoLimits)
+	client, err := ListenTCP("127.0.0.1:0", echoLimits, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestTCPConnectionFloodRejected(t *testing.T) {
 // TestTCPUnlimitedConnsAdmitsEverything checks the negative-MaxConns
 // escape hatch (the pre-hardening behaviour).
 func TestTCPUnlimitedConnsAdmitsEverything(t *testing.T) {
-	server, err := ListenTCPLimits("127.0.0.1:0", echoLimits, Limits{MaxConns: -1})
+	server, err := ListenTCP("127.0.0.1:0", echoLimits, Limits{MaxConns: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestTCPUnlimitedConnsAdmitsEverything(t *testing.T) {
 		}
 		conns = append(conns, c)
 	}
-	client, err := ListenTCP("127.0.0.1:0", echoLimits)
+	client, err := ListenTCP("127.0.0.1:0", echoLimits, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestTCPUnlimitedConnsAdmitsEverything(t *testing.T) {
 // shrunken budget, while one that pulled survives the same idle span.
 func TestPushOnlyConnEvictedBeforePullConn(t *testing.T) {
 	lim := Limits{KeepAlive: 600 * time.Millisecond, PushOnlyKeepAlive: 120 * time.Millisecond}
-	server, err := ListenTCPLimits("127.0.0.1:0", echoLimits, lim)
+	server, err := ListenTCP("127.0.0.1:0", echoLimits, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +238,17 @@ func TestPushOnlyConnEvictedBeforePullConn(t *testing.T) {
 	}
 }
 
-// TestPooledTCPLimitsThreaded checks the pooled backend applies Limits
-// from PoolConfig: flood past the cap and verify rejects while pooled
+// TestPooledTCPLimitsThreaded checks the pooled backend applies its
+// Limits: flood past the cap and verify rejects while pooled
 // exchanges keep flowing.
 func TestPooledTCPLimitsThreaded(t *testing.T) {
-	server, err := ListenPooledTCP("127.0.0.1:0", echoLimits, PoolConfig{
-		Limits: Limits{MaxConns: 2, KeepAlive: 300 * time.Millisecond},
-	})
+	server, err := ListenPooledTCP("127.0.0.1:0", echoLimits, Limits{MaxConns: 2, KeepAlive: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
 
-	client, err := ListenPooledTCP("127.0.0.1:0", echoLimits, PoolConfig{})
+	client, err := ListenPooledTCP("127.0.0.1:0", echoLimits, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +295,7 @@ func TestPooledTCPLimitsThreaded(t *testing.T) {
 func TestUDPHandlerSlotsRejectFlood(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
-	server, err := ListenUDPLimits("127.0.0.1:0", func(req Request) (Response, bool) {
+	server, err := ListenUDP("127.0.0.1:0", func(req Request) (Response, bool) {
 		if req.From == "slow" {
 			<-release
 		}
@@ -309,7 +307,7 @@ func TestUDPHandlerSlotsRejectFlood(t *testing.T) {
 	defer server.Close()
 	defer once.Do(func() { close(release) })
 
-	client, err := ListenUDP("127.0.0.1:0", echoLimits)
+	client, err := ListenUDP("127.0.0.1:0", echoLimits, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

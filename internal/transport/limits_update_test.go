@@ -57,19 +57,19 @@ func TestSetLimitsRejectsInvalid(t *testing.T) {
 			LimitsUpdater
 			Transport
 		}, error) {
-			return ListenTCP("127.0.0.1:0", echoLimits)
+			return ListenTCP("127.0.0.1:0", echoLimits, Limits{})
 		}},
 		{"tcp-pooled", func() (interface {
 			LimitsUpdater
 			Transport
 		}, error) {
-			return ListenPooledTCP("127.0.0.1:0", echoLimits, PoolConfig{})
+			return ListenPooledTCP("127.0.0.1:0", echoLimits, Limits{})
 		}},
 		{"udp", func() (interface {
 			LimitsUpdater
 			Transport
 		}, error) {
-			return ListenUDP("127.0.0.1:0", echoLimits)
+			return ListenUDP("127.0.0.1:0", echoLimits, Limits{})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,7 +95,7 @@ func TestSetLimitsRejectsInvalid(t *testing.T) {
 // checks new connections beyond the lowered cap are refused while an
 // exchange through an admitted slot still works.
 func TestTCPSetLimitsResizesCap(t *testing.T) {
-	server, err := ListenTCPLimits("127.0.0.1:0", echoLimits, Limits{MaxConns: 16, KeepAlive: time.Second})
+	server, err := ListenTCP("127.0.0.1:0", echoLimits, Limits{MaxConns: 16, KeepAlive: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTCPSetLimitsResizesCap(t *testing.T) {
 	if err := server.SetLimits(Limits{MaxConns: 8, KeepAlive: time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	client, err := ListenTCP("127.0.0.1:0", echoLimits)
+	client, err := ListenTCP("127.0.0.1:0", echoLimits, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,7 @@ func TestTCPSetLimitsResizesCap(t *testing.T) {
 // re-read per frame: a connection opened under a generous keep-alive is
 // evicted by the shrunken budget applied after its first frame.
 func TestSetLimitsShrinksKeepAliveOnLiveConn(t *testing.T) {
-	server, err := ListenPooledTCP("127.0.0.1:0", echoLimits, PoolConfig{
-		Limits: Limits{KeepAlive: 30 * time.Second},
-	})
+	server, err := ListenPooledTCP("127.0.0.1:0", echoLimits, Limits{KeepAlive: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +191,7 @@ func TestUDPSetLimitsResizesHandlerCap(t *testing.T) {
 		<-release
 		return Response{From: "server"}, req.WantReply
 	}
-	server, err := ListenUDPLimits("127.0.0.1:0", slow, Limits{MaxConns: 4})
+	server, err := ListenUDP("127.0.0.1:0", slow, Limits{MaxConns: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

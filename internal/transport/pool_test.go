@@ -9,15 +9,16 @@ import (
 	"time"
 )
 
-// echoPooled starts a pooled server echoing pull requests.
-func echoPooled(t *testing.T, cfg PoolConfig) *TCP {
+// echoPooled starts a pooled server echoing pull requests, evicting idle
+// connections after idleTimeout.
+func echoPooled(t *testing.T, idleTimeout time.Duration) *TCP {
 	t.Helper()
-	server, err := ListenPooledTCP("127.0.0.1:0", func(req Request) (Response, bool) {
+	server, err := listenStream("127.0.0.1:0", func(req Request) (Response, bool) {
 		if !req.WantReply {
 			return Response{}, false
 		}
 		return Response{From: "server", Buffer: req.Buffer}, true
-	}, cfg)
+	}, Limits{}, idleTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,9 +26,9 @@ func echoPooled(t *testing.T, cfg PoolConfig) *TCP {
 	return server
 }
 
-func newPooledClient(t *testing.T, cfg PoolConfig) *TCP {
+func newPooledClient(t *testing.T, idleTimeout time.Duration) *TCP {
 	t.Helper()
-	client, err := ListenPooledTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, cfg)
+	client, err := listenStream("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, Limits{}, idleTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,19 +36,9 @@ func newPooledClient(t *testing.T, cfg PoolConfig) *TCP {
 	return client
 }
 
-func TestPooledTCPRejectsInvalidIdleTimeout(t *testing.T) {
-	h := func(Request) (Response, bool) { return Response{}, false }
-	if _, err := ListenPooledTCP("127.0.0.1:0", h, PoolConfig{IdleTimeout: 5 * time.Minute}); err == nil {
-		t.Error("idle timeout above the default accepted (would defeat the passive keep-alive guarantee)")
-	}
-	if _, err := ListenPooledTCP("127.0.0.1:0", h, PoolConfig{IdleTimeout: time.Nanosecond}); err == nil {
-		t.Error("sub-millisecond idle timeout accepted")
-	}
-}
-
 func TestPooledTCPRoundTrip(t *testing.T) {
-	server := echoPooled(t, PoolConfig{})
-	client := newPooledClient(t, PoolConfig{})
+	server := echoPooled(t, DefaultIdleTimeout)
+	client := newPooledClient(t, DefaultIdleTimeout)
 	req := Request{From: client.Addr(), WantReply: true, Buffer: []Descriptor{{Addr: "x", Hop: 2}}}
 	resp, ok, err := client.Exchange(context.Background(), server.Addr(), req)
 	if err != nil || !ok {
@@ -59,8 +50,8 @@ func TestPooledTCPRoundTrip(t *testing.T) {
 }
 
 func TestPooledTCPReusesConnection(t *testing.T) {
-	server := echoPooled(t, PoolConfig{})
-	client := newPooledClient(t, PoolConfig{})
+	server := echoPooled(t, DefaultIdleTimeout)
+	client := newPooledClient(t, DefaultIdleTimeout)
 	req := Request{From: client.Addr(), WantReply: true, Buffer: []Descriptor{{Addr: "x", Hop: 1}}}
 	for i := 0; i < 5; i++ {
 		if _, ok, err := client.Exchange(context.Background(), server.Addr(), req); err != nil || !ok {
@@ -84,12 +75,12 @@ func TestPooledTCPPushOnly(t *testing.T) {
 	server, err := ListenPooledTCP("127.0.0.1:0", func(req Request) (Response, bool) {
 		received <- req
 		return Response{}, false
-	}, PoolConfig{})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client := newPooledClient(t, PoolConfig{})
+	client := newPooledClient(t, DefaultIdleTimeout)
 
 	// Two pushes must travel over one pooled connection.
 	for i := 0; i < 2; i++ {
@@ -112,14 +103,14 @@ func TestPooledTCPPushOnly(t *testing.T) {
 }
 
 func TestPooledTCPIdleEviction(t *testing.T) {
-	cfg := PoolConfig{IdleTimeout: 40 * time.Millisecond}
-	server := echoPooled(t, cfg)
-	client := newPooledClient(t, cfg)
+	idle := 40 * time.Millisecond
+	server := echoPooled(t, idle)
+	client := newPooledClient(t, idle)
 	req := Request{From: client.Addr(), WantReply: true}
 	if _, _, err := client.Exchange(context.Background(), server.Addr(), req); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the sweeper (period IdleTimeout/4) to evict the idle conn.
+	// Wait for the sweeper (period idle/4) to evict the idle conn.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		client.mu.Lock()
@@ -144,8 +135,8 @@ func TestPooledTCPIdleEviction(t *testing.T) {
 func TestPooledTCPRetriesStaleConnection(t *testing.T) {
 	// Give only the client a long idle timeout; restart-like staleness is
 	// simulated by closing the server between exchanges.
-	server := echoPooled(t, PoolConfig{})
-	client := newPooledClient(t, PoolConfig{})
+	server := echoPooled(t, DefaultIdleTimeout)
+	client := newPooledClient(t, DefaultIdleTimeout)
 	req := Request{From: client.Addr(), WantReply: true}
 	if _, _, err := client.Exchange(context.Background(), server.Addr(), req); err != nil {
 		t.Fatal(err)
@@ -157,7 +148,7 @@ func TestPooledTCPRetriesStaleConnection(t *testing.T) {
 	// Bring a new server up on the same address.
 	server2, err := ListenPooledTCP(addr, func(req Request) (Response, bool) {
 		return Response{From: "reborn", Buffer: req.Buffer}, req.WantReply
-	}, PoolConfig{})
+	}, Limits{})
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
@@ -176,8 +167,8 @@ func TestPooledTCPRetriesStaleConnection(t *testing.T) {
 }
 
 func TestPooledTCPConcurrentExchanges(t *testing.T) {
-	server := echoPooled(t, PoolConfig{})
-	client := newPooledClient(t, PoolConfig{})
+	server := echoPooled(t, DefaultIdleTimeout)
+	client := newPooledClient(t, DefaultIdleTimeout)
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for i := 0; i < 32; i++ {
@@ -218,12 +209,12 @@ func TestPooledTCPMisbehavedHandlerKeepsStreamInSync(t *testing.T) {
 	server, err := ListenPooledTCP("127.0.0.1:0", func(req Request) (Response, bool) {
 		// Always claim a response, even for WantReply=false pushes.
 		return Response{From: "server", Buffer: req.Buffer}, true
-	}, PoolConfig{})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client := newPooledClient(t, PoolConfig{})
+	client := newPooledClient(t, DefaultIdleTimeout)
 
 	// A push followed by a pushpull over the same pooled connection.
 	if _, ok, err := client.Exchange(context.Background(), server.Addr(),
@@ -251,13 +242,13 @@ func TestPooledTCPPushNeverReusesAgedConn(t *testing.T) {
 	server, err := ListenPooledTCP("127.0.0.1:0", func(req Request) (Response, bool) {
 		received <- req
 		return Response{}, false
-	}, PoolConfig{})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	cfg := PoolConfig{IdleTimeout: 50 * time.Millisecond}
-	client := newPooledClient(t, cfg)
+	idle := 50 * time.Millisecond
+	client := newPooledClient(t, idle)
 	push := Request{From: client.Addr()}
 	if _, _, err := client.Exchange(context.Background(), server.Addr(), push); err != nil {
 		t.Fatal(err)
@@ -267,7 +258,7 @@ func TestPooledTCPPushNeverReusesAgedConn(t *testing.T) {
 	// it back into the pool so only the borrow-time check can reject it.
 	client.mu.Lock()
 	for _, pc := range client.idle[server.Addr()] {
-		pc.idleFrom = pc.idleFrom.Add(-2 * cfg.IdleTimeout)
+		pc.idleFrom = pc.idleFrom.Add(-2 * idle)
 	}
 	client.mu.Unlock()
 	if _, _, err := client.Exchange(context.Background(), server.Addr(), push); err != nil {
@@ -292,12 +283,12 @@ func TestPooledClientAgainstPlainTCPServer(t *testing.T) {
 	server, err := ListenTCP("127.0.0.1:0", func(req Request) (Response, bool) {
 		received <- req
 		return Response{From: "plain", Buffer: req.Buffer}, req.WantReply
-	})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client := newPooledClient(t, PoolConfig{})
+	client := newPooledClient(t, DefaultIdleTimeout)
 
 	// Pushes and a pushpull interleaved over one pooled connection.
 	for i := 0; i < 2; i++ {
@@ -322,8 +313,8 @@ func TestPooledClientAgainstPlainTCPServer(t *testing.T) {
 }
 
 func TestPooledTCPClose(t *testing.T) {
-	server := echoPooled(t, PoolConfig{})
-	client := newPooledClient(t, PoolConfig{})
+	server := echoPooled(t, DefaultIdleTimeout)
+	client := newPooledClient(t, DefaultIdleTimeout)
 	if _, _, err := client.Exchange(context.Background(), server.Addr(),
 		Request{From: client.Addr(), WantReply: true}); err != nil {
 		t.Fatal(err)

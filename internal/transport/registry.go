@@ -10,13 +10,13 @@ var backends = []struct {
 	build func(listen string, lim Limits) Factory
 }{
 	{"tcp", func(listen string, lim Limits) Factory {
-		return func(h Handler) (Transport, error) { return ListenTCPLimits(listen, h, lim) }
+		return func(h Handler) (Transport, error) { return ListenTCP(listen, h, lim) }
 	}},
 	{"tcp-pooled", func(listen string, lim Limits) Factory {
-		return func(h Handler) (Transport, error) { return ListenPooledTCP(listen, h, PoolConfig{Limits: lim}) }
+		return func(h Handler) (Transport, error) { return ListenPooledTCP(listen, h, lim) }
 	}},
 	{"udp", func(listen string, lim Limits) Factory {
-		return func(h Handler) (Transport, error) { return ListenUDPLimits(listen, h, lim) }
+		return func(h Handler) (Transport, error) { return ListenUDP(listen, h, lim) }
 	}},
 }
 

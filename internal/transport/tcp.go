@@ -17,64 +17,31 @@ import (
 // caller's context has no earlier deadline.
 const tcpDefaultTimeout = 5 * time.Second
 
-// Pool tuning defaults. Gossip traffic is one exchange per peer per
-// period, so a small idle pool per peer is plenty; the idle timeout only
-// needs to outlive a handful of periods to turn every steady-state
-// exchange into a reuse.
+// Pool tuning. Gossip traffic is one exchange per peer per period, so a
+// small idle pool per peer is plenty; the idle timeout only needs to
+// outlive a handful of periods to turn every steady-state exchange into
+// a reuse.
 const (
 	// DefaultMaxIdlePerPeer caps the idle connections a pooled transport
 	// retains per peer address; surplus connections are closed on release.
 	DefaultMaxIdlePerPeer = 2
-	DefaultIdleTimeout    = time.Minute
+	// DefaultIdleTimeout evicts pooled connections unused for this long.
+	// The passive side of every TCP backend keeps served connections for
+	// (by default) twice as long, and the initiating side abandoning a
+	// connection first is what guarantees a push is never written into a
+	// connection the peer has already closed.
+	DefaultIdleTimeout = time.Minute
 	// poolSweepDivisor sets how often the eviction sweep runs relative to
 	// the idle timeout.
 	poolSweepDivisor = 4
-	// noIdlePool is the idle budget ListenTCP builds the stream transport
-	// with: release closes every connection, so each exchange dials a
-	// fresh one and the stale-connection retry never fires.
-	noIdlePool = 0
 )
-
-// PoolConfig tunes the idle pool of a transport built by ListenPooledTCP.
-// The zero value selects the defaults above.
-type PoolConfig struct {
-	// IdleTimeout evicts pooled connections unused for this long. Values
-	// above DefaultIdleTimeout (or below a millisecond) are rejected at
-	// construction: the passive side of every TCP backend keeps served
-	// connections for (by default) twice the DEFAULT idle timeout, and the
-	// initiating side abandoning a connection within the default window is
-	// what guarantees a push is never written into a connection the peer
-	// has already closed.
-	IdleTimeout time.Duration
-	// Limits hardens the listener side (connection cap, keep-alive
-	// budgets); the zero value selects the defaults. It bounds what this
-	// endpoint serves, not what it dials.
-	Limits Limits
-}
-
-func (c *PoolConfig) fill() error {
-	switch {
-	case c.IdleTimeout == 0:
-		c.IdleTimeout = DefaultIdleTimeout
-	case c.IdleTimeout < time.Millisecond:
-		// Also guards the sweep ticker: IdleTimeout below
-		// poolSweepDivisor nanoseconds would zero its interval.
-		return fmt.Errorf("transport: pool idle timeout %v is below the 1ms minimum", c.IdleTimeout)
-	case c.IdleTimeout > DefaultIdleTimeout:
-		// Silently clamping would quietly disable pooling instead;
-		// surface the conflict with the passive keep-alive guarantee.
-		return fmt.Errorf("transport: pool idle timeout %v exceeds the %v maximum (peers only keep served connections for twice that long)",
-			c.IdleTimeout, DefaultIdleTimeout)
-	}
-	return c.Limits.fill()
-}
 
 // TCP is the stream transport: length-prefixed gossip and app frames over
 // TCP connections, one request frame and, for pulls, one reply frame per
 // exchange. Built by ListenPooledTCP (the "tcp-pooled" backend) it keeps
 // a small idle pool per peer and runs many exchanges over each
 // connection, amortising the dial across the node's lifetime; idle
-// connections are evicted after PoolConfig.IdleTimeout. Built by
+// connections are evicted after DefaultIdleTimeout. Built by
 // ListenTCP (the "tcp" backend) it keeps no idle connections, so every
 // exchange dials a fresh one — the simple baseline, where the dial
 // dominates at high gossip rates. The passive side is the same either
@@ -83,7 +50,7 @@ func (c *PoolConfig) fill() error {
 type TCP struct {
 	listener    net.Listener
 	handler     Handler
-	maxIdle     int // idle connections kept per peer; noIdlePool for "tcp"
+	maxIdle     int // idle connections kept per peer; 0 for "tcp"
 	idleTimeout time.Duration
 	limits      limitsBox // current serve-side Limits
 	apps        appHandlerBox
@@ -116,33 +83,28 @@ type pooledConn struct {
 }
 
 // ListenTCP starts serving on addr (e.g. "127.0.0.1:0") with h handling
-// incoming exchanges, under the default Limits. Every exchange it
-// initiates dials a fresh connection.
-func ListenTCP(addr string, h Handler) (*TCP, error) {
-	return ListenTCPLimits(addr, h, Limits{})
+// incoming exchanges, hardened by lim (the zero Limits selects the
+// defaults). Every exchange it initiates dials a fresh connection.
+func ListenTCP(addr string, h Handler, lim Limits) (*TCP, error) {
+	return listenStream(addr, h, lim, 0)
 }
 
-// ListenTCPLimits is ListenTCP with explicit transport hardening limits
-// (connection cap and keep-alive budgets); the zero Limits selects the
-// defaults.
-func ListenTCPLimits(addr string, h Handler, lim Limits) (*TCP, error) {
-	return listenStream(addr, h, PoolConfig{Limits: lim}, false)
+// ListenPooledTCP is ListenTCP with outbound connections pooled: up to
+// DefaultMaxIdlePerPeer per peer, each evicted once idle for
+// DefaultIdleTimeout.
+func ListenPooledTCP(addr string, h Handler, lim Limits) (*TCP, error) {
+	return listenStream(addr, h, lim, DefaultIdleTimeout)
 }
 
-// ListenPooledTCP starts serving on addr with h handling incoming
-// exchanges, pooling outbound connections per PoolConfig.
-func ListenPooledTCP(addr string, h Handler, cfg PoolConfig) (*TCP, error) {
-	return listenStream(addr, h, cfg, true)
-}
-
-// listenStream builds the stream transport, with the idle pool cfg
-// describes or, unpooled, with noIdlePool.
-func listenStream(addr string, h Handler, cfg PoolConfig, pooled bool) (*TCP, error) {
+// listenStream builds the stream transport. A positive idleTimeout keeps
+// an idle pool evicted after that long; zero keeps none, so release
+// closes every connection and the stale-connection retry never fires.
+func listenStream(addr string, h Handler, lim Limits, idleTimeout time.Duration) (*TCP, error) {
 	if h == nil {
 		return nil, errors.New("transport: nil handler")
 	}
-	if err := cfg.fill(); err != nil {
-		return nil, err
+	if err := lim.fill(); err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -151,17 +113,16 @@ func listenStream(addr string, h Handler, cfg PoolConfig, pooled bool) (*TCP, er
 	t := &TCP{
 		listener:    l,
 		handler:     h,
-		maxIdle:     noIdlePool,
-		idleTimeout: cfg.IdleTimeout,
+		idleTimeout: idleTimeout,
 		idle:        make(map[string][]*pooledConn),
 		reg:         newConnRegistry(),
 		stop:        make(chan struct{}),
 	}
-	t.limits.store(cfg.Limits)
-	t.gate = newConnGate(cfg.Limits.MaxConns, &t.stats.acceptRejects)
+	t.limits.store(lim)
+	t.gate = newConnGate(lim.MaxConns, &t.stats.acceptRejects)
 	t.wg.Add(1)
 	go t.serve()
-	if pooled {
+	if idleTimeout > 0 {
 		t.maxIdle = DefaultMaxIdlePerPeer
 		t.sweeper = loop.Every(func() time.Duration { return t.idleTimeout / poolSweepDivisor },
 			func() bool { t.sweep(time.Now()); return true })
@@ -175,7 +136,7 @@ func listenStream(addr string, h Handler, cfg PoolConfig, pooled bool) (*TCP, er
 // dialing side's pool tuning is fixed at construction.
 func (t *TCP) SetLimits(lim Limits) error {
 	if err := lim.fill(); err != nil {
-		return err
+		return fmt.Errorf("transport: %w", err)
 	}
 	t.limits.store(lim)
 	t.gate.setMax(lim.MaxConns)
@@ -355,7 +316,7 @@ func (t *TCP) dial(ctx context.Context, addr string, deadline time.Time) (*poole
 }
 
 // release returns a healthy connection to the idle pool, or closes it if
-// the pool is full (always, with noIdlePool) or the transport shut down
+// the pool is full (always for "tcp") or the transport shut down
 // meanwhile.
 func (t *TCP) release(addr string, pc *pooledConn) {
 	pc.idleFrom = time.Now()

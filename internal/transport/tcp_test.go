@@ -14,13 +14,13 @@ func TestTCPExchangeRoundTrip(t *testing.T) {
 			return Response{}, false
 		}
 		return Response{From: "server", Buffer: req.Buffer}, true
-	})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
 
-	client, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false })
+	client, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +41,12 @@ func TestTCPPushOnly(t *testing.T) {
 	server, err := ListenTCP("127.0.0.1:0", func(req Request) (Response, bool) {
 		received <- req
 		return Response{}, false
-	})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	client, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false })
+	client, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestTCPPushOnly(t *testing.T) {
 }
 
 func TestTCPUnreachable(t *testing.T) {
-	client, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false })
+	client, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTCPUnreachable(t *testing.T) {
 }
 
 func TestTCPCloseStopsService(t *testing.T) {
-	server, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false })
+	server, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTCPCloseStopsService(t *testing.T) {
 func TestTCPServerSurvivesGarbage(t *testing.T) {
 	server, err := ListenTCP("127.0.0.1:0", func(req Request) (Response, bool) {
 		return Response{From: "server"}, req.WantReply
-	})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTCPServerSurvivesGarbage(t *testing.T) {
 	_, _ = conn.Write([]byte{0x00, 0x00, 0x00, 0x03, 0xDE, 0xAD, 0xBE})
 	conn.Close()
 
-	client, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false })
+	client, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTCPServerSurvivesGarbage(t *testing.T) {
 }
 
 func TestTCPRejectsOversizedFrame(t *testing.T) {
-	server, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false })
+	server, err := ListenTCP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

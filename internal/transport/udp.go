@@ -81,20 +81,15 @@ type udpRequest struct {
 const udpDefaultTimeout = 2 * time.Second
 
 // ListenUDP starts serving datagrams on addr (e.g. "127.0.0.1:0") with h
-// handling incoming exchanges, under the default Limits.
-func ListenUDP(addr string, h Handler) (*UDP, error) {
-	return ListenUDPLimits(addr, h, Limits{})
-}
-
-// ListenUDPLimits is ListenUDP with explicit transport hardening limits.
-// Only Limits.MaxConns applies (it caps concurrent handler goroutines);
-// datagrams have no connections to keep alive.
-func ListenUDPLimits(addr string, h Handler, lim Limits) (*UDP, error) {
+// handling incoming exchanges, hardened by lim (the zero Limits selects
+// the defaults). Only Limits.MaxConns applies (it caps concurrent handler
+// goroutines); datagrams have no connections to keep alive.
+func ListenUDP(addr string, h Handler, lim Limits) (*UDP, error) {
 	if h == nil {
 		return nil, errors.New("transport: nil handler")
 	}
 	if err := lim.fill(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("transport: %w", err)
 	}
 	uaddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -115,7 +110,7 @@ func ListenUDPLimits(addr string, h Handler, lim Limits) (*UDP, error) {
 // backend uses) to the live socket.
 func (t *UDP) SetLimits(lim Limits) error {
 	if err := lim.fill(); err != nil {
-		return err
+		return fmt.Errorf("transport: %w", err)
 	}
 	t.gate.setMax(lim.MaxConns)
 	return nil

@@ -17,7 +17,7 @@ func echoUDP(t *testing.T) *UDP {
 			return Response{}, false
 		}
 		return Response{From: "server", Buffer: req.Buffer}, true
-	})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func echoUDP(t *testing.T) *UDP {
 
 func newUDPClient(t *testing.T) *UDP {
 	t.Helper()
-	client, err := ListenUDP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false })
+	client, err := ListenUDP("127.0.0.1:0", func(Request) (Response, bool) { return Response{}, false }, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestUDPPushOnly(t *testing.T) {
 	server, err := ListenUDP("127.0.0.1:0", func(req Request) (Response, bool) {
 		received <- req
 		return Response{}, false
-	})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func NewFabric() *Fabric { return transport.NewFabric() }
 // TransportLimits hardens the listener; omitted, the defaults apply.
 func TCPFactory(listen string, lim ...TransportLimits) TransportFactory {
 	return func(h transport.Handler) (transport.Transport, error) {
-		return transport.ListenTCPLimits(listen, h, firstLimit(lim))
+		return transport.ListenTCP(listen, h, firstLimit(lim))
 	}
 }
 
@@ -170,7 +170,7 @@ func firstLimit(lim []TransportLimits) TransportLimits {
 // apply.
 func PooledTCPFactory(listen string, lim ...TransportLimits) TransportFactory {
 	return func(h transport.Handler) (transport.Transport, error) {
-		return transport.ListenPooledTCP(listen, h, transport.PoolConfig{Limits: firstLimit(lim)})
+		return transport.ListenPooledTCP(listen, h, firstLimit(lim))
 	}
 }
 
@@ -185,7 +185,7 @@ func PooledTCPFactory(listen string, lim ...TransportLimits) TransportFactory {
 // the defaults apply.
 func UDPFactory(listen string, lim ...TransportLimits) TransportFactory {
 	return func(h transport.Handler) (transport.Transport, error) {
-		return transport.ListenUDPLimits(listen, h, firstLimit(lim))
+		return transport.ListenUDP(listen, h, firstLimit(lim))
 	}
 }
 

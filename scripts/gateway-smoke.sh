@@ -8,76 +8,18 @@
 # must come back 429. Run from the repository root.
 set -eu
 
-tmp=$(mktemp -d)
-pids=""
-cleanup() {
-    for pid in $pids; do
-        kill "$pid" 2>/dev/null || true
-    done
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-go build -o "$tmp/psnode" ./cmd/psnode
-
-# Member 0 is the contact; write its config first, boot it, then template
-# the other five against its discovered gossip address.
-write_config() {
-    # write_config <dir> <contact-or-empty>
-    contacts="[]"
-    if [ -n "$2" ]; then
-        contacts="[\"$2\"]"
-    fi
-    cat >"$1/config.json" <<EOF
-{
-  "version": 1,
-  "node": {
-    "listen": "127.0.0.1:0",
-    "contacts": $contacts,
-    "view_size": 8,
-    "period": "100ms"
-  },
-  "transport": { "backend": "tcp" },
-  "control": {
-    "addr": "127.0.0.1:0",
-    "ready_file": "$1/ready.json"
-  },
-  "gateway": {
+period=100ms
+gateway='{
     "addr": "127.0.0.1:0",
     "batch_size": 8,
     "refresh": "100ms",
     "rate_rps": 5,
     "burst": 10
-  }
-}
-EOF
-}
-
-boot() {
-    # boot <dir>; waits for the ready file
-    "$tmp/psnode" -config "$1/config.json" >"$1/psnode.log" 2>&1 &
-    pids="$pids $!"
-    i=0
-    while [ ! -f "$1/ready.json" ]; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "member in $1 never became ready:" >&2
-            cat "$1/psnode.log" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-
-mkdir "$tmp/node0"
-write_config "$tmp/node0" ""
-boot "$tmp/node0"
-contact=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$tmp/node0/ready.json")
+  }'
+. ./scripts/smoke-lib.sh
 
 for n in 1 2 3 4 5; do
-    mkdir "$tmp/node$n"
-    write_config "$tmp/node$n" "$contact"
-    boot "$tmp/node$n"
+    start_member "$n" "$contact"
 done
 
 # Discover node5's gateway address through its control agent: the

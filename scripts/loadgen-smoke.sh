@@ -7,80 +7,24 @@
 # live-smoke.sh's job. Run from the repository root.
 set -eu
 
-tmp=$(mktemp -d)
-pids=""
-cleanup() {
-    for pid in $pids; do
-        kill "$pid" 2>/dev/null || true
-    done
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
-go build -o "$tmp/psnode" ./cmd/psnode
-go build -o "$tmp/psload" ./cmd/psload
-
 # trust_proxy_header lets psload's -spoof-clients emulate distinct
 # clients through one loopback socket; the per-client limit is set high
 # enough that a clean run sees no 429s.
-write_config() {
-    # write_config <dir> <contact-or-empty>
-    contacts="[]"
-    if [ -n "$2" ]; then
-        contacts="[\"$2\"]"
-    fi
-    cat >"$1/config.json" <<EOF
-{
-  "version": 1,
-  "node": {
-    "listen": "127.0.0.1:0",
-    "contacts": $contacts,
-    "view_size": 8,
-    "period": "50ms"
-  },
-  "transport": { "backend": "tcp" },
-  "control": {
-    "addr": "127.0.0.1:0",
-    "ready_file": "$1/ready.json"
-  },
-  "gateway": {
+period=50ms
+gateway='{
     "addr": "127.0.0.1:0",
     "refresh": "100ms",
     "rate_rps": 200,
     "burst": 400,
     "trust_proxy_header": true
-  }
-}
-EOF
-}
-
-boot() {
-    # boot <dir>; waits for the ready file
-    "$tmp/psnode" -config "$1/config.json" >"$1/psnode.log" 2>&1 &
-    pids="$pids $!"
-    i=0
-    while [ ! -f "$1/ready.json" ]; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "member in $1 never became ready:" >&2
-            cat "$1/psnode.log" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
-}
-
-mkdir "$tmp/node0"
-write_config "$tmp/node0" ""
-boot "$tmp/node0"
-contact=$(sed -n 's/.*"addr":"\([^"]*\)".*/\1/p' "$tmp/node0/ready.json")
+  }'
+. ./scripts/smoke-lib.sh
+go build -o "$tmp/psload" ./cmd/psload
 
 targets=""
 for n in 0 1 2 3; do
     if [ "$n" -gt 0 ]; then
-        mkdir "$tmp/node$n"
-        write_config "$tmp/node$n" "$contact"
-        boot "$tmp/node$n"
+        start_member "$n" "$contact"
     fi
     # The daemon reports its bound gateway address in the ready file.
     gw=$(sed -n 's/.*"gateway_addr":"\([^"]*\)".*/\1/p' "$tmp/node$n/ready.json")
