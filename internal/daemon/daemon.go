@@ -252,23 +252,24 @@ func (m *Manager) Reload(next config.Config) (config.ReloadDiff, error) {
 	m.mu.Unlock()
 
 	var errs []error
-	took := map[string]bool{} // hot section -> a running component took it
+	outcomes := map[string]string{} // hot section -> what became of its change
 	for _, path := range diff.Hot {
 		section, _, _ := strings.Cut(path, ".")
-		applied, done := took[section]
+		outcome, done := outcomes[section]
 		if !done {
-			ok, err := m.applyHot(section, merged, running)
-			if err != nil {
+			applied, err := m.applyHot(section, merged, running)
+			switch {
+			case err != nil:
 				errs = append(errs, fmt.Errorf("%s: %w", section, err))
+				outcome = "not applied"
+			case applied:
+				outcome = "applied"
+			default:
+				outcome = "recorded for the next start"
 			}
-			applied = ok && err == nil
-			took[section] = applied
+			outcomes[section] = outcome
 		}
-		if applied {
-			m.logf("reload: applied %s", path)
-		} else {
-			m.logf("reload: recorded %s for the next start", path)
-		}
+		m.logf("reload: %s %s", path, outcome)
 	}
 	for _, path := range diff.Restart {
 		m.logf("reload: %s requires a restart; keeping the running value", path)

@@ -338,14 +338,14 @@ func TestReloadLogsWhatRunningComponentsTook(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for _, want := range []string{
-		"reload: recorded gateway.burst for the next start",
-		"reload: applied transport.max_conns",
+		"reload: gateway.burst recorded for the next start",
+		"reload: transport.max_conns applied",
 	} {
 		if !slices.Contains(lines, want) {
 			t.Errorf("log lacks %q:\n%s", want, strings.Join(lines, "\n"))
 		}
 	}
-	if slices.Contains(lines, "reload: applied gateway.burst") {
+	if slices.Contains(lines, "reload: gateway.burst applied") {
 		t.Error("log claims a gateway that is not running applied gateway.burst")
 	}
 }
