@@ -15,10 +15,9 @@
 // the gateway section's gateway.Config onto the gateway, added contacts
 // into the view — logging a change as applied only when a running
 // component took it. It reports the restart-required remainder for the
-// operator to act on. The dumper and reporter run on
-// internal/loop and read the report interval each round, so a reloaded
-// interval applies from their next round. cmd/psnode triggers Reload
-// from SIGHUP.
+// operator to act on. The dumper and reporter run on internal/loop and
+// read the report interval each round, so a reloaded interval applies
+// from their next round. cmd/psnode triggers Reload from SIGHUP.
 //
 // # Agent endpoint contract
 //
