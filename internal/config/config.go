@@ -237,6 +237,9 @@ func (c Config) Validate() error {
 		if c.Gateway.Burst <= 0 {
 			return fmt.Errorf("gateway.burst: must be positive, got %d", c.Gateway.Burst)
 		}
+		if err := c.Gateway.Config.Validate(); err != nil {
+			return fmt.Errorf("gateway.%w", err)
+		}
 	}
 	if err := validateWorkload(c.Workload); err != nil {
 		return err

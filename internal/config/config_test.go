@@ -133,6 +133,7 @@ var loadRejections = []struct {
 	{"zero gateway batch", `{"gateway": {"addr": "127.0.0.1:8080", "batch_size": 0}}`, "gateway.batch_size: must be positive"},
 	{"zero gateway refresh", `{"gateway": {"addr": "127.0.0.1:8080", "refresh": "0s"}}`, "gateway.refresh: must be positive"},
 	{"zero gateway rate", `{"gateway": {"addr": "127.0.0.1:8080", "rate_rps": 0}}`, "gateway.rate_rps: must be positive"},
+	{"sub-ms gateway refresh", `{"gateway": {"addr": "127.0.0.1:8080", "refresh": "500us"}}`, "gateway.refresh: 500µs is below the 1ms minimum"},
 	{"negative gateway burst", `{"gateway": {"addr": "127.0.0.1:8080", "burst": -1}}`, "gateway.burst: must be positive"},
 	{"section not a mapping", `{"node": 42}`, "node: want a mapping"},
 	{"duplicate key", `{"node": {"listen": "127.0.0.1:1", "listen": "127.0.0.1:2"}}`, "node.listen: duplicate key"},

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"sort"
 )
 
 // Descriptor is a single entry of a partial view: the address of a peer
@@ -35,7 +35,7 @@ func IncreaseHop[A comparable](buf []Descriptor[A]) {
 // that the first and last k elements are not always uniquely defined by
 // the ordering.
 func SortByHop[A comparable](buf []Descriptor[A]) {
-	sort.SliceStable(buf, func(i, j int) bool { return buf[i].Hop < buf[j].Hop })
+	slices.SortStableFunc(buf, func(a, b Descriptor[A]) int { return cmp.Compare(a.Hop, b.Hop) })
 }
 
 // Merge returns the union of the two hop-ordered descriptor lists, ordered
@@ -50,37 +50,73 @@ func Merge[A comparable](first, second []Descriptor[A]) []Descriptor[A] {
 	return MergeInto(make([]Descriptor[A], 0, len(first)+len(second)), first, second)
 }
 
-// mergeSeed keys the address hash of MergeInto's dedup table.
-var mergeSeed = maphash.MakeSeed()
-
 // MergeInto is Merge writing its result into dst (which is truncated
 // first and must not alias either input). It returns the possibly grown
 // dst, so callers holding a reusable scratch slice can merge without
 // allocating once the scratch has reached steady-state capacity.
 func MergeInto[A comparable](dst, first, second []Descriptor[A]) []Descriptor[A] {
-	// Grow dst to the worst case up front: reusable scratches then reach
-	// their steady-state capacity on the first merge instead of creeping
-	// towards it over many cycles, each growth step paying an allocation.
+	return mergeKeep(dst, first, second, nil, len(first)+len(second))
+}
+
+// mergeSeed keys the address hash of the merge's dedup table for every
+// address type but int32.
+var mergeSeed = maphash.MakeSeed()
+
+// fibMul is 2^64 divided by the golden ratio: multiplying by it spreads
+// an int32 address over the high bits, which the dedup table indexes by,
+// so addresses sharing their low bits still land apart.
+const fibMul = 0x9E3779B97F4A7C15
+
+// mergeKeep is the one merge: MergeInto's result with every descriptor
+// for *drop left out (drop may be nil), cut to its first limit entries.
+// The output is produced in hop order, so it stops as soon as limit
+// descriptors are kept: under head view selection the stale rest of the
+// inputs is never visited, let alone hashed.
+func mergeKeep[A comparable](dst, first, second []Descriptor[A], drop *A, limit int) []Descriptor[A] {
 	n := len(first) + len(second)
-	out := slices.Grow(dst[:0], n)
+	keep := min(n, limit)
+	// Grow dst to the most it can keep up front: reusable scratches then
+	// reach their steady-state capacity on the first merge instead of
+	// creeping towards it over many cycles, each growth step paying an
+	// allocation.
+	out := slices.Grow(dst[:0], keep)
 	// seen is an open-addressing set over out: a slot holds index+1 of the
-	// output entry whose address hashed there, 0 when empty. Sized to a
-	// power of two of at least 2n it stays at most half full, and up to
-	// c = 63 it fits the stack array, so merging is linear and
-	// allocation-free. The hash only answers "already kept?"; output
-	// order is the hop order alone.
+	// output entry whose address hashed there, -1 for *drop, 0 when empty.
+	// Sized to a power of two of at least twice the entries it can hold it
+	// stays at most half full, and up to c = 63 it fits the stack array,
+	// so merging is linear and allocation-free. The hash only answers
+	// "already kept?"; output order is the hop order alone.
+	if drop != nil {
+		keep++
+	}
 	var stack [256]int32
-	size := 1
-	for size < 2*n {
+	size, shift := 1, uint(64)
+	for size < 2*keep {
 		size <<= 1
+		shift--
 	}
 	seen := stack[:]
 	if size > len(stack) {
 		seen = make([]int32, size)
 	}
 	mask := uint64(size - 1)
+	// The simulator's int32 IDs take a multiplicative hash; addresses of
+	// any other type, strings off the wire among them, keep the seeded
+	// maphash. A descriptor is hashed only once the merge reaches it.
+	var zero A
+	_, int32Addr := any(zero).(int32)
+	slot := func(a A) uint64 {
+		if int32Addr {
+			id, _ := any(a).(int32)
+			return uint64(uint32(id)) * fibMul >> shift
+		}
+		return maphash.Comparable(mergeSeed, a) >> shift
+	}
+	if drop != nil {
+		seen[slot(*drop)] = -1
+	}
 	i, j := 0, 0
-	for i < len(first) || j < len(second) {
+	for len(out) < limit && (i < len(first) || j < len(second)) {
 		var d Descriptor[A]
 		switch {
 		case j >= len(second):
@@ -98,14 +134,14 @@ func MergeInto[A comparable](dst, first, second []Descriptor[A]) []Descriptor[A]
 		}
 		// An earlier occurrence necessarily has a lower or equal hop count
 		// because the output is produced in hop order, so it wins.
-		for h := maphash.Comparable(mergeSeed, d.Addr) & mask; ; h = (h + 1) & mask {
+		for h := slot(d.Addr); ; h = (h + 1) & mask {
 			k := seen[h]
 			if k == 0 {
 				seen[h] = int32(len(out) + 1)
 				out = append(out, d)
 				break
 			}
-			if out[k-1].Addr == d.Addr {
+			if k > 0 && out[k-1].Addr == d.Addr || k < 0 && *drop == d.Addr {
 				break
 			}
 		}

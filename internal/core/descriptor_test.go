@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -215,32 +216,70 @@ func fuzzView(data []byte) []Descriptor[int32] {
 	return out
 }
 
+// wideAddrs moves int32 addresses below 64 into the top six bits over
+// salt's low 26, so the addresses span the whole int32 range, negative
+// ones included, and all share their low bits.
+func wideAddrs(buf []Descriptor[int32], salt int32) []Descriptor[int32] {
+	out := make([]Descriptor[int32], len(buf))
+	for i, d := range buf {
+		out[i] = Descriptor[int32]{Addr: int32(uint32(d.Addr)<<26) ^ salt, Hop: d.Hop}
+	}
+	return out
+}
+
+// keepReference is what the bounded, self-dropping merge must return:
+// the full reference merge without drop, cut to its first limit entries.
+func keepReference[A comparable](first, second []Descriptor[A], drop A, limit int) []Descriptor[A] {
+	out := dropAddr(mergeReference(first, second), drop)
+	return out[:min(len(out), limit)]
+}
+
+// checkMerge compares MergeInto, into a dirty dst that must be truncated
+// rather than appended to, and mergeKeep bounded at limit and dropping
+// self against the reference merge.
+func checkMerge[A comparable](t *testing.T, first, second []Descriptor[A], self A, limit int) {
+	t.Helper()
+	if got, want := MergeInto(slices.Clone(second), first, second), mergeReference(first, second); !slices.Equal(got, want) {
+		t.Fatalf("MergeInto(%v, %v)\n got %v\nwant %v", first, second, got, want)
+	}
+	got := mergeKeep(slices.Clone(first), first, second, &self, limit)
+	if want := keepReference(first, second, self, limit); !slices.Equal(got, want) {
+		t.Fatalf("mergeKeep(%v, %v, drop %v, limit %d)\n got %v\nwant %v", first, second, self, limit, got, want)
+	}
+}
+
 func FuzzMergeInto(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{1, 0, 2, 1, 1, 3}, []byte{2, 0, 3, 3})
+	f.Add([]byte{}, []byte{}, int32(0), uint8(0), uint8(0))
+	f.Add([]byte{1, 0, 2, 1, 1, 3}, []byte{2, 0, 3, 3}, int32(-1), uint8(1), uint8(2))
 	for _, n := range []int{64, 65, 300} { // 2(64+64) fills the stack table exactly
 		a, b := make([]byte, 2*n), make([]byte, 2*n)
 		for i := range a {
 			a[i], b[i] = byte(i*7), byte(i*13)
 		}
-		f.Add(a, b)
+		f.Add(a, b, int32(math.MinInt32), uint8(7), uint8(30))
 	}
-	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, salt int32, self, limit uint8) {
 		a, b := fuzzView(rawA), fuzzView(rawB)
-		sa, sb := stringAddrs(a), stringAddrs(b)
-		// A dirty dst must be truncated, not appended to.
-		got := MergeInto(slices.Clone(sb), sa, sb)
-		if want := mergeReference(sa, sb); !slices.Equal(got, want) {
-			t.Fatalf("MergeInto(%v, %v)\n got %v\nwant %v", sa, sb, got, want)
-		}
+		me := descs(int32(self%48), 0)
+		checkMerge(t, a, b, me[0].Addr, int(limit))
+		checkMerge(t, wideAddrs(a, salt), wideAddrs(b, salt), wideAddrs(me, salt)[0].Addr, int(limit))
+		checkMerge(t, stringAddrs(a), stringAddrs(b), stringAddrs(me)[0].Addr, int(limit))
 		if got, want := Merge(a, b), mergeReference(a, b); !slices.Equal(got, want) {
 			t.Fatalf("Merge(%v, %v)\n got %v\nwant %v", a, b, got, want)
 		}
 	})
 }
 
+// mergeAllocs reports the allocations of a warm MergeInto of first and
+// second, as after a few cycles with view size c: the table for 2c+1
+// descriptors must fit the stack array up to c = 63.
+func mergeAllocs[A comparable](first, second []Descriptor[A]) float64 {
+	dst := MergeInto(nil, first, second) // warm: grow dst once
+	return testing.AllocsPerRun(100, func() { dst = MergeInto(dst, first, second) })
+}
+
 func TestMergeIntoAllocs(t *testing.T) {
-	for _, c := range []int{30, 60} {
+	for _, c := range []int{30, 60, 63} {
 		// Two views sharing half their addresses, as after a few cycles.
 		var a, b []Descriptor[int32]
 		for i := 0; i <= c; i++ {
@@ -249,11 +288,11 @@ func TestMergeIntoAllocs(t *testing.T) {
 		for i := 0; i < c; i++ {
 			b = append(b, Descriptor[int32]{Addr: int32(c/2 + i), Hop: int32(i)})
 		}
-		first, second := stringAddrs(a), stringAddrs(b)
-		dst := MergeInto(nil, first, second) // warm: grow dst once
-		if got := testing.AllocsPerRun(100, func() { dst = MergeInto(dst, first, second) }); got != 0 {
-			t.Errorf("c=%d: MergeInto of %d+%d string descriptors allocates %v times, want 0",
-				c, len(first), len(second), got)
+		if got := mergeAllocs(a, b); got != 0 {
+			t.Errorf("c=%d: MergeInto of %d+%d int32 descriptors allocates %v times, want 0", c, len(a), len(b), got)
+		}
+		if got := mergeAllocs(stringAddrs(a), stringAddrs(b)); got != 0 {
+			t.Errorf("c=%d: MergeInto of %d+%d string descriptors allocates %v times, want 0", c, len(a), len(b), got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 )
 
@@ -210,15 +211,21 @@ func (n *Node[A]) outgoingInto(buf []Descriptor[A]) []Descriptor[A] {
 // applyBuffer merges a received buffer into the view and truncates it with
 // the view selection policy, dropping any descriptor of the node itself.
 // Following Figure 1 the received buffer is the first merge operand, so on
-// equal hop counts received descriptors precede resident ones. The merge
-// lands in the node's Scratch (view selection copies the survivors out),
-// keeping steady-state exchanges allocation-free.
+// equal hop counts received descriptors precede resident ones. Head
+// selection keeps the c freshest entries, so its merge stops once it has
+// them; tail and rand selection see the whole merge. The merge lands in
+// the node's Scratch (view selection copies the survivors out), keeping
+// steady-state exchanges allocation-free.
 func (n *Node[A]) applyBuffer(received []Descriptor[A]) {
 	if n.scratch == nil {
 		n.scratch = new(Scratch[A])
 	}
 	s := n.scratch
-	s.merged = dropAddr(MergeInto(s.merged, received, n.view.items), n.self)
+	limit := math.MaxInt
+	if n.proto.ViewSel == ViewHead {
+		limit = n.view.capacity
+	}
+	s.merged = mergeKeep(s.merged, received, n.view.items, &n.self, limit)
 	n.view.selectInto(n.proto.ViewSel, s.merged, s, n.rng)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -298,5 +299,65 @@ func TestRandomPeerIsViewMember(t *testing.T) {
 		if !n.View().Contains(p) {
 			t.Fatalf("RandomPeer returned %d not in view", p)
 		}
+	}
+}
+
+// randomDescs returns up to n descriptors over addresses [0, addrs) with
+// hops in [0, 8), sorted by hop; unique drops repeated addresses.
+func randomDescs(rng *rand.Rand, n, addrs int, unique bool) []Descriptor[int32] {
+	var out []Descriptor[int32]
+	for range n {
+		d := Descriptor[int32]{Addr: int32(rng.IntN(addrs)), Hop: int32(rng.IntN(8))}
+		if !unique || !containsAddr(out, d.Addr) {
+			out = append(out, d)
+		}
+	}
+	SortByHop(out)
+	return out
+}
+
+// TestApplyBufferMatchesFullMerge checks the merge applyBuffer runs,
+// bounded under head selection and dropping self as it goes, against the
+// pipeline it stands for: the full merge, then dropAddr, then selectInto.
+// Both sides draw from copies of one RNG stream, which must still agree
+// afterwards.
+func TestApplyBufferMatchesFullMerge(t *testing.T) {
+	for _, vs := range []ViewSelection{ViewHead, ViewTail, ViewRand} {
+		t.Run(vs.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(7, uint64(vs)))
+			for trial := range 500 {
+				c := 1 + rng.IntN(12)
+				self := int32(rng.IntN(24))
+				view := dropAddr(randomDescs(rng, c, 24, true), self)
+				// Received buffers may name self and repeat addresses.
+				received := randomDescs(rng, rng.IntN(2*c+2), 24, false)
+				checkApplyBuffer(t, vs, self, c, view, received, uint64(trial))
+				me := stringAddrs(descs(self, 0))[0].Addr
+				checkApplyBuffer(t, vs, me, c, stringAddrs(view), stringAddrs(received), uint64(trial))
+			}
+		})
+	}
+}
+
+func checkApplyBuffer[A comparable](t *testing.T, vs ViewSelection, self A, c int, view, received []Descriptor[A], seed uint64) {
+	t.Helper()
+	proto := Protocol{PeerSel: PeerRand, ViewSel: vs, Prop: PushPull}
+	got, err := NewNode(self, proto, c, rand.New(rand.NewPCG(seed, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := NewNode(self, proto, c, rand.New(rand.NewPCG(seed, 1)))
+	got.view.items = append(got.view.items, view...)
+	want.view.items = append(want.view.items, view...)
+
+	got.applyBuffer(received)
+	merged := dropAddr(MergeInto(nil, received, want.view.items), self)
+	want.view.selectInto(vs, merged, new(Scratch[A]), want.rng)
+
+	if !slices.Equal(got.view.items, want.view.items) {
+		t.Fatalf("self %v, view %v, received %v:\n got %v\nwant %v", self, view, received, got.view, want.view)
+	}
+	if g, w := got.rng.Uint64(), want.rng.Uint64(); g != w {
+		t.Fatalf("self %v, view %v, received %v: RNG streams diverged", self, view, received)
 	}
 }

@@ -95,11 +95,8 @@ func (v *View[A]) SetAll(descriptors []Descriptor[A]) {
 	copy(buf, descriptors)
 	SortByHop(buf)
 	// Merging with nothing deduplicates: the first occurrence has the
-	// lowest hop.
-	v.items = MergeInto(v.items, buf, nil)
-	if len(v.items) > v.capacity {
-		v.items = v.items[:v.capacity]
-	}
+	// lowest hop. The merge stops at the capacity freshest entries.
+	v.items = mergeKeep(v.items, buf, nil, nil, v.capacity)
 }
 
 // Age increments the hop count of every descriptor in the view by one.

@@ -53,7 +53,12 @@ func DefaultConfig() Config {
 	return Config{BatchSize: 64, Refresh: time.Second, RateRPS: 5, Burst: 10}
 }
 
-// fill validates cfg and resolves zero values to defaults.
+// Validate reports the first rule c breaks, naming the field by its cfg
+// key ("refresh: 500µs is below the 1ms minimum"); the zero value is
+// valid. New and SetTuning enforce the same rules.
+func (c Config) Validate() error { return c.fill() }
+
+// fill validates c and resolves zero values to defaults.
 func (c *Config) fill() error {
 	def := DefaultConfig()
 	if c.BatchSize == 0 {
@@ -70,13 +75,13 @@ func (c *Config) fill() error {
 	}
 	switch {
 	case c.BatchSize < 0:
-		return fmt.Errorf("gateway: negative batch size %d", c.BatchSize)
+		return fmt.Errorf("batch_size: must not be negative, got %d", c.BatchSize)
 	case c.Refresh < time.Millisecond:
-		return fmt.Errorf("gateway: refresh %v is below the 1ms minimum", c.Refresh)
+		return fmt.Errorf("refresh: %v is below the 1ms minimum", c.Refresh)
 	case c.RateRPS < 0:
-		return fmt.Errorf("gateway: negative rate %v", c.RateRPS)
+		return fmt.Errorf("rate_rps: must not be negative, got %v", c.RateRPS)
 	case c.Burst < 0:
-		return fmt.Errorf("gateway: negative burst %d", c.Burst)
+		return fmt.Errorf("burst: must not be negative, got %d", c.Burst)
 	}
 	return nil
 }
@@ -129,7 +134,7 @@ func New(addr string, sampler Sampler, cfg Config) (*Gateway, error) {
 		return nil, errors.New("gateway: nil sampler")
 	}
 	if err := cfg.fill(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -178,7 +183,7 @@ func (g *Gateway) SetHealth(fn func() any) {
 // trust to the next request. The listen address is fixed at construction.
 func (g *Gateway) SetTuning(cfg Config) error {
 	if err := cfg.fill(); err != nil {
-		return err
+		return fmt.Errorf("gateway: %w", err)
 	}
 	g.mu.Lock()
 	g.cfg = cfg

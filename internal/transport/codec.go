@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"peersampling/internal/core"
 )
@@ -16,6 +17,9 @@ import (
 //	u16     from-address length, followed by the bytes
 //	u16     descriptor count
 //	repeat: u16 address length, address bytes, i32 hop count
+//
+// The descriptors of a buffer come in non-decreasing hop order, each hop
+// at most MaxInt32-1; decoding rejects any other buffer.
 //
 // The format is deliberately version-tagged by the magic byte so that a
 // future revision can change it without silently misparsing old peers.
@@ -137,6 +141,15 @@ func DecodeMessageInto(frame []byte, scratch *[]Descriptor, intern *Interner) (r
 		hop, err := r.u32()
 		if err != nil {
 			return req, resp, false, err
+		}
+		// A buffer is a view: ordered by non-decreasing hop count, and
+		// the receiver adds 1 to every hop, which must stay a
+		// non-negative int32.
+		if hop >= math.MaxInt32 {
+			return req, resp, false, fmt.Errorf("transport: descriptor %d hop %d does not fit a non-negative int32 once the receiver adds 1", i, hop)
+		}
+		if i > 0 && int32(hop) < buffer[len(buffer)-1].Hop {
+			return req, resp, false, fmt.Errorf("transport: descriptor %d hop %d is below the previous hop %d; buffers must be ordered by hop", i, hop, buffer[len(buffer)-1].Hop)
 		}
 		buffer = append(buffer, core.Descriptor[string]{Addr: addr, Hop: int32(hop)})
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -49,7 +50,13 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	// A count the frame cannot satisfy (claims 100, carries 1).
 	shortBuf := append([]byte(nil), resp...)
 	binary.BigEndian.PutUint16(shortBuf[3+2+6:], 100)
-	return append(seeds, shortBuf)
+	seeds = append(seeds, shortBuf)
+	// Hops out of order: [x@9 y@0].
+	unordered, err := AppendRequest(nil, Request{From: "a", Buffer: []Descriptor{{Addr: "x", Hop: 9}, {Addr: "y", Hop: 0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(seeds, unordered)
 }
 
 // FuzzDecodeMessage throws arbitrary frames at the decoder. The decoder
@@ -130,6 +137,13 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			return
 		}
 		got, _, isReq, err := new(Decoder).Decode(frame)
+		if !hopOrdered(buffer) {
+			// Encodable, but not a view: the decoder must refuse it.
+			if err == nil {
+				t.Fatalf("decoder accepted a buffer out of hop order or range: %v", buffer)
+			}
+			return
+		}
 		if err != nil || !isReq {
 			t.Fatalf("round trip decode failed: isReq=%v err=%v", isReq, err)
 		}
@@ -137,6 +151,17 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", got, req)
 		}
 	})
+}
+
+// hopOrdered reports whether buf is ordered by non-decreasing hop with
+// every hop in [0, MaxInt32-1], the buffers the decoder accepts.
+func hopOrdered(buf []Descriptor) bool {
+	for i, d := range buf {
+		if d.Hop < 0 || d.Hop == math.MaxInt32 || i > 0 && d.Hop < buf[i-1].Hop {
+			return false
+		}
+	}
+	return true
 }
 
 func equalDescs(a, b []Descriptor) bool {

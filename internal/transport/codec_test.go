@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -62,13 +63,14 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			}
 			var hop int32
 			if i < len(hops) {
-				hop = hops[i] & 0x7FFFFFFF // hops are non-negative
+				hop = hops[i] & 0x7FFFFFFF % math.MaxInt32 // in [0, MaxInt32-1]
 			}
 			req.Buffer = append(req.Buffer, Descriptor{Addr: a, Hop: hop})
 		}
 		if len(req.Buffer) > MaxDescriptors {
 			req.Buffer = req.Buffer[:MaxDescriptors]
 		}
+		core.SortByHop(req.Buffer) // a buffer is a view, ordered by hop
 		frame, err := AppendRequest(nil, req)
 		if err != nil {
 			return false
@@ -130,6 +132,46 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, _, _, err := new(Decoder).Decode(append(good, 0x00)); err == nil {
 		t.Error("trailing byte accepted")
+	}
+}
+
+// TestDecodeRejectsBadHops: a buffer must be ordered by non-decreasing
+// hop, and each hop must still fit a non-negative int32 once the
+// receiver adds 1. The error names the rule.
+func TestDecodeRejectsBadHops(t *testing.T) {
+	cases := []struct {
+		name string
+		buf  []Descriptor
+		want string // substring of the error; empty: accepted
+	}{
+		{"decreasing", []Descriptor{{Addr: "x", Hop: 9}, {Addr: "y", Hop: 0}}, "ordered by hop"},
+		{"decreasing later", []Descriptor{{Addr: "x", Hop: 0}, {Addr: "y", Hop: 3}, {Addr: "z", Hop: 2}}, "descriptor 2 hop 2 is below the previous hop 3"},
+		{"max int32", []Descriptor{{Addr: "x", Hop: math.MaxInt32}}, "does not fit a non-negative int32"},
+		{"negative", []Descriptor{{Addr: "x", Hop: -1}}, "does not fit a non-negative int32"},
+		{"equal hops", []Descriptor{{Addr: "x", Hop: 4}, {Addr: "y", Hop: 4}}, ""},
+		{"largest hop", []Descriptor{{Addr: "x", Hop: 0}, {Addr: "y", Hop: math.MaxInt32 - 1}}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, encode := range []func([]Descriptor) ([]byte, error){
+				func(b []Descriptor) ([]byte, error) { return AppendRequest(nil, Request{From: "a", Buffer: b}) },
+				func(b []Descriptor) ([]byte, error) { return AppendResponse(nil, Response{From: "a", Buffer: b}) },
+			} {
+				frame, err := encode(tc.buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, _, err = new(Decoder).Decode(frame)
+				switch {
+				case tc.want == "" && err != nil:
+					t.Fatalf("valid buffer %v rejected: %v", tc.buf, err)
+				case tc.want != "" && err == nil:
+					t.Fatalf("buffer %v accepted", tc.buf)
+				case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+					t.Fatalf("error %q does not mention %q", err, tc.want)
+				}
+			}
+		})
 	}
 }
 
