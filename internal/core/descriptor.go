@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"unsafe"
 )
 
 // Descriptor is a single entry of a partial view: the address of a peer
@@ -62,9 +63,10 @@ func MergeInto[A comparable](dst, first, second []Descriptor[A]) []Descriptor[A]
 // address type but int32.
 var mergeSeed = maphash.MakeSeed()
 
-// fibMul is 2^64 divided by the golden ratio: multiplying by it spreads
-// an int32 address over the high bits, which the dedup table indexes by,
-// so addresses sharing their low bits still land apart.
+// fibMul is 2^64 divided by the golden ratio. Bits 32 and up of an
+// int32 address's product with fibMul depend on every bit of the
+// address, and the dedup table indexes by them, so addresses sharing
+// their low bits still land apart.
 const fibMul = 0x9E3779B97F4A7C15
 
 // mergeKeep is the one merge: MergeInto's result with every descriptor
@@ -90,10 +92,9 @@ func mergeKeep[A comparable](dst, first, second []Descriptor[A], drop *A, limit 
 		keep++
 	}
 	var stack [256]int32
-	size, shift := 1, uint(64)
+	size := 1
 	for size < 2*keep {
 		size <<= 1
-		shift--
 	}
 	seen := stack[:]
 	if size > len(stack) {
@@ -102,15 +103,16 @@ func mergeKeep[A comparable](dst, first, second []Descriptor[A], drop *A, limit 
 	mask := uint64(size - 1)
 	// The simulator's int32 IDs take a multiplicative hash; addresses of
 	// any other type, strings off the wire among them, keep the seeded
-	// maphash. A descriptor is hashed only once the merge reaches it.
-	var zero A
-	_, int32Addr := any(zero).(int32)
+	// maphash. A descriptor is hashed only once the merge reaches it. The
+	// size test is a constant in each compiled form of this function, so
+	// the string form carries no int32 branch at all.
 	slot := func(a A) uint64 {
-		if int32Addr {
-			id, _ := any(a).(int32)
-			return uint64(uint32(id)) * fibMul >> shift
+		if unsafe.Sizeof(a) == 4 {
+			if id, ok := any(a).(int32); ok {
+				return uint64(uint32(id)) * fibMul >> 32 & mask
+			}
 		}
-		return maphash.Comparable(mergeSeed, a) >> shift
+		return maphash.Comparable(mergeSeed, a) & mask
 	}
 	if drop != nil {
 		seen[slot(*drop)] = -1
@@ -141,7 +143,13 @@ func mergeKeep[A comparable](dst, first, second []Descriptor[A], drop *A, limit 
 				out = append(out, d)
 				break
 			}
-			if k > 0 && out[k-1].Addr == d.Addr || k < 0 && *drop == d.Addr {
+			if k < 0 {
+				if *drop == d.Addr {
+					break
+				}
+				continue
+			}
+			if out[k-1].Addr == d.Addr {
 				break
 			}
 		}

@@ -27,6 +27,11 @@
 // integer indices, while the asynchronous runtime (internal/runtime)
 // instantiates it with network addresses.
 //
+// A received buffer goes into the view through one bounded merge. The
+// merge leaves out the node's own address as it goes, and under head
+// view selection it stops at the c freshest survivors. Merge and
+// MergeInto are its unbounded form.
+//
 // A Node holds only its state: address, protocol, view and RNG. Callers
 // own the exchange buffers: request and response buffers through the Into
 // forms, and merge buffers through the Scratch lent by ShareScratch. The
