@@ -142,19 +142,13 @@ func DecodeMessageInto(frame []byte, scratch *[]Descriptor, intern *Interner) (r
 		if err != nil {
 			return req, resp, false, err
 		}
-		// A buffer is a view: ordered by non-decreasing hop count, and
-		// the receiver adds 1 to every hop, which must stay a
-		// non-negative int32.
-		if hop >= math.MaxInt32 {
-			return req, resp, false, fmt.Errorf("transport: descriptor %d hop %d does not fit a non-negative int32 once the receiver adds 1", i, hop)
-		}
-		if i > 0 && int32(hop) < buffer[len(buffer)-1].Hop {
-			return req, resp, false, fmt.Errorf("transport: descriptor %d hop %d is below the previous hop %d; buffers must be ordered by hop", i, hop, buffer[len(buffer)-1].Hop)
-		}
 		buffer = append(buffer, core.Descriptor[string]{Addr: addr, Hop: int32(hop)})
 	}
 	if scratch != nil {
 		*scratch = buffer
+	}
+	if err := checkHops(buffer); err != nil {
+		return req, resp, false, err
 	}
 	if r.rem() != 0 {
 		return req, resp, false, fmt.Errorf("transport: %d trailing bytes", r.rem())
@@ -176,6 +170,23 @@ func DecodeMessageInto(frame []byte, scratch *[]Descriptor, intern *Interner) (r
 	default:
 		return req, resp, false, fmt.Errorf("transport: unknown message kind %d", kind)
 	}
+}
+
+// checkHops reports the first descriptor of buf that keeps it from being
+// a view: hops must not decrease, and each must stay a non-negative int32
+// once the receiver adds 1.
+func checkHops(buf []Descriptor) error {
+	var prev int32
+	for i, d := range buf {
+		switch {
+		case d.Hop < 0 || d.Hop == math.MaxInt32:
+			return fmt.Errorf("transport: descriptor %d hop %d does not fit a non-negative int32 once the receiver adds 1", i, uint32(d.Hop))
+		case d.Hop < prev:
+			return fmt.Errorf("transport: descriptor %d hop %d is below the previous hop %d; buffers must be ordered by hop", i, d.Hop, prev)
+		}
+		prev = d.Hop
+	}
+	return nil
 }
 
 // Interner deduplicates address strings decoded from the wire. Gossip
