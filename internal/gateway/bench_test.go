@@ -34,7 +34,7 @@ func benchGateway(b *testing.B) *Gateway {
 }
 
 // BenchmarkGatewayServe measures the warm-cache /v1/sample path for a
-// pre-encoded n.
+// small n: a fresh 4-subset drawn and assembled per request.
 func BenchmarkGatewayServe(b *testing.B) {
 	g := benchGateway(b)
 	r := httptest.NewRequest(http.MethodGet, "/v1/sample?n=4", nil)
@@ -47,9 +47,9 @@ func BenchmarkGatewayServe(b *testing.B) {
 	}
 }
 
-// BenchmarkGatewayServeAssembled measures the large-n path: past the
-// pre-encoded sizes, the body is assembled per request from pre-encoded
-// fragments into a pooled buffer.
+// BenchmarkGatewayServeAssembled measures the same path at a large n,
+// where copying the 32 pre-encoded peer fragments into the pooled buffer
+// dominates the subset draw.
 func BenchmarkGatewayServeAssembled(b *testing.B) {
 	g := benchGateway(b)
 	r := httptest.NewRequest(http.MethodGet, "/v1/sample?n=32", nil)

@@ -92,9 +92,10 @@ func (c *Config) fill() error {
 // New; the server runs until Close.
 //
 // The serve path is lock-free: each refresh publishes an immutable
-// sampleCache behind an atomic pointer, with response bodies for the
-// common n values pre-encoded at refresh time, so a cache hit writes
-// ready-made bytes without taking a mutex or allocating.
+// sampleCache behind an atomic pointer, holding every peer pre-encoded
+// as a JSON fragment. A request draws its own uniform subset and
+// assembles the body from those fragments in pooled scratch, so it
+// takes no mutex and allocates nothing in the steady state.
 type Gateway struct {
 	sampler Sampler
 	ln      net.Listener
@@ -239,45 +240,30 @@ func (g *Gateway) refresh() {
 	g.cache.Store(newSampleCache(batch, target, g.now()))
 }
 
-// preEncodedN is the largest sample size served from bodies pre-encoded
-// at refresh time; preVariants is how many independently drawn subsets
-// back each of those sizes, round-robined across requests so repeated
-// callers still see sample diversity. Larger n is assembled per request
-// from pre-encoded per-peer fragments into a pooled buffer.
-const (
-	preEncodedN = 8
-	preVariants = 16
-)
-
 // Fixed body pieces of the /v1/sample JSON shape (see sampleResponse).
 var (
 	bodyPrefix = []byte(`{"peers":[`)
 	bodyCount  = []byte(`],"count":`)
 )
 
-// sampleCache is one published refresh result. Everything in it is
-// immutable after construction except the round-robin cursors, so the
-// serve path may read it without synchronization.
+// sampleCache is one published refresh result. It is immutable after
+// construction, so the serve path may read it without synchronization.
 type sampleCache struct {
 	peers           []string
 	target          int // batch target at refresh time; the n validation cap
 	refreshedAt     time.Time
 	refreshedUnixMS int64
 
-	// bodies[n-1] holds complete pre-encoded response bodies for sample
-	// size n; next[n-1] round-robins over them.
-	bodies [][][]byte
-	next   []atomic.Uint64
-
 	// frags[i] is peers[i] pre-encoded as a JSON string, the building
-	// block of assembled responses; suffix closes every body after the
-	// count value.
+	// block of every response; suffix closes every body after the count
+	// value.
 	frags  [][]byte
 	suffix []byte
 }
 
-// newSampleCache pre-encodes the batch. The cost — a few hundred small
-// encodes — is paid once per refresh interval, not per request.
+// newSampleCache pre-encodes the batch's per-peer fragments and the body
+// suffix. The cost — one small encode per peer — is paid once per
+// refresh interval, not per request.
 func newSampleCache(peers []string, target int, now time.Time) *sampleCache {
 	if target < 1 {
 		target = 1
@@ -297,66 +283,11 @@ func newSampleCache(peers []string, target int, now time.Time) *sampleCache {
 		}
 		c.frags[i] = frag
 	}
-	maxPre := min(preEncodedN, len(peers))
-	c.bodies = make([][][]byte, maxPre)
-	c.next = make([]atomic.Uint64, maxPre)
-	if maxPre >= 1 {
-		// n=1: one body per peer in a shuffled order, so the round-robin
-		// serves every peer uniformly.
-		order := rand.Perm(len(peers))
-		one := make([][]byte, len(peers))
-		for k, pi := range order {
-			one[k] = c.encodeBody([]int{pi})
-		}
-		c.bodies[0] = one
-	}
-	idx := make([]int, len(peers))
-	for n := 2; n <= maxPre; n++ {
-		variants := make([][]byte, preVariants)
-		for v := range variants {
-			for i := range idx {
-				idx[i] = i
-			}
-			// Partial Fisher–Yates: the first n slots end up a uniform
-			// n-subset, independently per variant.
-			for i := 0; i < n; i++ {
-				j := i + rand.IntN(len(idx)-i)
-				idx[i], idx[j] = idx[j], idx[i]
-			}
-			variants[v] = c.encodeBody(idx[:n])
-		}
-		c.bodies[n-1] = variants
-	}
 	return c
 }
 
-// encodeBody renders one complete response body for the selected peer
-// indices.
-func (c *sampleCache) encodeBody(sel []int) []byte {
-	var b []byte
-	b = append(b, bodyPrefix...)
-	for i, pi := range sel {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, c.frags[pi]...)
-	}
-	b = append(b, bodyCount...)
-	b = strconv.AppendInt(b, int64(len(sel)), 10)
-	b = append(b, c.suffix...)
-	return b
-}
-
-// body returns a ready-made response for a pre-encoded n, round-robining
-// the variants. n must be in [1, min(preEncodedN, len(peers))].
-func (c *sampleCache) body(n int) []byte {
-	variants := c.bodies[n-1]
-	k := c.next[n-1].Add(1)
-	return variants[k%uint64(len(variants))]
-}
-
-// scratch is the per-request workspace of the assembled (large-n) path,
-// pooled so the steady state allocates nothing.
+// scratch is the per-request workspace of the serve path, pooled so the
+// steady state allocates nothing.
 type scratch struct {
 	buf []byte
 	idx []int
@@ -364,10 +295,11 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// appendAssembled writes a response for n past the pre-encoded sizes into
-// s.buf: a fresh partial Fisher–Yates over the peer indices, peers copied
-// from the cache's fragments.
-func (c *sampleCache) appendAssembled(s *scratch, n int) {
+// appendSample writes a response of n peers into s.buf: a fresh partial
+// Fisher–Yates over the peer indices, so each request draws a uniform
+// n-subset independently of every other, with the peers copied from the
+// cache's fragments. n must be in [1, len(peers)].
+func (c *sampleCache) appendSample(s *scratch, n int) {
 	s.idx = s.idx[:0]
 	for i := range c.peers {
 		s.idx = append(s.idx, i)
@@ -386,9 +318,9 @@ func (c *sampleCache) appendAssembled(s *scratch, n int) {
 	s.buf = append(b, c.suffix...)
 }
 
-// sampleResponse is the /v1/sample JSON body. Serving writes pre-encoded
-// bytes of this exact shape; the struct itself is the decode side for
-// clients and tests. RefreshedUnixMS identifies the cache generation the
+// sampleResponse is the /v1/sample JSON body. Serving assembles bytes of
+// this exact shape from pre-encoded fragments; the struct itself is the
+// decode side for clients and tests. RefreshedUnixMS identifies the cache generation the
 // sample came from, so a client can judge freshness against its own
 // clock without the server computing a per-request age.
 type sampleResponse struct {
@@ -478,14 +410,10 @@ func (g *Gateway) handleSample(w http.ResponseWriter, r *http.Request) {
 		n = len(c.peers)
 	}
 	setJSONContentType(w.Header())
-	if n <= preEncodedN {
-		_, _ = w.Write(c.body(n))
-	} else {
-		s := scratchPool.Get().(*scratch)
-		c.appendAssembled(s, n)
-		_, _ = w.Write(s.buf)
-		scratchPool.Put(s)
-	}
+	s := scratchPool.Get().(*scratch)
+	c.appendSample(s, n)
+	_, _ = w.Write(s.buf)
+	scratchPool.Put(s)
 	g.requests.Add(1)
 	g.peersServed.Add(uint64(n))
 	g.latency.Observe(g.now().Sub(start))

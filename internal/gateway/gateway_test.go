@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"peersampling/internal/core"
 	"peersampling/internal/metrics"
+	"peersampling/internal/stats"
 )
 
 // fakeSampler deals peers round-robin from a fixed set, like GetPeer
@@ -62,6 +65,23 @@ func getSample(t *testing.T, addr string, query string) (*http.Response, sampleR
 	return resp, body
 }
 
+// serveSample drives g's sample handler directly, skipping the socket,
+// for tests that need thousands of samples; it fails t on a non-200.
+func serveSample(t *testing.T, g *Gateway, query string) sampleResponse {
+	t.Helper()
+	r := httptest.NewRequest(http.MethodGet, "/v1/sample"+query, nil)
+	w := httptest.NewRecorder()
+	g.handleSample(w, r)
+	if w.Code != http.StatusOK {
+		t.Fatalf("%s: status = %d", query, w.Code)
+	}
+	var body sampleResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 func TestSampleReturnsDistinctPeers(t *testing.T) {
 	g, err := New("127.0.0.1:0", &fakeSampler{peers: somePeers(8)}, Config{
 		Refresh: time.Hour, // the construction-time refresh fills the cache
@@ -96,6 +116,68 @@ func TestSampleReturnsDistinctPeers(t *testing.T) {
 	// Default n is 1.
 	if _, body := getSample(t, g.Addr(), ""); body.Count != 1 {
 		t.Fatalf("default count = %d", body.Count)
+	}
+}
+
+// TestSamplesIndependentWithinRefresh pins that every request draws its
+// own sample from the cached batch: within one refresh, n=4 requests
+// return far more than any fixed set of subsets, each of n distinct
+// batch members, and n=1 requests hit the batch's peers uniformly.
+func TestSamplesIndependentWithinRefresh(t *testing.T) {
+	const batch, requests = 64, 2000
+	peers := somePeers(batch)
+	g, err := New("127.0.0.1:0", &fakeSampler{peers: peers}, Config{
+		BatchSize: batch,
+		Refresh:   time.Hour, // one refresh generation for the whole test
+		RateRPS:   1e9,
+		Burst:     1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	index := make(map[string]int, batch)
+	for i, p := range peers {
+		index[p] = i
+	}
+	subsets := map[string]bool{}
+	for range requests {
+		body := serveSample(t, g, "?n=4")
+		if body.Count != 4 || len(body.Peers) != 4 {
+			t.Fatalf("count = %d, peers = %v", body.Count, body.Peers)
+		}
+		sel := slices.Clone(body.Peers)
+		slices.Sort(sel)
+		if len(slices.Compact(slices.Clone(sel))) != 4 {
+			t.Fatalf("duplicate peer in %v", body.Peers)
+		}
+		for _, p := range sel {
+			if _, ok := index[p]; !ok {
+				t.Fatalf("peer %q is not in the batch", p)
+			}
+		}
+		subsets[strings.Join(sel, ",")] = true
+	}
+	// C(64,4) = 635 376 subsets: 2 000 independent draws repeat a few at
+	// most, while a fixed rotation of 16 could never exceed 16.
+	if len(subsets) < requests*9/10 {
+		t.Errorf("%d requests returned only %d distinct 4-subsets", requests, len(subsets))
+	}
+
+	counts := make([]int, batch)
+	for range 100 * batch {
+		body := serveSample(t, g, "?n=1")
+		i, ok := index[body.Peers[0]]
+		if !ok {
+			t.Fatalf("peer %q is not in the batch", body.Peers[0])
+		}
+		counts[i]++
+	}
+	// Reduced chi-square over 63 degrees of freedom: mean 1, standard
+	// deviation 0.18, so 2 is more than five deviations out.
+	if chi := stats.ChiSquareUniform(counts); chi > 2 {
+		t.Errorf("n=1 reduced chi-square = %.2f over %d peers, want <= 2", chi, batch)
 	}
 }
 

@@ -234,8 +234,8 @@ func TestConcurrentSetTuningAndServe(t *testing.T) {
 }
 
 // TestServeSampleAllocFree pins the warm-cache serve path's allocation
-// budget: zero for pre-encoded n, and nothing beyond the reusable pooled
-// scratch for assembled n. The handler is driven directly — the net/http
+// budget: zero for small n, whose body fits the pooled scratch's
+// warmed-up capacity, and nothing beyond that reusable scratch for large n. The handler is driven directly — the net/http
 // server machinery allocates per request regardless, and this test is
 // about the gateway's own path.
 func TestServeSampleAllocFree(t *testing.T) {
@@ -265,10 +265,10 @@ func TestServeSampleAllocFree(t *testing.T) {
 		query  string
 		budget float64
 	}{
-		{"pre-encoded n=1", "", 0},
-		{"pre-encoded n=4", "?n=4", 0},
-		{"pre-encoded n=8", "?n=8", 0},
-		{"assembled n=32", "?n=32", 1}, // pool Get/Put may slip one under GC pressure
+		{"n=1", "", 0},
+		{"n=4", "?n=4", 0},
+		{"n=8", "?n=8", 0},
+		{"n=32", "?n=32", 1}, // pool Get/Put may slip one under GC pressure
 	} {
 		f := serve(tc.query)
 		f() // warm: bucket creation, pool priming

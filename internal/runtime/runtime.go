@@ -84,7 +84,7 @@ type Node struct {
 
 	mu    sync.Mutex
 	state *core.Node[string]
-	rng   *rand.Rand // seeded sampling RNG for Diverse mode (guarded by mu)
+	rng   *rand.Rand // seeded GetPeer sampling RNG (guarded by mu)
 	queue []string   // shuffled sampling queue for Diverse mode
 
 	runMu  sync.Mutex
@@ -137,8 +137,8 @@ func New(cfg Config, factory transport.Factory) (*Node, error) {
 		return nil, err
 	}
 	n.state = state
-	// A distinct stream keeps GetPeer sampling from perturbing the
-	// protocol's own peer/view selection sequence.
+	// A distinct stream keeps GetPeer sampling, in either mode, from
+	// perturbing the protocol's own peer/view selection sequence.
 	n.rng = rand.New(rand.NewPCG(seed, 0x6E7))
 	return n, nil
 }
@@ -155,28 +155,21 @@ func (n *Node) Protocol() core.Protocol { return n.cfg.Protocol }
 // ... if this has not been done before". Contact addresses are trimmed of
 // surrounding whitespace; the node's own address is dropped (a view must
 // never contain its owner) and duplicate contacts collapse to one entry
-// (Bootstrap and Merge deduplicate).
+// (Bootstrap filters and deduplicates).
 func (n *Node) Init(contacts []string) error {
-	self := n.addr
 	descs := make([]core.Descriptor[string], 0, len(contacts))
 	for _, c := range contacts {
 		c = strings.TrimSpace(c)
 		if c == "" {
 			return errors.New("runtime: empty contact address")
 		}
-		if c == self {
-			continue
-		}
 		descs = append(descs, core.Descriptor[string]{Addr: c, Hop: 0})
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.state.View().Len() == 0 {
-		n.state.Bootstrap(descs)
-		return nil
-	}
-	merged := core.Merge(descs, n.state.View().Descriptors())
-	n.state.View().SetAll(merged)
+	// Bootstrap sorts stably by hop, so listing the contacts first keeps
+	// them ahead of resident entries of equal hop.
+	n.state.Bootstrap(append(descs, n.state.View().Descriptors()...))
 	return nil
 }
 
@@ -184,8 +177,12 @@ func (n *Node) Init(contacts []string) error {
 func (n *Node) GetPeer() (string, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	view := n.state.View()
 	if !n.cfg.Diverse {
-		return n.state.RandomPeer()
+		if view.Len() == 0 {
+			return "", core.ErrEmptyView
+		}
+		return view.At(n.rng.IntN(view.Len())).Addr, nil
 	}
 	// Diverse mode: drain a shuffled snapshot of the view, refilling it
 	// when exhausted, so consecutive calls repeat a peer as rarely as the
@@ -193,11 +190,11 @@ func (n *Node) GetPeer() (string, error) {
 	for len(n.queue) > 0 {
 		peer := n.queue[len(n.queue)-1]
 		n.queue = n.queue[:len(n.queue)-1]
-		if n.state.View().Contains(peer) {
+		if view.Contains(peer) {
 			return peer, nil
 		}
 	}
-	addrs := n.state.View().Addresses()
+	addrs := view.Addresses()
 	if len(addrs) == 0 {
 		return "", core.ErrEmptyView
 	}

@@ -292,6 +292,30 @@ func TestDiverseGetPeerDeterministic(t *testing.T) {
 	}
 }
 
+// TestGetPeerLeavesGossipUnperturbed pins that GetPeer draws from its own
+// stream in plain mode too: two identically seeded clusters gossip to
+// identical views whether or not one of them is sampled between ticks.
+func TestGetPeerLeavesGossipUnperturbed(t *testing.T) {
+	proto := core.Protocol{PeerSel: core.PeerRand, ViewSel: core.ViewRand, Prop: core.PushPull}
+	// Separate fabrics give both clusters the same node addresses.
+	quiet := buildCluster(t, transport.NewFabric(), proto, 20, nil)
+	sampled := buildCluster(t, transport.NewFabric(), proto, 20, nil)
+	for cycle := 0; cycle < 10; cycle++ {
+		for i := range quiet {
+			quiet[i].Tick()
+			sampled[i].Tick()
+			if _, err := sampled[i].GetPeer(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range quiet {
+		if a, b := quiet[i].View(), sampled[i].View(); !slices.Equal(a, b) {
+			t.Fatalf("node %d: view %v, with GetPeer calls %v", i, a, b)
+		}
+	}
+}
+
 func TestFailedExchangeIsCountedAndSurvived(t *testing.T) {
 	f := transport.NewFabric()
 	var errs []error

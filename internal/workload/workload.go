@@ -3,8 +3,7 @@
 // the engine a config.WorkloadSection describes, attaches it to the
 // node's transport app-payload path and sampling service, and wraps the
 // node so the engine's counters flow through internal/metrics alongside
-// the node's own. The daemon's workload plugin and the fleet drivers
-// are the two consumers.
+// the node's own. The daemon's workload plugin is its consumer.
 package workload
 
 import (
