@@ -1,8 +1,8 @@
 // Benchmark harness: one sub-benchmark per simulated table and figure of
 // the paper's evaluation section and per simulated extension. Each runs
 // the experiment at the "quick" reproduction scale (N=500, c=30 — every
-// qualitative shape of the paper holds there; see EXPERIMENTS.md for
-// paper-scale numbers) and prints the paper-shaped result table once.
+// qualitative shape of the paper holds there; `experiments -scale full`
+// runs the paper's scale) and prints the paper-shaped result table once.
 //
 // Run with:
 //

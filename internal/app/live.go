@@ -51,8 +51,6 @@ type NodeEndpoint struct {
 	Addr string
 	// Topic is the engine's payload stream.
 	Topic string
-	// Timeout bounds one delivery; zero selects a second.
-	Timeout time.Duration
 	// Send is runtime.Node.SendApp or any compatible carrier.
 	Send func(ctx context.Context, peer, topic string, payload []byte, wantReply bool) ([]byte, bool, error)
 }
@@ -62,13 +60,12 @@ var _ Endpoint[string] = (*NodeEndpoint)(nil)
 // Self implements Endpoint.
 func (e *NodeEndpoint) Self() string { return e.Addr }
 
+// deliverTimeout bounds one delivery.
+const deliverTimeout = time.Second
+
 // Deliver implements Endpoint.
 func (e *NodeEndpoint) Deliver(peer string, payload []byte, wantReply bool) ([]byte, bool, error) {
-	timeout := e.Timeout
-	if timeout == 0 {
-		timeout = time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), deliverTimeout)
 	defer cancel()
 	return e.Send(ctx, peer, e.Topic, payload, wantReply)
 }

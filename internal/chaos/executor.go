@@ -147,13 +147,6 @@ func (e *Executor) Plan() *Plan { return e.plan }
 // respawn and expiry steps).
 func (e *Executor) Steps() int { return len(e.steps) }
 
-// Remaining reports how many compiled steps have not been applied yet.
-func (e *Executor) Remaining() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.steps) - e.next
-}
-
 // Members returns the executor's view of the cluster membership: the
 // initial members plus every respawn, killed ones included (check
 // Member.Alive).
@@ -161,13 +154,6 @@ func (e *Executor) Members() []fleet.Member {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]fleet.Member(nil), e.members...)
-}
-
-// AliveMembers returns the members still alive.
-func (e *Executor) AliveMembers() []fleet.Member {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return aliveOf(e.members)
 }
 
 func aliveOf(members []fleet.Member) []fleet.Member {

@@ -77,6 +77,13 @@ func mustParse(t *testing.T, raw string) *Plan {
 	return p
 }
 
+// remaining reports how many compiled steps ex has not applied yet.
+func remaining(ex *Executor) int {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	return len(ex.steps) - ex.next
+}
+
 func TestExecutorKillAndRespawn(t *testing.T) {
 	c, members := newTestCluster(t, 4)
 	plan := mustParse(t, `
@@ -84,8 +91,8 @@ func TestExecutorKillAndRespawn(t *testing.T) {
  "events": [{"action": "kill", "fraction": 0.5, "respawn_after": "1ms"}]}
 `)
 	ex := New(plan, c, members, Options{Seed: 11})
-	if ex.Steps() != 2 || ex.Remaining() != 2 {
-		t.Fatalf("compiled %d steps, %d remaining", ex.Steps(), ex.Remaining())
+	if ex.Steps() != 2 || remaining(ex) != 2 {
+		t.Fatalf("compiled %d steps, %d remaining", ex.Steps(), remaining(ex))
 	}
 
 	ap, err := ex.Step()
@@ -100,7 +107,7 @@ func TestExecutorKillAndRespawn(t *testing.T) {
 			t.Errorf("victim %s survived", v.Name())
 		}
 	}
-	if got := len(ex.AliveMembers()); got != 2 {
+	if got := len(aliveOf(ex.Members())); got != 2 {
 		t.Fatalf("alive after kill = %d", got)
 	}
 	if ex.KilledTotal() != 2 {
@@ -114,7 +121,7 @@ func TestExecutorKillAndRespawn(t *testing.T) {
 	if ap.Action != ActionRespawn || len(ap.Spawned) != 2 {
 		t.Fatalf("respawn step = %+v", ap)
 	}
-	if got := len(ex.AliveMembers()); got != 4 {
+	if got := len(aliveOf(ex.Members())); got != 4 {
 		t.Errorf("alive after respawn = %d", got)
 	}
 	if got := len(ex.Members()); got != 6 {
@@ -285,7 +292,7 @@ func TestExecutorRunHonorsClockAndContext(t *testing.T) {
 		t.Fatalf("Run = %v", err)
 	}
 	// The pulse and its expiry fired; the far-future heal did not.
-	if got := ex.Remaining(); got != 1 {
+	if got := remaining(ex); got != 1 {
 		t.Errorf("remaining = %d", got)
 	}
 	if got := len(c.Rules()); got != 0 {

@@ -39,21 +39,15 @@ func SortByHop[A comparable](buf []Descriptor[A]) {
 	slices.SortStableFunc(buf, func(a, b Descriptor[A]) int { return cmp.Compare(a.Hop, b.Hop) })
 }
 
-// Merge returns the union of the two hop-ordered descriptor lists, ordered
-// again by increasing hop count. When both lists contain a descriptor for
-// the same address only the one with the lowest hop count survives; on a
-// tie the descriptor from the first list wins (the merge is stable). The
-// inputs must each be sorted by hop count. A duplicate address within one
-// input is tolerated: its first, lowest-hop occurrence wins, so merging a
-// sorted list with nil deduplicates it. The result is a freshly allocated
-// slice.
-func Merge[A comparable](first, second []Descriptor[A]) []Descriptor[A] {
-	return MergeInto(make([]Descriptor[A], 0, len(first)+len(second)), first, second)
-}
-
-// MergeInto is Merge writing its result into dst (which is truncated
-// first and must not alias either input). It returns the possibly grown
-// dst, so callers holding a reusable scratch slice can merge without
+// MergeInto writes the union of the two hop-ordered descriptor lists into
+// dst (which is truncated first and must not alias either input), ordered
+// again by increasing hop count, and returns the possibly grown dst. When
+// both lists contain a descriptor for the same address only the one with
+// the lowest hop count survives; on a tie the descriptor from the first
+// list wins (the merge is stable). The inputs must each be sorted by hop
+// count. A duplicate address within one input is tolerated: its first,
+// lowest-hop occurrence wins, so merging a sorted list with nil
+// deduplicates it. Callers holding a reusable scratch slice merge without
 // allocating once the scratch has reached steady-state capacity.
 func MergeInto[A comparable](dst, first, second []Descriptor[A]) []Descriptor[A] {
 	return mergeKeep(dst, first, second, nil, len(first)+len(second))

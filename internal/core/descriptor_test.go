@@ -52,7 +52,7 @@ func TestSortByHopStable(t *testing.T) {
 func TestMergeDisjoint(t *testing.T) {
 	a := descs(1, 0, 2, 3)
 	b := descs(3, 1, 4, 5)
-	got := Merge(a, b)
+	got := MergeInto(nil, a, b)
 	want := descs(1, 0, 3, 1, 2, 3, 4, 5)
 	if len(got) != len(want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -67,12 +67,12 @@ func TestMergeDisjoint(t *testing.T) {
 func TestMergeLowestHopWins(t *testing.T) {
 	a := descs(7, 4)
 	b := descs(7, 2)
-	got := Merge(a, b)
+	got := MergeInto(nil, a, b)
 	if len(got) != 1 || got[0] != (Descriptor[int32]{Addr: 7, Hop: 2}) {
 		t.Fatalf("got %v, want single 7@2", got)
 	}
 	// And symmetrically when the first list holds the fresher copy.
-	got = Merge(b, a)
+	got = MergeInto(nil, b, a)
 	if len(got) != 1 || got[0] != (Descriptor[int32]{Addr: 7, Hop: 2}) {
 		t.Fatalf("got %v, want single 7@2", got)
 	}
@@ -83,7 +83,7 @@ func TestMergeTieFavorsFirst(t *testing.T) {
 	// equal hops: the first list's entries must come first (stability).
 	a := descs(1, 3)
 	b := descs(2, 3)
-	got := Merge(a, b)
+	got := MergeInto(nil, a, b)
 	want := descs(1, 3, 2, 3)
 	for i := range want {
 		if got[i] != want[i] {
@@ -94,13 +94,13 @@ func TestMergeTieFavorsFirst(t *testing.T) {
 
 func TestMergeEmpty(t *testing.T) {
 	a := descs(1, 1)
-	if got := Merge(a, nil); len(got) != 1 || got[0] != a[0] {
+	if got := MergeInto(nil, a, nil); len(got) != 1 || got[0] != a[0] {
 		t.Fatalf("merge with nil second: got %v", got)
 	}
-	if got := Merge(nil, a); len(got) != 1 || got[0] != a[0] {
+	if got := MergeInto(nil, nil, a); len(got) != 1 || got[0] != a[0] {
 		t.Fatalf("merge with nil first: got %v", got)
 	}
-	if got := Merge[int32](nil, nil); len(got) != 0 {
+	if got := MergeInto[int32](nil, nil, nil); len(got) != 0 {
 		t.Fatalf("merge of nils: got %v", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestMergeEmpty(t *testing.T) {
 func TestMergeDoesNotAliasInputs(t *testing.T) {
 	a := descs(1, 0, 2, 1)
 	b := descs(3, 2)
-	got := Merge(a, b)
+	got := MergeInto(nil, a, b)
 	got[0].Hop = 99
 	if a[0].Hop != 0 {
 		t.Fatal("merge result aliases its first input")
@@ -164,8 +164,9 @@ func mergeReference[A comparable](first, second []Descriptor[A]) []Descriptor[A]
 	return out
 }
 
-// mergeIsUnion reports whether m = Merge(a, b) is hop-sorted, holds every
-// source address exactly once, and each with its minimum source hop.
+// mergeIsUnion reports whether m = MergeInto(nil, a, b) is hop-sorted,
+// holds every source address exactly once, and each with its minimum
+// source hop.
 func mergeIsUnion[A comparable](a, b, m []Descriptor[A]) bool {
 	for i := 1; i < len(m); i++ {
 		if m[i].Hop < m[i-1].Hop {
@@ -197,7 +198,7 @@ func TestMergePropertyUnion(t *testing.T) {
 		a := randomSortedView(addrsA, hopsA)
 		b := randomSortedView(addrsB, hopsB)
 		sa, sb := stringAddrs(a), stringAddrs(b)
-		return mergeIsUnion(a, b, Merge(a, b)) && mergeIsUnion(sa, sb, Merge(sa, sb))
+		return mergeIsUnion(a, b, MergeInto(nil, a, b)) && mergeIsUnion(sa, sb, MergeInto(nil, sa, sb))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -264,8 +265,8 @@ func FuzzMergeInto(f *testing.F) {
 		checkMerge(t, a, b, me[0].Addr, int(limit))
 		checkMerge(t, wideAddrs(a, salt), wideAddrs(b, salt), wideAddrs(me, salt)[0].Addr, int(limit))
 		checkMerge(t, stringAddrs(a), stringAddrs(b), stringAddrs(me)[0].Addr, int(limit))
-		if got, want := Merge(a, b), mergeReference(a, b); !slices.Equal(got, want) {
-			t.Fatalf("Merge(%v, %v)\n got %v\nwant %v", a, b, got, want)
+		if got, want := MergeInto(nil, a, b), mergeReference(a, b); !slices.Equal(got, want) {
+			t.Fatalf("MergeInto(nil, %v, %v)\n got %v\nwant %v", a, b, got, want)
 		}
 	})
 }
@@ -303,8 +304,8 @@ func TestMergeSetCommutativity(t *testing.T) {
 	f := func(addrsA, addrsB []uint16, hopsA, hopsB []uint8) bool {
 		a := randomSortedView(addrsA, hopsA)
 		b := randomSortedView(addrsB, hopsB)
-		ab := Merge(a, b)
-		ba := Merge(b, a)
+		ab := MergeInto(nil, a, b)
+		ba := MergeInto(nil, b, a)
 		if len(ab) != len(ba) {
 			return false
 		}
@@ -327,7 +328,7 @@ func TestMergeSetCommutativity(t *testing.T) {
 func TestMergeIdempotent(t *testing.T) {
 	f := func(addrs []uint16, hops []uint8) bool {
 		a := randomSortedView(addrs, hops)
-		m := Merge(a, a)
+		m := MergeInto(nil, a, a)
 		if len(m) != len(a) {
 			return false
 		}

@@ -29,8 +29,8 @@
 //
 // A received buffer goes into the view through one bounded merge. The
 // merge leaves out the node's own address as it goes, and under head
-// view selection it stops at the c freshest survivors. Merge and
-// MergeInto are its unbounded form.
+// view selection it stops at the c freshest survivors. MergeInto is its
+// unbounded form.
 //
 // A Node holds only its state: address, protocol, view and RNG. Callers
 // own the exchange buffers: request and response buffers through the Into

@@ -200,7 +200,7 @@ func (n *Node[A]) HandleResponse(resp Response[A]) {
 // first) and returns it: the node's view with its own zero-hop descriptor
 // in front. The view never contains its owner and the self-descriptor's
 // hop count of zero is minimal, so the merge reduces to prepending self —
-// exactly what a stable Merge would produce, since on equal hop counts
+// exactly what a stable MergeInto would produce, since on equal hop counts
 // (possible only transiently during bootstrap) the first operand's entry
 // precedes the second's.
 func (n *Node[A]) outgoingInto(buf []Descriptor[A]) []Descriptor[A] {

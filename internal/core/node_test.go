@@ -29,7 +29,7 @@ func TestNewNodeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
-	if n.Self() != 7 || n.Protocol() != Newscast || n.View().Cap() != 4 {
+	if n.Self() != 7 || n.Protocol() != Newscast || n.View().capacity != 4 {
 		t.Error("accessors wrong")
 	}
 }
@@ -149,18 +149,18 @@ func TestHandleRequestPushPull(t *testing.T) {
 	}
 
 	// b's view now knows a with hop 1 (0 incremented on receipt).
-	if h, ok := b.View().HopOf(1); !ok || h != 1 {
+	if h, ok := hopOf(b.View(), 1); !ok || h != 1 {
 		t.Errorf("b's hop for a = %d,%v want 1,true", h, ok)
 	}
 	if b.View().Contains(2) {
 		t.Error("b stored its own descriptor")
 	}
-	if b.View().Len() > b.View().Cap() {
-		t.Errorf("b's view overflows: %d > %d", b.View().Len(), b.View().Cap())
+	if b.View().Len() > b.View().capacity {
+		t.Errorf("b's view overflows: %d > %d", b.View().Len(), b.View().capacity)
 	}
 
 	a.HandleResponse(resp)
-	if h, ok := a.View().HopOf(2); !ok || h != 1 {
+	if h, ok := hopOf(a.View(), 2); !ok || h != 1 {
 		t.Errorf("a's hop for b = %d,%v want 1,true", h, ok)
 	}
 	if a.View().Contains(1) {
@@ -230,7 +230,7 @@ func TestHopCountsGrowAlongChains(t *testing.T) {
 	req2.From = 2
 	c.HandleRequest(req2)
 
-	h, ok := c.View().HopOf(1)
+	h, ok := hopOf(c.View(), 1)
 	if !ok {
 		t.Fatal("c never learned about a")
 	}

@@ -90,20 +90,3 @@ func StudiedProtocols() []Protocol {
 	}
 	return out
 }
-
-// Excluded reports whether the paper's Section 4.3 preliminary experiments
-// ruled the protocol out, together with the reason: (head,*,*) suffers
-// severe clustering, (*,tail,*) cannot absorb joining nodes, and (*,*,pull)
-// collapses to a star topology.
-func (p Protocol) Excluded() (bool, string) {
-	switch {
-	case p.PeerSel == PeerHead:
-		return true, "head peer selection causes severe clustering"
-	case p.ViewSel == ViewTail:
-		return true, "tail view selection cannot handle joining nodes"
-	case p.Prop == Pull:
-		return true, "pull-only propagation converges to a star topology"
-	default:
-		return false, ""
-	}
-}

@@ -68,38 +68,25 @@ func TestStudiedProtocols(t *testing.T) {
 	if len(studied) != 8 {
 		t.Fatalf("len = %d want 8", len(studied))
 	}
-	for _, p := range studied {
-		if excluded, why := p.Excluded(); excluded {
-			t.Errorf("studied protocol %v is excluded: %s", p, why)
-		}
-	}
 	if studied[0].ViewSel != ViewRand || studied[len(studied)-1].ViewSel != ViewHead {
 		t.Error("unexpected ordering of studied protocols")
 	}
 }
 
+// TestExclusionRules checks StudiedProtocols against Section 4.3: the
+// studied tuples are the 27 less (head,*,*), which clusters severely,
+// (*,tail,*), which cannot absorb joining nodes, and (*,*,pull), which
+// collapses to a star.
 func TestExclusionRules(t *testing.T) {
-	excludedCount := 0
+	studied := map[Protocol]bool{}
+	for _, p := range StudiedProtocols() {
+		studied[p] = true
+	}
 	for _, p := range AllProtocols() {
-		excluded, why := p.Excluded()
-		if excluded {
-			excludedCount++
-			if why == "" {
-				t.Errorf("%v excluded without reason", p)
-			}
+		excluded := p.PeerSel == PeerHead || p.ViewSel == ViewTail || p.Prop == Pull
+		if excluded == studied[p] {
+			t.Errorf("%v: excluded %v, studied %v", p, excluded, studied[p])
 		}
-	}
-	if excludedCount != 27-8 {
-		t.Errorf("excluded %d protocols, want 19", excludedCount)
-	}
-	if ex, _ := (Protocol{PeerHead, ViewHead, PushPull}).Excluded(); !ex {
-		t.Error("(head,head,pushpull) should be excluded")
-	}
-	if ex, _ := (Protocol{PeerRand, ViewTail, PushPull}).Excluded(); !ex {
-		t.Error("(rand,tail,pushpull) should be excluded")
-	}
-	if ex, _ := (Protocol{PeerRand, ViewHead, Pull}).Excluded(); !ex {
-		t.Error("(rand,head,pull) should be excluded")
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// View is a partial view: a list of at most Cap descriptors, one per peer
+// View is a partial view: a list of at most c descriptors, one per peer
 // address, ordered by increasing hop count. The zero value is not usable;
 // construct views with NewView.
 //
@@ -34,10 +34,6 @@ func NewView[A comparable](capacity int) *View[A] {
 		capacity: capacity,
 	}
 }
-
-// Cap returns the maximum number of descriptors the view may hold (the
-// protocol parameter c).
-func (v *View[A]) Cap() int { return v.capacity }
 
 // Len returns the current number of descriptors.
 func (v *View[A]) Len() int { return len(v.items) }
@@ -67,17 +63,6 @@ func (v *View[A]) Addresses() []A {
 // Contains reports whether the view holds a descriptor for addr.
 func (v *View[A]) Contains(addr A) bool { return containsAddr(v.items, addr) }
 
-// HopOf returns the hop count recorded for addr and whether the address is
-// present.
-func (v *View[A]) HopOf(addr A) (int32, bool) {
-	for i := range v.items {
-		if v.items[i].Addr == addr {
-			return v.items[i].Hop, true
-		}
-	}
-	return 0, false
-}
-
 // Remove deletes the descriptor for addr if present and reports whether a
 // deletion happened.
 func (v *View[A]) Remove(addr A) bool {
@@ -88,7 +73,7 @@ func (v *View[A]) Remove(addr A) bool {
 
 // SetAll replaces the view contents with the given descriptors. The input
 // is copied, deduplicated (lowest hop count wins) and sorted by hop count;
-// at most Cap entries are kept, preferring the freshest ones. SetAll is
+// at most capacity entries are kept, preferring the freshest ones. SetAll is
 // intended for bootstrap: steady-state updates go through Node.
 func (v *View[A]) SetAll(descriptors []Descriptor[A]) {
 	buf := make([]Descriptor[A], len(descriptors))

@@ -54,20 +54,31 @@ func TestViewSetAllCopiesInput(t *testing.T) {
 	}
 }
 
+// hopOf returns the hop count v records for addr and whether addr is
+// present.
+func hopOf[A comparable](v *View[A], addr A) (int32, bool) {
+	for _, d := range v.items {
+		if d.Addr == addr {
+			return d.Hop, true
+		}
+	}
+	return 0, false
+}
+
 func TestViewAccessors(t *testing.T) {
 	v := NewView[int32](8)
 	v.SetAll(descs(10, 1, 20, 2, 30, 3))
-	if v.Cap() != 8 {
-		t.Errorf("Cap = %d want 8", v.Cap())
+	if v.capacity != 8 {
+		t.Errorf("capacity = %d want 8", v.capacity)
 	}
 	if !v.Contains(20) || v.Contains(99) {
 		t.Error("Contains wrong")
 	}
-	if h, ok := v.HopOf(30); !ok || h != 3 {
-		t.Errorf("HopOf(30) = %d,%v want 3,true", h, ok)
+	if h, ok := hopOf(v, 30); !ok || h != 3 {
+		t.Errorf("hopOf(30) = %d,%v want 3,true", h, ok)
 	}
-	if _, ok := v.HopOf(99); ok {
-		t.Error("HopOf(99) reported present")
+	if _, ok := hopOf(v, 99); ok {
+		t.Error("hopOf(99) reported present")
 	}
 	addrs := v.Addresses()
 	if len(addrs) != 3 || addrs[0] != 10 || addrs[2] != 30 {

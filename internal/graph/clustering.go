@@ -26,17 +26,12 @@ func (g *Graph) clusteringOf(v int32, stamp []uint32, gen uint32) float64 {
 	return float64(links) / float64(d*(d-1))
 }
 
-// ClusteringOf returns the local clustering coefficient of node v: the
-// number of edges among v's neighbours divided by the number of possible
-// such edges. Nodes with fewer than two neighbours have coefficient 0 (the
-// Watts-Strogatz convention, under which trees score 0 as in the paper).
-func (g *Graph) ClusteringOf(v int32) float64 {
-	return g.clusteringOf(v, make([]uint32, len(g.adj)), 1)
-}
-
 // Clustering returns the clustering coefficient of the graph: the average
-// of the local coefficients over all nodes. It is exact and costs
-// O(sum_v deg(v)^2) time.
+// of the local coefficients over all nodes. A node's local coefficient is
+// the number of edges among its neighbours divided by the number of
+// possible such edges, and 0 with fewer than two neighbours (the
+// Watts-Strogatz convention, under which trees score 0 as in the paper).
+// It is exact and costs O(sum_v deg(v)^2) time.
 func (g *Graph) Clustering() float64 {
 	if len(g.adj) == 0 {
 		return 0

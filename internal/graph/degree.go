@@ -1,14 +1,5 @@
 package graph
 
-// Degrees returns the degree of every node.
-func (g *Graph) Degrees() []int {
-	out := make([]int, len(g.adj))
-	for i := range g.adj {
-		out[i] = len(g.adj[i])
-	}
-	return out
-}
-
 // AverageDegree returns the mean node degree (2m/n). It returns 0 for the
 // empty graph.
 func (g *Graph) AverageDegree() float64 {
@@ -16,16 +7,6 @@ func (g *Graph) AverageDegree() float64 {
 		return 0
 	}
 	return 2 * float64(g.edges) / float64(len(g.adj))
-}
-
-// DegreeHistogram returns a map from degree to the number of nodes with
-// that degree, the raw material of the paper's Figure 4.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for i := range g.adj {
-		h[len(g.adj[i])]++
-	}
-	return h
 }
 
 // MinMaxDegree returns the smallest and largest node degree. Both are 0

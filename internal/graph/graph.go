@@ -1,14 +1,11 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Graph is a simple undirected graph over nodes 0..n-1 whose sorted
 // adjacency rows are sub-slices of one backing array. Build one with
-// FromRows or its adapters; the zero value is an empty graph. A Graph is
-// immutable, and its analyses keep their scratch per call.
+// FromRows; the zero value is an empty graph. A Graph is immutable, and
+// its analyses keep their scratch per call.
 type Graph struct {
 	adj   [][]int32
 	edges int
@@ -89,29 +86,6 @@ func FromRows(n int, row func(i int, dst []int32) []int32) *Graph {
 	return &Graph{adj: adj, edges: w / 2}
 }
 
-// FromAdjacency builds the undirected communication graph from directed
-// out-neighbour lists, one per node, as FromRows does.
-func FromAdjacency(out [][]int32) *Graph {
-	return FromRows(len(out), func(i int, dst []int32) []int32 {
-		return append(dst, out[i]...)
-	})
-}
-
-// NewUndirected builds a graph with n nodes from an edge list. Self-loops
-// and duplicate edges are dropped. It panics if an endpoint is out of
-// range, since that always indicates a bug in the caller.
-func NewUndirected(n int, edges [][2]int32) *Graph {
-	out := make([][]int32, n)
-	for _, e := range edges {
-		a, b := e[0], e[1]
-		if int(a) >= n || int(b) >= n || a < 0 || b < 0 {
-			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", a, b, n))
-		}
-		out[a] = append(out[a], b)
-	}
-	return FromAdjacency(out)
-}
-
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.adj) }
 
@@ -120,13 +94,3 @@ func (g *Graph) NumEdges() int { return g.edges }
 
 // Degree returns the degree of node v.
 func (g *Graph) Degree(v int32) int { return len(g.adj[v]) }
-
-// Neighbors returns the sorted adjacency list of v. The returned slice is
-// shared with the graph and must not be modified.
-func (g *Graph) Neighbors(v int32) []int32 { return g.adj[v] }
-
-// HasEdge reports whether the undirected edge {a,b} exists.
-func (g *Graph) HasEdge(a, b int32) bool {
-	_, found := slices.BinarySearch(g.adj[a], b)
-	return found
-}

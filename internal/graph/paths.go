@@ -113,22 +113,6 @@ func (g *Graph) EstimatePathLength(sources int, rng *rand.Rand) float64 {
 	return float64(sum) / float64(pairs)
 }
 
-// Diameter returns the largest finite shortest-path distance in the graph
-// (0 for graphs with fewer than two nodes or no edges).
-func (g *Graph) Diameter() int {
-	b := g.newBFS()
-	var max int32
-	for v := range g.adj {
-		b.run(int32(v))
-		// The queue holds the nodes level after level, so its last node
-		// is one of the farthest.
-		if d := b.dist[b.queue[len(b.queue)-1]]; d > max {
-			max = d
-		}
-	}
-	return int(max)
-}
-
 // sampleIndices returns k distinct indices from 0..n-1 chosen uniformly at
 // random (partial Fisher-Yates).
 func sampleIndices(n, k int, rng *rand.Rand) []int {

@@ -35,26 +35,3 @@ func RandomOutViews(n, c int, rng *rand.Rand) [][]int32 {
 	}
 	return out
 }
-
-// RandomViewGraph builds the undirected communication graph of the
-// uniform-random-view baseline.
-func RandomViewGraph(n, c int, rng *rand.Rand) *Graph {
-	return FromAdjacency(RandomOutViews(n, c, rng))
-}
-
-// RingLattice builds the undirected ring lattice used by the paper's
-// structured bootstrap scenario: n nodes in a ring, each linked to its k
-// nearest neighbours on each side (so degree 2k). Used in tests as a
-// high-diameter, high-clustering reference topology.
-func RingLattice(n, k int) *Graph {
-	if 2*k >= n {
-		panic(fmt.Sprintf("graph: ring lattice with n=%d, k=%d would be complete", n, k))
-	}
-	edges := make([][2]int32, 0, n*k)
-	for v := 0; v < n; v++ {
-		for d := 1; d <= k; d++ {
-			edges = append(edges, [2]int32{int32(v), int32((v + d) % n)})
-		}
-	}
-	return NewUndirected(n, edges)
-}

@@ -191,13 +191,13 @@ func matchReference(t *testing.T, g *graph.Graph, out [][]int32) {
 		t.Fatalf("n, m = %d, %d; reference %d, %d", g.NumNodes(), g.NumEdges(), n, ref.edges())
 	}
 	for v := range ref {
-		if !slices.Equal(g.Neighbors(int32(v)), ref[v]) {
-			t.Fatalf("row %d = %v; reference %v", v, g.Neighbors(int32(v)), ref[v])
+		if !slices.Equal(graph.Row(g, int32(v)), ref[v]) {
+			t.Fatalf("row %d = %v; reference %v", v, graph.Row(g, int32(v)), ref[v])
 		}
 		if !slices.Equal(g.BFS(int32(v)), ref.bfs(int32(v))) {
 			t.Fatalf("BFS(%d) = %v; reference %v", v, g.BFS(int32(v)), ref.bfs(int32(v)))
 		}
-		if got, want := g.ClusteringOf(int32(v)), ref.clusteringOf(int32(v)); got != want {
+		if got, want := graph.ClusteringOf(g, int32(v)), ref.clusteringOf(int32(v)); got != want {
 			t.Fatalf("ClusteringOf(%d) = %v; reference %v", v, got, want)
 		}
 	}
@@ -206,7 +206,7 @@ func matchReference(t *testing.T, g *graph.Graph, out [][]int32) {
 	if gotL != wantL || gotP != wantP {
 		t.Fatalf("AveragePathLength = %v over %d; reference %v over %d", gotL, gotP, wantL, wantP)
 	}
-	if got, want := g.Diameter(), ref.diameter(); got != want {
+	if got, want := graph.Diameter(g), ref.diameter(); got != want {
 		t.Fatalf("Diameter = %d; reference %d", got, want)
 	}
 	for _, k := range []int{1, max(n/2, 1), n} {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,4 +73,54 @@ func TestRemotePollErrors(t *testing.T) {
 	if _, err := NewRemote(ts.URL).Poll(); err == nil || !strings.Contains(err.Error(), "decode") {
 		t.Errorf("garbage body error = %v", err)
 	}
+}
+
+// roundTripFunc lets a test stand in for the HTTP transport.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// FuzzRemoteSnapshot serves arbitrary bytes as an agent's /snapshot body:
+// whatever Poll decodes must render through Rows and WritePrometheus
+// without a panic. The body is served from an httptest recorder in place
+// of a listening server, whose connection goroutines would make coverage
+// vary from run to run and keep the fuzzer minimising.
+func FuzzRemoteSnapshot(f *testing.F) {
+	agent := fixedCollector().Snapshot()[2] // gamma: wire, latency, view and workload
+	if agent.Latency == nil || agent.App == nil {
+		f.Fatalf("seed snapshot lacks a histogram or workload: %+v", agent)
+	}
+	seed, err := json.Marshal(agent)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	// A build with one more latency bucket than this one.
+	long := *agent.Latency
+	long.Buckets = append(long.Buckets[:len(long.Buckets):len(long.Buckets)], 5)
+	long.Count += 5
+	agent.Latency = &long
+	seed, err = json.Marshal(agent)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"latency": {"count": 3, "buckets": []}}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := NewRemote("http://agent/snapshot")
+		r.client.Transport = roundTripFunc(func(*http.Request) (*http.Response, error) {
+			rec := httptest.NewRecorder()
+			_, _ = rec.Write(body)
+			return rec.Result(), nil
+		})
+		s, err := r.Poll()
+		if err != nil {
+			return
+		}
+		s.Rows()
+		if err := WritePrometheus(io.Discard, []NodeSnapshot{s}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -45,12 +45,6 @@ func NewCombined(primary, secondary Config, factory transport.Factory, seed uint
 	}, nil
 }
 
-// Primary returns the first protocol instance.
-func (c *Combined) Primary() *Node { return c.primary }
-
-// Secondary returns the second protocol instance.
-func (c *Combined) Secondary() *Node { return c.secondary }
-
 // Init implements Service: both instances bootstrap from the contacts.
 func (c *Combined) Init(contacts []string) error {
 	if err := c.primary.Init(contacts); err != nil {

@@ -110,7 +110,7 @@ func TestCombinedServiceSurvivesPartition(t *testing.T) {
 
 	// Partition the combined service away from everyone and let it keep
 	// gossiping into the void.
-	faults.SetRules(partition([]*Node{svc.Primary(), svc.Secondary()}, others))
+	faults.SetRules(partition([]*Node{svc.primary, svc.secondary}, others))
 	for c := 0; c < 25; c++ {
 		svc.Tick()
 		tickAll(others, 1)
@@ -126,7 +126,7 @@ func TestCombinedServiceSurvivesPartition(t *testing.T) {
 		foreign[n.Addr()] = true
 	}
 	stillKnown := 0
-	for _, d := range svc.Secondary().View() {
+	for _, d := range svc.secondary.View() {
 		if foreign[d.Addr] {
 			stillKnown++
 		}

@@ -463,10 +463,10 @@ func TestCombinedService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p == "" || p == svc.Primary().Addr() || p == svc.Secondary().Addr() {
+	if p == "" || p == svc.primary.Addr() || p == svc.secondary.Addr() {
 		t.Errorf("combined GetPeer returned %q", p)
 	}
-	if svc.Primary().Protocol() == svc.Secondary().Protocol() {
+	if svc.primary.Protocol() == svc.secondary.Protocol() {
 		t.Error("combined instances share a protocol; expected two")
 	}
 }
@@ -484,10 +484,10 @@ func TestCombinedGetPeerIsSeeded(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer svc.Close()
-		if err := svc.Primary().Init(contacts[:8]); err != nil {
+		if err := svc.primary.Init(contacts[:8]); err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.Secondary().Init(contacts[4:]); err != nil {
+		if err := svc.secondary.Init(contacts[4:]); err != nil {
 			t.Fatal(err)
 		}
 		peers := make([]string, 64)

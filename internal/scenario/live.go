@@ -14,8 +14,8 @@ import (
 
 // LiveEnv configures how a live experiment builds its cluster: which
 // fleet driver runs the nodes (in-process goroutines or forked psnode
-// processes) and where their metrics land. The zero value — inproc, no
-// collector — reproduces the pre-fleet behaviour of the live scenarios.
+// processes) and where their metrics land. The zero value runs the nodes
+// in-process and registers them with no collector.
 type LiveEnv struct {
 	// Collector, when non-nil, gets every cluster member registered for
 	// continuous observation (see cmd/experiments -metrics-addr).

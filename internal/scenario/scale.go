@@ -2,8 +2,7 @@
 // three bootstrap scenarios (growing overlay, ring lattice, random
 // topology), and one driver per table and figure of the evaluation
 // section. Each driver returns a structured result that renders as a
-// paper-shaped text table; cmd/experiments runs them all and EXPERIMENTS.md
-// records the outcomes.
+// paper-shaped text table; cmd/experiments runs them all.
 package scenario
 
 import "fmt"

@@ -16,7 +16,8 @@ func TestAllTwentySevenProtocolsRunSafely(t *testing.T) {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
 			t.Parallel()
-			w := MustNew(Config{Protocol: proto, ViewSize: 6, Seed: 11})
+			cfg := Config{Protocol: proto, ViewSize: 6, Seed: 11}
+			w := MustNew(cfg)
 			seedRing(t, w, 40)
 			w.Run(15)
 			// Mid-run churn: a join and a failure.
@@ -26,8 +27,8 @@ func TestAllTwentySevenProtocolsRunSafely(t *testing.T) {
 
 			for id := 0; id < w.Size(); id++ {
 				v := w.Node(NodeID(id)).View()
-				if v.Len() > v.Cap() {
-					t.Fatalf("node %d view %d exceeds cap %d", id, v.Len(), v.Cap())
+				if v.Len() > cfg.ViewSize {
+					t.Fatalf("node %d view %d exceeds cap %d", id, v.Len(), cfg.ViewSize)
 				}
 				if v.Contains(NodeID(id)) {
 					t.Fatalf("node %d stored itself", id)

@@ -66,15 +66,3 @@ func (w *Network) Observe(mc MetricsConfig) Observation {
 	o.Largest = comp.Largest
 	return o
 }
-
-// Degrees returns the undirected degree of every live node in the current
-// overlay, keyed by original node ID (dead nodes are absent).
-func (w *Network) Degrees() map[NodeID]int {
-	snap := w.TakeSnapshot()
-	out := make(map[NodeID]int, len(snap.IDs))
-	for _, id := range snap.IDs {
-		d, _ := snap.DegreeOf(id)
-		out[id] = d
-	}
-	return out
-}

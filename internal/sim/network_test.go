@@ -234,12 +234,15 @@ func TestDegrees(t *testing.T) {
 	seedRing(t, w, 12)
 	w.Run(10)
 	w.Kill(5)
-	degs := w.Degrees()
-	if len(degs) != 11 {
-		t.Errorf("degrees for %d nodes want 11", len(degs))
+	snap := w.TakeSnapshot()
+	if len(snap.IDs) != 11 {
+		t.Errorf("snapshot of %d nodes want 11", len(snap.IDs))
 	}
-	if _, ok := degs[5]; ok {
-		t.Error("dead node has a degree entry")
+	if _, ok := snap.DegreeOf(5); ok {
+		t.Error("dead node has a degree")
+	}
+	if d, ok := snap.DegreeOf(0); !ok || d < 1 {
+		t.Errorf("live node 0 degree = %d,%v", d, ok)
 	}
 }
 

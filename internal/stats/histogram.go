@@ -42,15 +42,6 @@ func (t FreqTable) Total() int {
 	return sum
 }
 
-// CountOf returns the frequency recorded for value v.
-func (t FreqTable) CountOf(v int) int {
-	i := sort.SearchInts(t.Values, v)
-	if i < len(t.Values) && t.Values[i] == v {
-		return t.Counts[i]
-	}
-	return 0
-}
-
 // Max returns the value with the highest frequency (ties broken toward
 // the smaller value) and its count. It returns (0,0) for an empty table.
 func (t FreqTable) Max() (value, count int) {

@@ -55,17 +55,6 @@ func (s *Series) At(cycle int) (float64, bool) {
 	return 0, false
 }
 
-// Window returns the values recorded for cycles in [from, to).
-func (s *Series) Window(from, to int) []float64 {
-	out := make([]float64, 0)
-	for i, c := range s.Cycles {
-		if c >= from && c < to {
-			out = append(out, s.Values[i])
-		}
-	}
-	return out
-}
-
 // ConvergedValue returns the mean over the final tail fraction of the
 // series (e.g. 0.2 for the last 20% of points), a simple scalar summary
 // of what a converged property plot settles at.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,8 +149,8 @@ func TestFreqTable(t *testing.T) {
 	if ft.Total() != 6 {
 		t.Errorf("total = %d", ft.Total())
 	}
-	if ft.CountOf(3) != 3 || ft.CountOf(1) != 2 || ft.CountOf(9) != 0 {
-		t.Error("counts wrong")
+	if !slices.Equal(ft.Values, []int{1, 2, 3}) || !slices.Equal(ft.Counts, []int{2, 1, 3}) {
+		t.Errorf("values %v, counts %v", ft.Values, ft.Counts)
 	}
 	if v, c := ft.Max(); v != 3 || c != 3 {
 		t.Errorf("max = %d,%d", v, c)
@@ -182,10 +183,6 @@ func TestSeries(t *testing.T) {
 	}
 	if _, ok := s.At(4); ok {
 		t.Error("At(4) found phantom point")
-	}
-	w := s.Window(0, 6)
-	if len(w) != 2 || w[1] != 20 {
-		t.Errorf("window = %v", w)
 	}
 	if got := s.ConvergedValue(0.5); !almost(got, 25, 1e-12) {
 		t.Errorf("converged = %v want 25", got)

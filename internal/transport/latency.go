@@ -94,7 +94,9 @@ func (s LatencySnapshot) Cumulative() []uint64 {
 // Quantile estimates the q-quantile (0 < q < 1) in seconds by linear
 // interpolation within the bucket that holds it, the standard
 // histogram_quantile estimate. It returns 0 when the histogram is empty,
-// and the last bound when the quantile falls in the +Inf bucket.
+// and the last bound when the quantile falls in the +Inf bucket, which
+// also holds any counts past the last bound (a snapshot decoded from a
+// build with more buckets).
 func (s LatencySnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || math.IsNaN(q) {
 		return 0
@@ -108,7 +110,7 @@ func (s LatencySnapshot) Quantile(q float64) float64 {
 	rank := q * float64(s.Count)
 	var acc uint64
 	lower := 0.0
-	for i, b := range s.Buckets {
+	for i, b := range s.Buckets[:min(len(s.Buckets), len(LatencyBounds))] {
 		if float64(acc+b) >= rank && b > 0 {
 			within := (rank - float64(acc)) / float64(b)
 			return lower + within*(LatencyBounds[i]-lower)
@@ -120,8 +122,8 @@ func (s LatencySnapshot) Quantile(q float64) float64 {
 }
 
 // Add accumulates another snapshot into s, for fleet-wide totals.
-// Snapshots with mismatched bucket layouts (from a build with different
-// LatencyBounds) are merged on the shared prefix.
+// Bucket lists of different lengths (from a build with different
+// LatencyBounds) are summed index by index into the longer of the two.
 func (s *LatencySnapshot) Add(o LatencySnapshot) {
 	s.Count += o.Count
 	s.SumSeconds += o.SumSeconds

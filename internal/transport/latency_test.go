@@ -70,6 +70,28 @@ func TestLatencySnapshotQuantile(t *testing.T) {
 	}
 }
 
+// A snapshot decoded from a build with more buckets than LatencyBounds
+// (a remote agent's /snapshot) must not index past the bounds: counts past
+// the last bound fall into +Inf, which reads as the last bound.
+func TestLatencySnapshotQuantileLongBucketList(t *testing.T) {
+	last := LatencyBounds[len(LatencyBounds)-1]
+	long := LatencySnapshot{Count: 10, Buckets: make([]uint64, len(LatencyBounds)+2)}
+	long.Buckets[3] = 6 // (0.0005, 0.001]
+	long.Buckets[len(LatencyBounds)] = 4
+	if got := long.Quantile(0.5); got <= 0.0005 || got > 0.001 {
+		t.Errorf("p50 = %v, want within (0.0005, 0.001]", got)
+	}
+	if got := long.Quantile(0.99); got != last {
+		t.Errorf("p99 = %v, want the last bound %v", got, last)
+	}
+	// Add keeps the longer list, so a fleet total carries it on.
+	var total LatencySnapshot
+	total.Add(long)
+	if got := total.Quantile(0.99); got != last {
+		t.Errorf("merged p99 = %v, want the last bound %v", got, last)
+	}
+}
+
 func TestLatencySnapshotAdd(t *testing.T) {
 	var a, b LatencyHistogram
 	a.Observe(time.Millisecond)
