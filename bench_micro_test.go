@@ -79,6 +79,17 @@ func BenchmarkGraphClusteringSampled(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphPathLengthSampled runs psbench paper_dynamics's
+// path-length estimate: 24 sources on 10^4 nodes with random views of 30.
+func BenchmarkGraphPathLengthSampled(b *testing.B) {
+	g := randomGraph(10_000, 30, 6)
+	rng := rand.New(rand.NewPCG(7, 7))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = g.EstimatePathLength(24, rng)
+	}
+}
+
 func BenchmarkRemovalSweep(b *testing.B) {
 	g := randomGraph(10_000, 30, 7)
 	checkpoints := make([]int, 0, 7)

@@ -45,14 +45,12 @@ func (g *Graph) Clustering() float64 {
 }
 
 // EstimateClustering averages the local clustering coefficient over a
-// uniform random sample of nodes (with replacement). With sample >= n the
-// exact coefficient is returned instead.
+// uniform random sample of nodes (with replacement). With sample <= 0 or
+// sample >= n the exact coefficient is returned instead, and nothing is
+// drawn from rng.
 func (g *Graph) EstimateClustering(sample int, rng *rand.Rand) float64 {
 	n := len(g.adj)
-	if n == 0 {
-		return 0
-	}
-	if sample >= n {
+	if sample <= 0 || sample >= n {
 		return g.Clustering()
 	}
 	stamp := make([]uint32, n)

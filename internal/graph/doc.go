@@ -10,11 +10,14 @@
 //
 // A Graph keeps its sorted rows in one array. FromRows builds it from a
 // row callback with two counting sorts, and every analysis keeps its
-// scratch per call, never on the Graph.
+// scratch per call, never on the Graph. Path lengths come from a BFS that
+// carries up to 64 sources at once, one bit per source; the number of
+// pairs it reaches also shows whether the graph is connected.
 //
 // The expensive metrics scale with explicit estimator knobs rather than
 // silently sampling: path lengths BFS from a configurable number of
 // sources and clustering coefficients average over a configurable node
 // sample (see internal/sim.MetricsConfig), so a quick run and a
-// paper-scale run differ only in variance, not in definition.
+// paper-scale run differ only in variance, not in definition. A knob <= 0
+// or >= n asks for the exact value.
 package graph

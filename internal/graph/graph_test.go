@@ -47,13 +47,9 @@ func hasEdge(g *Graph, a, b int32) bool {
 // diameter returns the largest finite shortest-path distance in g (0
 // for graphs with fewer than two nodes or no edges).
 func diameter(g *Graph) int {
-	b := g.newBFS()
 	var d int32
 	for v := range g.adj {
-		b.run(int32(v))
-		// The queue holds the nodes level after level, so its last node
-		// is one of the farthest.
-		d = max(d, b.dist[b.queue[len(b.queue)-1]])
+		d = max(d, slices.Max(append(g.BFS(int32(v)), 0)))
 	}
 	return int(d)
 }
@@ -236,16 +232,38 @@ func TestEstimatePathLength(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	g := fromAdjacency(RandomOutViews(300, 6, rng))
 	exact, _ := g.AveragePathLength()
-	if got := g.EstimatePathLength(1000, rng); math.Abs(got-exact) > 1e-12 {
+	if got, _ := g.EstimatePathLength(1000, rng); math.Abs(got-exact) > 1e-12 {
 		t.Errorf("full-source estimate %v != exact %v", got, exact)
 	}
-	est := g.EstimatePathLength(50, rng)
+	est, _ := g.EstimatePathLength(50, rng)
 	if math.Abs(est-exact) > 0.15 {
 		t.Errorf("sampled estimate %v too far from exact %v", est, exact)
 	}
 	tiny := newUndirected(1, nil)
-	if tiny.EstimatePathLength(5, rng) != 0 {
+	if got, _ := tiny.EstimatePathLength(5, rng); got != 0 {
 		t.Error("single node path length != 0")
+	}
+}
+
+// TestEstimatorsTreatNonPositiveAsExact pins the "0 means exact" knob
+// that sim.MetricsConfig, scenario.Scale and psim document: a sample or
+// source count <= 0 gives the exact value, as one >= n does, and draws
+// nothing from rng.
+func TestEstimatorsTreatNonPositiveAsExact(t *testing.T) {
+	g := fromAdjacency(RandomOutViews(120, 4, rand.New(rand.NewPCG(3, 3))))
+	wantC := g.Clustering()
+	wantL, wantP := g.AveragePathLength()
+	for _, k := range []int{0, -3} {
+		rng := rand.New(rand.NewPCG(5, 5))
+		if got := g.EstimateClustering(k, rng); got != wantC {
+			t.Errorf("EstimateClustering(%d) = %v, want exact %v", k, got, wantC)
+		}
+		if got, pairs := g.EstimatePathLength(k, rng); got != wantL || pairs != wantP {
+			t.Errorf("EstimatePathLength(%d) = %v over %d, want exact %v over %d", k, got, pairs, wantL, wantP)
+		}
+		if got, want := rng.Uint64(), rand.New(rand.NewPCG(5, 5)).Uint64(); got != want {
+			t.Errorf("k = %d drew from rng", k)
+		}
 	}
 }
 

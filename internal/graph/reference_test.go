@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -83,20 +84,16 @@ func (r refGraph) averagePathLength() (float64, int) {
 	return float64(sum) / float64(pairs), int(pairs)
 }
 
-func (r refGraph) estimatePathLength(sources int, rng *rand.Rand) float64 {
+func (r refGraph) estimatePathLength(sources int, rng *rand.Rand) (float64, int) {
 	n := len(r)
-	if n < 2 {
-		return 0
-	}
-	if sources >= n {
-		l, _ := r.averagePathLength()
-		return l
+	if sources <= 0 || sources >= n {
+		return r.averagePathLength()
 	}
 	sum, pairs := r.pathSums(refSampleIndices(n, sources, rng))
 	if pairs == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(sum) / float64(pairs)
+	return float64(sum) / float64(pairs), int(pairs)
 }
 
 func (r refGraph) diameter() int {
@@ -148,7 +145,7 @@ func (r refGraph) estimateClustering(sample int, rng *rand.Rand) float64 {
 		return 0
 	}
 	sum := 0.0
-	if sample >= n {
+	if sample <= 0 || sample >= n {
 		for v := range r {
 			sum += r.clusteringOf(int32(v))
 		}
@@ -209,10 +206,11 @@ func matchReference(t *testing.T, g *graph.Graph, out [][]int32) {
 	if got, want := graph.Diameter(g), ref.diameter(); got != want {
 		t.Fatalf("Diameter = %d; reference %d", got, want)
 	}
-	for _, k := range []int{1, max(n/2, 1), n} {
-		if got, want := g.EstimatePathLength(k, rand.New(rand.NewPCG(uint64(k), 1))),
-			ref.estimatePathLength(k, rand.New(rand.NewPCG(uint64(k), 1))); got != want {
-			t.Fatalf("EstimatePathLength(%d) = %v; reference %v", k, got, want)
+	for _, k := range []int{-3, 0, 1, max(n/2, 1), n} {
+		gotL, gotP := g.EstimatePathLength(k, rand.New(rand.NewPCG(uint64(k), 1)))
+		wantL, wantP := ref.estimatePathLength(k, rand.New(rand.NewPCG(uint64(k), 1)))
+		if gotL != wantL || gotP != wantP {
+			t.Fatalf("EstimatePathLength(%d) = %v over %d; reference %v over %d", k, gotL, gotP, wantL, wantP)
 		}
 		if got, want := g.EstimateClustering(k, rand.New(rand.NewPCG(uint64(k), 2))),
 			ref.estimateClustering(k, rand.New(rand.NewPCG(uint64(k), 2))); got != want {
@@ -292,6 +290,74 @@ func TestObservationMatchesReference(t *testing.T) {
 	})
 }
 
+// twoCliques returns the out-lists of two disjoint cliques of a and b
+// nodes.
+func twoCliques(a, b int) [][]int32 {
+	out := make([][]int32, a+b)
+	for _, c := range [][2]int{{0, a}, {a, a + b}} {
+		for u := c[0]; u < c[1]; u++ {
+			for v := u + 1; v < c[1]; v++ {
+				out[u] = append(out[u], int32(v))
+			}
+		}
+	}
+	return out
+}
+
+// TestPathSumsMatchesReference checks the bit-parallel kernel against one
+// plain BFS per source: around the 64-source batch boundary, in exact mode
+// from n = 0 up, on disconnected graphs and on a star, whose centre turns
+// a one-node frontier into the whole graph's edges in one level.
+func TestPathSumsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 1))
+	sums := func(t *testing.T, out [][]int32, srcs []int) {
+		t.Helper()
+		g := graph.FromAdjacency(out)
+		gotS, gotP := graph.PathSums(g, srcs)
+		wantS, wantP := refFromAdjacency(out).pathSums(srcs)
+		if gotS != wantS || gotP != wantP {
+			t.Fatalf("%d sources: sum, pairs = %d, %d; reference %d, %d", len(srcs), gotS, gotP, wantS, wantP)
+		}
+	}
+
+	t.Run("batches", func(t *testing.T) {
+		out := graph.RandomOutViews(300, 3, rng)
+		for _, k := range []int{1, 63, 64, 65, 128} {
+			sums(t, out, refSampleIndices(300, k, rng))
+		}
+	})
+
+	star := make([][]int32, 200)
+	for v := 1; v < len(star); v++ {
+		star[v] = []int32{0}
+	}
+	isolated := append(graph.RandomOutViews(90, 3, rng), make([][]int32, 40)...)
+	shapes := map[string][][]int32{
+		"isolated":    isolated,
+		"two_cliques": twoCliques(50, 30),
+		"star":        star,
+	}
+	for _, n := range []int{0, 1, 2, 65, 130} {
+		out := make([][]int32, n)
+		if n > 4 {
+			out = graph.RandomOutViews(n, 2, rng)
+		} else if n == 2 {
+			out[0] = []int32{1}
+		}
+		shapes[fmt.Sprintf("n=%d", n)] = out
+	}
+	for name, out := range shapes {
+		t.Run(name, func(t *testing.T) {
+			n := len(out)
+			sums(t, out, refSampleIndices(n, n, nil))
+			if n > 0 {
+				sums(t, out, refSampleIndices(n, min(n, 65), rng))
+			}
+			matchReference(t, graph.FromAdjacency(out), out)
+		})
+	}
+}
+
 // FuzzFromRows checks the row builder and every analysis against the
 // reference on arbitrary rows: each pair of input bytes is a node and a
 // signed target, so self-references, duplicates and out-of-range targets
@@ -323,5 +389,48 @@ func FuzzFromRows(f *testing.F) {
 			t.Fatalf("%d rows requested, want %d", calls, n)
 		}
 		matchReference(t, g, out)
+	})
+}
+
+// FuzzPathLength checks both path-length entry points and the kernel
+// under them against one plain BFS per source, on graphs of up to 255
+// nodes, so that source batches cross the 64-bit word. The first byte is
+// n, the second a signed source count, and each later pair of bytes a
+// node and a target.
+func FuzzPathLength(f *testing.F) {
+	f.Add([]byte{5, 2, 0, 1, 1, 2, 2, 3, 3, 4})
+	f.Add([]byte{130, 65, 0, 1, 1, 2, 64, 65, 65, 66, 127, 0})
+	f.Add([]byte{70, 0, 0, 69})
+	f.Add([]byte{3, 0xfe})
+	f.Add([]byte{0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, k := int(data[0]), int(int8(data[1]))
+		out := make([][]int32, n)
+		for i := 2; n > 0 && i+1 < len(data); i += 2 {
+			v := int(data[i]) % n
+			out[v] = append(out[v], int32(data[i+1]))
+		}
+		g := graph.FromRows(n, func(i int, dst []int32) []int32 { return append(dst, out[i]...) })
+		ref := refFromAdjacency(out)
+
+		gotL, gotP := g.AveragePathLength()
+		wantL, wantP := ref.averagePathLength()
+		if gotL != wantL || gotP != wantP {
+			t.Fatalf("AveragePathLength = %v over %d; reference %v over %d", gotL, gotP, wantL, wantP)
+		}
+		gotL, gotP = g.EstimatePathLength(k, rand.New(rand.NewPCG(uint64(n), 3)))
+		wantL, wantP = ref.estimatePathLength(k, rand.New(rand.NewPCG(uint64(n), 3)))
+		if gotL != wantL || gotP != wantP {
+			t.Fatalf("EstimatePathLength(%d) = %v over %d; reference %v over %d", k, gotL, gotP, wantL, wantP)
+		}
+		srcs := refSampleIndices(n, min(max(k, 0), n), rand.New(rand.NewPCG(uint64(n), 4)))
+		gotS, gotSP := graph.PathSums(g, srcs)
+		wantS, wantSP := ref.pathSums(srcs)
+		if gotS != wantS || gotSP != wantSP {
+			t.Fatalf("%d sources: sum, pairs = %d, %d; reference %d, %d", len(srcs), gotS, gotSP, wantS, wantSP)
+		}
 	})
 }

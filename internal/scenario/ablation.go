@@ -87,12 +87,12 @@ func RunAblation(sc Scale, seed uint64) *AblationResult {
 		rng := newRand(mix(seed, 100+i))
 		row := AblationRow{
 			ViewSize:   c,
-			Clustering: snap.Graph.EstimateClustering(max(sc.ClusteringSample, 1), rng),
-			PathLen:    snap.Graph.EstimatePathLength(max(sc.PathSources, 1), rng),
+			Clustering: snap.Graph.EstimateClustering(sc.ClusteringSample, rng),
 			Connected:  snap.Graph.Components().Connected(),
 			// Removal robustness on the converged overlay.
 			PartitionAt: firstPartition(removalProfile(snap.Graph, sc.Reps, seed, 1000+i*100)),
 		}
+		row.PathLen, _ = snap.Graph.EstimatePathLength(sc.PathSources, rng)
 
 		// Healing speed after a 50% failure.
 		w.KillFraction(0.5)

@@ -51,18 +51,20 @@ func (w *Network) Observe(mc MetricsConfig) Observation {
 	}
 	o.MinDegree, o.MaxDegree = g.MinMaxDegree()
 
-	if mc.ClusteringSample > 0 {
-		o.Clustering = g.EstimateClustering(mc.ClusteringSample, rng)
-	} else {
-		o.Clustering = g.Clustering()
+	o.Clustering = g.EstimateClustering(mc.ClusteringSample, rng)
+	var pairs int
+	o.PathLen, pairs = g.EstimatePathLength(mc.PathSources, rng)
+	n, k := g.NumNodes(), mc.PathSources
+	if k <= 0 || k > n {
+		k = n // exact: every node is a source
 	}
-	if mc.PathSources > 0 {
-		o.PathLen = g.EstimatePathLength(mc.PathSources, rng)
+	if n > 0 && pairs == k*(n-1) {
+		// Every source reached every node, so the graph is connected
+		// and a flood fill would find nothing more.
+		o.Components, o.Largest = 1, n
 	} else {
-		o.PathLen, _ = g.AveragePathLength()
+		comp := g.Components()
+		o.Components, o.Largest = comp.Count, comp.Largest
 	}
-	comp := g.Components()
-	o.Components = comp.Count
-	o.Largest = comp.Largest
 	return o
 }
